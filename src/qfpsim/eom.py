@@ -2,10 +2,9 @@
 
 A modulator driven with instantaneous phase ``depth * sin(Omega t + phase)``
 scatters bin n to bin m with amplitude J_{m-n}(depth) * exp(i (m-n) phase),
-so an upshift by one bin carries exp(i*phase).  Bessel functions are
-evaluated locally (ascending power series for small arguments, Miller's
-downward recurrence otherwise) and the two routes are cross-validated in
-the test suite.
+so an upshift by one bin carries exp(i*phase).  Bessel functions come
+from ``scipy.special.jv``, imported on first use so that importing this
+module loads only numpy.
 """
 
 from dataclasses import dataclass
@@ -20,101 +19,18 @@ TRUNCATION_POWER_TOL = 1e-14
 DEFAULT_UNITARITY_TOL = 1e-10
 
 
-def bessel_j_series(order: int, argument: float, tol: float = 1e-18) -> float:
-    """J_order(argument) by the ascending power series.
-
-    Accurate for |argument| < ~10 in double precision; intended for
-    |argument| < 2 where it needs only a handful of terms.
-    """
-    n = abs(int(order))
-    x = float(argument)
-    sign = 1.0
-    if order < 0 and n % 2 == 1:
-        sign = -sign
-    if x < 0:
-        x = -x
-        if n % 2 == 1:
-            sign = -sign
-    if x == 0.0:
-        return 1.0 if n == 0 else 0.0
-    half = x / 2.0
-    # leading term half^n / n!
-    term = 1.0
-    for k in range(1, n + 1):
-        term *= half / k
-    total = term
-    m = 0
-    while True:
-        m += 1
-        term *= -(half * half) / (m * (m + n))
-        total += term
-        if abs(term) < tol * max(abs(total), 1e-300) or m > 200:
-            break
-    return sign * total
-
-
-def bessel_j_recurrence(max_order: int, argument: float) -> np.ndarray:
-    """J_0..J_max_order by Miller's downward recurrence with normalization."""
-    x = abs(float(argument))
-    nmax = int(max_order)
-    if x == 0.0:
-        out = np.zeros(nmax + 1)
-        out[0] = 1.0
-        return out
-    # start well above both the requested order and the turning point
-    start = nmax + int(x) + 22 + int(2.0 * np.sqrt(nmax + 1))
-    if start % 2 == 1:
-        start += 1
-    fkp1 = 0.0
-    fk = 1e-30
-    vals = np.zeros(nmax + 1)
-    even_sum = 0.0
-    for k in range(start, 0, -1):
-        fkm1 = (2.0 * k / x) * fk - fkp1
-        fkp1 = fk
-        fk = fkm1
-        if k - 1 <= nmax:
-            vals[k - 1] = fk
-        if (k - 1) % 2 == 0 and k - 1 > 0:
-            even_sum += fk
-        if abs(fk) > 1e250:  # rescale to avoid overflow
-            fk *= 1e-250
-            fkp1 *= 1e-250
-            vals *= 1e-250
-            even_sum *= 1e-250
-    norm = fk + 2.0 * even_sum  # J_0 + 2*sum_{k>=1} J_{2k} = 1
-    vals /= norm
-    if argument < 0:
-        vals[1::2] *= -1.0
-    return vals
-
-
-def bessel_j(order: int, argument: float) -> float:
-    """Bessel function of the first kind, J_order(argument).
+def bessel_row(max_order: int, argument: float) -> np.ndarray:
+    """J_0..J_max_order(argument) in one ``scipy.special.jv`` call.
 
     Raises:
         InvalidArgumentError: if |argument| exceeds the validated range.
     """
     if abs(argument) > BESSEL_MAX_ARGUMENT:
         raise InvalidArgumentError(
-            f"|argument| = {abs(argument)} exceeds validated range {BESSEL_MAX_ARGUMENT}"
-        )
-    n = abs(int(order))
-    sign = 1.0
-    if order < 0 and n % 2 == 1:
-        sign = -1.0
-    if abs(argument) < 2.0:
-        return sign * bessel_j_series(n, argument)
-    return sign * float(bessel_j_recurrence(n, argument)[n])
+            f"|argument| = {abs(argument)} exceeds validated range {BESSEL_MAX_ARGUMENT}")
+    from scipy.special import jv  # imported here so this module loads only numpy
 
-
-def bessel_row(max_order: int, argument: float) -> np.ndarray:
-    """J_0..J_max_order, choosing the evaluation route per |argument|."""
-    if abs(argument) > BESSEL_MAX_ARGUMENT:
-        raise InvalidArgumentError("argument outside validated range")
-    if abs(argument) < 2.0:
-        return np.array([bessel_j_series(k, argument) for k in range(max_order + 1)])
-    return bessel_j_recurrence(max_order, argument)
+    return jv(np.arange(max_order + 1), argument)
 
 
 def truncation_order(depth: float, tol: float = TRUNCATION_POWER_TOL) -> int:
@@ -176,20 +92,6 @@ class ModeOperator:
         if self.entries.shape != (n, n):
             raise InvalidArgumentError("operator dimensions must match the lattice window")
 
-    def compose(self, other: "ModeOperator") -> "ModeOperator":
-        """Matrix product self @ other (other acts first)."""
-        if self.lattice != other.lattice:
-            raise InvalidArgumentError("operators live on different lattices")
-        return ModeOperator(self.lattice, self.entries @ other.entries,
-                            label=f"{self.label}*{other.label}")
-
-    def __matmul__(self, other: "ModeOperator") -> "ModeOperator":
-        return self.compose(other)
-
-
-def identity_operator(lattice: FrequencyLattice, label: str = "I") -> ModeOperator:
-    return ModeOperator(lattice, np.eye(lattice.size, dtype=complex), label=label)
-
 
 def eom_operator(drive: RfDrive, lattice: FrequencyLattice) -> ModeOperator:
     """Mode-mixing operator of a sinusoidally driven phase modulator.
@@ -205,12 +107,15 @@ def eom_operator(drive: RfDrive, lattice: FrequencyLattice) -> ModeOperator:
             f"drive frequency {drive.frequency} does not match lattice spacing {lattice.spacing}"
         )
     depth = drive.effective_depth
-    bins = lattice.bins
-    diff = bins[:, None] - bins[None, :]
-    row = bessel_row(int(np.abs(diff).max()), depth)
+    n = lattice.size
+    # the Toeplitz band: entry k holds the coefficient of offset m - n = k - (n - 1)
+    diff = np.arange(1 - n, n)
+    row = bessel_row(n - 1, depth)
     mag = row[np.abs(diff)]
     sign = np.where((diff < 0) & (np.abs(diff) % 2 == 1), -1.0, 1.0)
-    entries = mag * sign * np.exp(1j * diff * drive.phase)
+    band = mag * sign * np.exp(1j * diff * drive.phase)
+    index = np.arange(n)
+    entries = band[index[:, None] - index[None, :] + (n - 1)]
     return ModeOperator(lattice, entries, label=f"EOM(d={depth:.4g})")
 
 

@@ -36,6 +36,18 @@ class ProcessorConfig:
         b0, b1 = self.computational_bins
         if b1 - b0 != 1:
             raise InvalidArgumentError("computational bins must be adjacent")
+        lat = self.lattice
+        if not (lat.contains(b0) and lat.contains(b1)):
+            raise InvalidArgumentError("computational bins must lie inside the window")
+        # The block sums over intermediate bins within K of the pair, so a
+        # margin of K bins to the window edge keeps it exact.
+        depth = max(self.in_drive.effective_depth, self.out_drive.effective_depth)
+        needed = truncation_order(depth)
+        margin = min(b0 - lat.l_min, lat.l_max - b1)
+        if margin < needed:
+            raise OutOfRangeError(
+                f"computational bins lie {margin} bins from the window edge; depth "
+                f"{depth} needs {needed} (widen the window)")
 
 
 def compose_qfp(config: ProcessorConfig) -> ModeOperator:
@@ -44,7 +56,9 @@ def compose_qfp(config: ProcessorConfig) -> ModeOperator:
     m_in = eom_operator(config.in_drive, lat)
     m_out = eom_operator(config.out_drive, lat)
     d_ws = ws_operator(config.channels, lat, config.ws_model)
-    return ModeOperator(lat, m_out.entries @ d_ws.entries @ m_in.entries, label="QFP")
+    # the WS operator is diagonal: scaling the columns of m_out applies it
+    entries = (m_out.entries * np.diagonal(d_ws.entries)) @ m_in.entries
+    return ModeOperator(lat, entries, label="QFP")
 
 
 def _step_channels(lattice: FrequencyLattice, upper_bin: int, alpha: float,
@@ -88,14 +102,29 @@ def jbar(delta: float) -> float:
     return 2.0 * s * s
 
 
-def rt_closed_form(alpha: float, delta: float) -> tuple:
-    """(R, T) of the beamsplitter from the closed-form cosine laws."""
+def _rt_coefficients(delta: float) -> tuple:
+    """(J_0^4, jbar): the depth-dependent coefficients of the cosine laws."""
     if delta < 0:
         raise InvalidArgumentError("depth must be non-negative")
-    j0 = bessel_row(0, delta)[0] if delta != 0.0 else 1.0
-    j04 = j0**4
-    r = j04 + ((1.0 - j04) / 2.0) * (1.0 + np.cos(alpha))
-    t = jbar(delta) * (1.0 - np.cos(alpha))
+    return bessel_row(0, delta)[0] ** 4, jbar(delta)
+
+
+def _cosine_laws(alpha, j04: float, jb: float) -> tuple:
+    """(R, T) at step phase alpha: R = J_0^4 + (1 - J_0^4)(1 + cos alpha)/2,
+    T = jbar (1 - cos alpha)."""
+    c = np.cos(alpha)
+    return j04 + ((1.0 - j04) / 2.0) * (1.0 + c), jb * (1.0 - c)
+
+
+def _splitting(alpha, j04: float, jb: float) -> float:
+    """T/(R+T) at step phase alpha."""
+    r, t = _cosine_laws(alpha, j04, jb)
+    return t / (r + t)
+
+
+def rt_closed_form(alpha: float, delta: float) -> tuple:
+    """(R, T) of the beamsplitter from the closed-form cosine laws."""
+    r, t = _cosine_laws(alpha, *_rt_coefficients(delta))
     return float(r), float(t)
 
 
@@ -130,8 +159,7 @@ def target_unitary(theta: float, lam: float, mu: float) -> np.ndarray:
 
 def splitting_max(delta: float) -> float:
     """Largest achievable T/(R+T) over alpha, attained at alpha = pi."""
-    r, t = rt_closed_form(np.pi, delta)
-    return t / (r + t)
+    return float(_splitting(np.pi, *_rt_coefficients(delta)))
 
 
 def alpha_for_theta(theta: float, delta: float) -> float:
@@ -145,13 +173,12 @@ def alpha_for_theta(theta: float, delta: float) -> float:
         raise OutOfRangeError(
             f"theta = {theta} outside the achievable interval [0, pi/2] at depth {delta}")
     want = np.sin(theta / 2.0) ** 2
-    peak = splitting_max(delta)
-    if want >= peak:
+    coeffs = _rt_coefficients(delta)
+    if want >= _splitting(np.pi, *coeffs):
         return np.pi
 
     def ratio(alpha):
-        r, t = rt_closed_form(alpha, delta)
-        return t / (r + t) - want
+        return _splitting(alpha, *coeffs) - want
 
     return float(brentq(ratio, np.pi, 2.0 * np.pi, xtol=1e-12))
 
@@ -193,7 +220,12 @@ def simulate_output_spectrum(config: ProcessorConfig, input_amplitudes) -> np.nd
     ``input_amplitudes`` may be a full window vector or a {bin: amplitude}
     mapping.
     """
-    lat = config.lattice
+    return _output_powers(compose_qfp(config), input_amplitudes)
+
+
+def _output_powers(op: ModeOperator, input_amplitudes) -> np.ndarray:
+    """|M a|^2 of a composed processor for one probe (see simulate_output_spectrum)."""
+    lat = op.lattice
     if isinstance(input_amplitudes, dict):
         a = np.zeros(lat.size, dtype=complex)
         for b, amp in input_amplitudes.items():
@@ -205,8 +237,7 @@ def simulate_output_spectrum(config: ProcessorConfig, input_amplitudes) -> np.nd
     norm = np.sum(np.abs(a) ** 2)
     if not np.isclose(norm, 1.0, atol=1e-9):
         raise InvalidArgumentError("input amplitudes must be normalized")
-    out = compose_qfp(config).entries @ a
-    return np.abs(out) ** 2
+    return np.abs(op.entries @ a) ** 2
 
 
 def beamsplitter_spectra(config: ProcessorConfig, gammas=(0.0, np.pi)) -> dict:
@@ -216,13 +247,14 @@ def beamsplitter_spectra(config: ProcessorConfig, gammas=(0.0, np.pi)) -> dict:
     equal superpositions with relative phase gamma.
     """
     b0, b1 = config.computational_bins
+    op = compose_qfp(config)
     spectra = {
-        "bin0": simulate_output_spectrum(config, {b0: 1.0}),
-        "bin1": simulate_output_spectrum(config, {b1: 1.0}),
+        "bin0": _output_powers(op, {b0: 1.0}),
+        "bin1": _output_powers(op, {b1: 1.0}),
     }
     for g in gammas:
         amp = {b0: 1.0 / np.sqrt(2.0), b1: np.exp(1j * g) / np.sqrt(2.0)}
-        spectra[f"gamma:{g:.17g}"] = simulate_output_spectrum(config, amp)
+        spectra[f"gamma:{g:.17g}"] = _output_powers(op, amp)
     return spectra
 
 

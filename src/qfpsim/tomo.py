@@ -159,11 +159,16 @@ def fit_visibility(phis, counts, sigma=None) -> VisibilityFit:
     def model(x, b, v, chi):
         return b * (1.0 + v * np.cos(x + chi))
 
+    def jac(x, b, v, chi):
+        # analytic: a forward difference in chi has a zero step at chi = 0
+        c = np.cos(x + chi)
+        return np.column_stack((1.0 + v * c, b * c, -b * v * np.sin(x + chi)))
+
     b0 = float(np.mean(counts))
     spread = (counts.max() - counts.min()) / (2.0 * b0) if b0 > 0 else 0.5
     chi0 = float(-phis[np.argmax(counts)])
     try:
-        popt, pcov = curve_fit(model, phis, counts, sigma=sigma,
+        popt, pcov = curve_fit(model, phis, counts, sigma=sigma, jac=jac,
                                absolute_sigma=True,
                                p0=[b0, min(spread, 0.99), chi0],
                                maxfev=20000)

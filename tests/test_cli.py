@@ -50,6 +50,11 @@ def test_gate_unreachable_angle_is_physics_error(tmp_path):
     assert _run("gate", cfg, tmp_path / "out") == 3
 
 
+def test_window_narrower_than_truncation_order_is_physics_error(tmp_path):
+    cfg = _write_cfg(tmp_path, {"constants": {"depth": 6.0, "half_width": 3}})
+    assert _run("beamsplitter", cfg, tmp_path / "out") == 3
+
+
 def test_spectrum_command_conserves_power(tmp_path):
     cfg = _write_cfg(tmp_path, {"alpha": 3.5})
     out = tmp_path / "out"
@@ -86,6 +91,7 @@ def test_tomography_expected_value(tmp_path):
     assert 0.93 <= summary["fidelity_to_bell"] <= 0.98
     assert 0.90 <= summary["visibility"] <= 0.97
     assert summary["violates_classical_bound"]
+    assert np.isfinite(summary["visibility_sigma"])
     for name in ("rho_real.csv", "rho_imag.csv", "fringe.csv"):
         assert (out / name).exists()
 

@@ -1,53 +1,53 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import jv
 
-from qfpsim.eom import (RfDrive, bessel_j, bessel_j_recurrence,
-                        bessel_j_series, bessel_row, eom_operator,
-                        identity_operator, truncation_order,
-                        unitarity_deficit)
+from qfpsim.eom import (BESSEL_MAX_ARGUMENT, RfDrive, bessel_row,
+                        eom_operator, truncation_order, unitarity_deficit)
 from qfpsim.errors import InvalidArgumentError
 from qfpsim.lattice import make_lattice
 
 
-def test_series_matches_reference_small_arguments():
-    for order in range(0, 11):
-        for x in np.linspace(-1.99, 1.99, 21):
-            assert bessel_j_series(order, float(x)) == pytest.approx(
-                jv(order, x), abs=1e-13)
+@settings(max_examples=60, deadline=None)
+@given(st.floats(-BESSEL_MAX_ARGUMENT, BESSEL_MAX_ARGUMENT))
+def test_bessel_row_power_sums_to_one(x):
+    # J_0^2 + 2 sum_{k>=1} J_k^2 = 1
+    row = bessel_row(int(abs(x)) + 60, x)
+    assert row[0] ** 2 + 2.0 * np.sum(row[1:] ** 2) == pytest.approx(1.0, abs=1e-13)
 
 
-def test_recurrence_matches_reference_large_arguments():
-    for x in (2.0, 5.0, 10.0, 25.0, 50.0):
-        row = bessel_j_recurrence(40, x)
-        ref = jv(np.arange(41), x)
-        assert np.abs(row - ref).max() < 1e-12
-
-
-def test_series_and_recurrence_agree_in_overlap():
-    # both routes are valid near |x| = 2; they must agree independently
-    for x in (1.5, 1.9, 2.0, 2.5):
-        for order in range(0, 12):
-            s = bessel_j_series(order, x)
-            r = float(bessel_j_recurrence(order, x)[order])
-            assert s == pytest.approx(r, abs=1e-13)
+@settings(max_examples=60, deadline=None)
+@given(st.floats(0.1, BESSEL_MAX_ARGUMENT), st.booleans())
+def test_bessel_row_three_term_recurrence(x, negative):
+    # J_{k-1}(x) + J_{k+1}(x) = (2k/x) J_k(x)
+    x = -x if negative else x
+    row = bessel_row(int(abs(x)) + 30, x)
+    k = np.arange(1, len(row) - 1)
+    assert np.abs(row[k - 1] + row[k + 1] - (2.0 * k / x) * row[k]).max() < 1e-13
 
 
 def test_negative_order_parity():
-    for order in range(1, 8):
-        assert bessel_j(-order, 0.9) == pytest.approx(
-            (-1) ** order * bessel_j(order, 0.9), abs=1e-15)
+    # the operator's lower band carries J_{-k} = (-1)^k J_k
+    lat = make_lattice(193.7e12, 25e9, 8)
+    theta = 0.4
+    e = eom_operator(RfDrive(0.9, theta, 25e9), lat).entries
+    row = bessel_row(7, 0.9)
+    for k in range(1, 8):
+        assert e[0, k] == pytest.approx(
+            (-1) ** k * row[k] * np.exp(-1j * k * theta), abs=1e-15)
 
 
 def test_negative_argument_parity():
-    for order in range(0, 8):
-        assert bessel_j(order, -3.1) == pytest.approx(
-            (-1) ** order * bessel_j(order, 3.1), abs=1e-14)
+    row, mirrored = bessel_row(12, -3.1), bessel_row(12, 3.1)
+    assert np.abs(row - (-1.0) ** np.arange(13) * mirrored).max() < 1e-15
 
 
 def test_argument_range_guard():
+    bessel_row(3, BESSEL_MAX_ARGUMENT)
     with pytest.raises(InvalidArgumentError):
-        bessel_j(0, 50.1)
+        bessel_row(0, 50.1)
     with pytest.raises(InvalidArgumentError):
         bessel_row(5, -51.0)
 
@@ -99,12 +99,3 @@ def test_disabled_drive_gives_identity():
     lat = make_lattice(193.7e12, 25e9, 6)
     op = eom_operator(RfDrive(0.8, 0.0, 25e9, enabled=False), lat)
     assert np.abs(op.entries - np.eye(lat.size)).max() < 1e-15
-
-
-def test_compose_matches_matrix_product():
-    lat = make_lattice(193.7e12, 25e9, 8)
-    a = eom_operator(RfDrive(0.5, 0.1, 25e9), lat)
-    b = eom_operator(RfDrive(0.7, -0.4, 25e9), lat)
-    assert np.allclose((a @ b).entries, a.entries @ b.entries)
-    ident = identity_operator(lat)
-    assert np.allclose((a @ ident).entries, a.entries)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qfpsim.eom import RfDrive, eom_operator
+from qfpsim.eom import RfDrive, eom_operator, truncation_order
 from qfpsim.errors import (InvalidArgumentError, OutOfRangeError,
                            UndefinedFidelityError)
 from qfpsim.lattice import make_lattice
@@ -79,6 +81,17 @@ def test_alpha_for_theta_inverts_splitting():
         assert t / (r + t) == pytest.approx(np.sin(theta / 2) ** 2, abs=1e-10)
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.floats(0.3, 4.0), st.floats(0.0, 1.0))
+def test_alpha_for_theta_inverts_splitting_at_any_depth(delta, fraction):
+    theta_max = min(2.0 * np.arcsin(np.sqrt(splitting_max(delta))), np.pi / 2)
+    theta = fraction * theta_max
+    alpha = alpha_for_theta(theta, delta)
+    assert np.pi <= alpha <= 2.0 * np.pi
+    r, t = rt_closed_form(alpha, delta)
+    assert t / (r + t) == pytest.approx(np.sin(theta / 2) ** 2, abs=1e-10)
+
+
 def test_alpha_for_theta_clamps_at_maximum_splitting():
     assert splitting_max(DELTA) < 0.5
     assert alpha_for_theta(np.pi / 2, DELTA) == pytest.approx(np.pi)
@@ -127,6 +140,19 @@ def test_simulate_output_spectrum_conserves_power():
         simulate_output_spectrum(cfg, {0: 2.0})
 
 
+def test_beamsplitter_spectra_match_single_probe_spectra():
+    cfg = synthesize_gate(0.9, 0.4, -1.1, DELTA, LAT, BINS)
+    spectra = beamsplitter_spectra(cfg, gammas=(0.0, np.pi, np.pi / 2))
+    s = 1.0 / np.sqrt(2.0)
+    probes = {"bin0": {0: 1.0}, "bin1": {1: 1.0}}
+    for g in (0.0, np.pi, np.pi / 2):
+        probes[f"gamma:{g:.17g}"] = {0: s, 1: np.exp(1j * g) * s}
+    assert spectra.keys() == probes.keys()
+    for key, amp in probes.items():
+        single = simulate_output_spectrum(cfg, amp)
+        assert np.abs(spectra[key] - single).max() <= 1e-15
+
+
 def test_reconstruct_with_quadrature_probes_is_exact():
     for alpha in (np.pi, 4.2, 5.5):
         cfg = beamsplitter_config(alpha, DELTA, LAT, BINS)
@@ -158,6 +184,15 @@ def test_processor_config_validates_window():
     drive = RfDrive(DELTA, 0.0, LAT.spacing)
     with pytest.raises(InvalidArgumentError):
         ProcessorConfig(drive, drive, (), LAT, (0, 3))
+    with pytest.raises(InvalidArgumentError):
+        ProcessorConfig(drive, drive, (), LAT, (LAT.l_max, LAT.l_max + 1))
+    # the pair must lie truncation_order(depth) bins from the window edge
+    k = truncation_order(DELTA)
+    narrow = make_lattice(193.7e12, 25e9, k + 1)
+    ProcessorConfig(drive, drive, (), narrow, (0, 1))
+    narrow = make_lattice(193.7e12, 25e9, k)
+    with pytest.raises(OutOfRangeError):
+        ProcessorConfig(drive, drive, (), narrow, (0, 1))
 
 
 def test_compose_order_is_out_ws_in():

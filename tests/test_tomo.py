@@ -88,6 +88,15 @@ def test_fit_visibility_validation_and_sign_handling():
         fit_visibility(phis[:4], counts[:4])
 
 
+def test_fit_visibility_sigma_is_finite_on_noiseless_fringe_at_zero_phase():
+    phis = np.linspace(0, 2 * np.pi, 13)
+    counts = 1e5 * (1.0 + 0.93 * np.cos(phis))
+    fit = fit_visibility(phis, counts)
+    assert fit.visibility == pytest.approx(0.93, abs=1e-9)
+    assert abs(fit.phase) < 1e-9
+    assert np.isfinite(fit.visibility_sigma) and 0 < fit.visibility_sigma < 1e-2
+
+
 def test_mle_gradient_matches_finite_differences():
     from qfpsim.tomo import _t_from_params
 
