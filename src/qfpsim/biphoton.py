@@ -15,7 +15,7 @@ from scipy.optimize import minimize
 from .errors import InvalidArgumentError, RetrievalFailureError
 from .eom import ModeOperator, RfDrive, eom_operator
 from .lattice import FrequencyLattice
-from .rings import MODE_PHASE, WsChannel, mzi_pump_filter
+from .rings import mzi_pump_filter
 
 
 @dataclass(frozen=True)
@@ -91,11 +91,16 @@ def reversed_operator(op: ModeOperator) -> ModeOperator:
                         label=f"reversed({op.label})")
 
 
+def _check_windows(state: BiphotonState, signal_op: ModeOperator,
+                   idler_op: ModeOperator) -> None:
+    if signal_op.lattice != state.signal_lattice or idler_op.lattice != state.idler_lattice:
+        raise InvalidArgumentError("operator windows must match the state")
+
+
 def apply_joint(state: BiphotonState, signal_op: ModeOperator,
                 idler_op: ModeOperator) -> BiphotonState:
     """A -> S A I^T: each photon scatters through its own mode operator."""
-    if signal_op.lattice != state.signal_lattice or idler_op.lattice != state.idler_lattice:
-        raise InvalidArgumentError("operator windows must match the state")
+    _check_windows(state, signal_op, idler_op)
     amps = signal_op.entries @ state.amplitudes @ idler_op.entries.T
     return BiphotonState(state.signal_lattice, state.idler_lattice, amps)
 
@@ -132,12 +137,6 @@ def ws_idler_phases(pair_bins, pattern: str) -> tuple:
     raise InvalidArgumentError(f"unknown phase pattern {pattern!r}")
 
 
-def idler_phase_channels(pair_bins, phases) -> tuple:
-    """WsChannel list applying per-pair phases on the idler bins."""
-    return tuple(WsChannel(int(bi), float(ph), MODE_PHASE)
-                 for (_, bi), ph in zip(pair_bins, phases) if ph != 0.0)
-
-
 def jsi(state: BiphotonState, normalization: str = "max") -> np.ndarray:
     """Joint spectral intensity |A|^2, normalized to unit max or unit sum."""
     inten = np.abs(state.amplitudes) ** 2
@@ -170,45 +169,60 @@ def diagonal_weight(state: BiphotonState, pair_bins) -> float:
     return float(kept)
 
 
-def walk_spread(state: BiphotonState, pair_bins) -> float:
-    """Fraction of joint intensity that has left the input comb pairs."""
-    return 1.0 - diagonal_weight(state, pair_bins)
-
-
-def poisson_counts(jsi_grid: np.ndarray, total_counts: float, car: float,
-                   rng: np.random.Generator) -> np.ndarray:
-    """Poisson-sampled coincidence grid with an accidental floor.
-
-    The grid is scaled to ``total_counts`` expected true coincidences; a
-    uniform accidental level of (mean peak-cell rate) / car is added
-    before sampling, where the peak cells are those above half the grid
-    maximum (the occupied comb lines).  car = inf disables accidentals.
-    """
-    grid = np.asarray(jsi_grid, dtype=float)
-    if grid.sum() <= 0:
-        raise InvalidArgumentError("intensity grid must have positive total")
-    mean = grid / grid.sum() * total_counts
-    if np.isfinite(car):
-        peaks = mean[mean > 0.5 * mean.max()]
-        floor = float(np.mean(peaks)) / car
-        mean = mean + floor
-    return rng.poisson(mean).astype(float)
-
-
-def _phase_model(all_phases: np.ndarray, base: BiphotonState, pair_bins,
-                 signal_op: ModeOperator, idler_op: ModeOperator) -> np.ndarray:
-    """Normalized JSI after planting one phase per pair and mixing."""
-    amps = base.amplitudes.copy()
-    for (bs, bi), ph in zip(pair_bins, all_phases):
-        amps[base.signal_lattice.index_of(bs),
-             base.idler_lattice.index_of(bi)] *= np.exp(1j * ph)
-    trial = BiphotonState(base.signal_lattice, base.idler_lattice, amps)
-    return jsi(apply_joint(trial, signal_op, idler_op), "integral")
-
-
 def retrieval_reference_offsets(num_pairs: int) -> np.ndarray:
     """Known phase pattern l * pi/4 used as the second retrieval setting."""
     return np.arange(num_pairs) * np.pi / 4.0
+
+
+def _retrieval_cost(measurements, base: BiphotonState, pair_bins,
+                    signal_op: ModeOperator, idler_op: ModeOperator):
+    """Squared mismatch between predicted and measured normalized grids,
+    summed over the settings, as a function of the phases of pairs 1..P-1.
+
+    Only the pair amplitudes change from one evaluation to the next, so
+    each setting's output S A I^T is the fixed background S A_rest I^T of
+    the amplitudes off the pairs plus P outer products of the pairs'
+    signal- and idler-operator columns.  Everything but the phases is
+    built here once.
+    """
+    _check_windows(base, signal_op, idler_op)
+    rows = [base.signal_lattice.index_of(bs) for bs, _ in pair_bins]
+    cols = [base.idler_lattice.index_of(bi) for _, bi in pair_bins]
+    if len(set(zip(rows, cols))) < len(pair_bins):
+        raise InvalidArgumentError("pair bins must be distinct")
+    rest = base.amplitudes.copy()
+    rest[rows, cols] = 0.0
+    background = signal_op.entries @ rest @ idler_op.entries.T
+    signal_cols = signal_op.entries[:, rows] * base.amplitudes[rows, cols]
+    idler_rows = idler_op.entries[:, cols].T
+
+    num = len(pair_bins)
+    if isinstance(measurements, np.ndarray) or (
+            measurements and not isinstance(measurements[0], (tuple, list))):
+        measurements = [(np.zeros(num), measurements)]
+    offsets, targets = [], []
+    for known, grid in measurements:
+        known = np.asarray(known, dtype=float)
+        if known.shape != (num,):
+            raise InvalidArgumentError("one known offset per pair required")
+        grid = np.asarray(grid, dtype=float)
+        if grid.shape != background.shape:
+            raise InvalidArgumentError("measured grids must match the two windows")
+        offsets.append(known)
+        targets.append(grid / grid.sum())
+    if not targets:
+        raise InvalidArgumentError("at least one measured grid required")
+    offsets, targets = np.array(offsets), np.array(targets)
+
+    def cost(phis):
+        phases = np.concatenate(([0.0], phis)) + offsets
+        out = (signal_cols * np.exp(1j * phases)[:, None, :]) @ idler_rows + background
+        inten = np.abs(out) ** 2
+        total = inten.sum(axis=(1, 2), keepdims=True)
+        diff = (inten / np.where(total > 0, total, 1.0) - targets).ravel()
+        return float(diff @ diff)
+
+    return cost
 
 
 def retrieve_phases(measurements, base: BiphotonState, pair_bins,
@@ -223,7 +237,8 @@ def retrieve_phases(measurements, base: BiphotonState, pair_bins,
     (fixed at 0); the rest are fit by minimizing the squared mismatch
     between predicted and measured normalized grids with Nelder-Mead over
     random restarts.  Raises RetrievalFailureError when no restart
-    reaches ``tol``.
+    reaches ``tol``, and InvalidArgumentError when two pairs share both
+    bins or the operator windows do not match ``base``.
 
     A single grid pins the phases only up to joint conjugation (the
     mixing kernel is real up to bin-local phases), so the conjugate set
@@ -232,25 +247,7 @@ def retrieve_phases(measurements, base: BiphotonState, pair_bins,
     """
     pair_bins = list(pair_bins)
     n = len(pair_bins) - 1
-    if isinstance(measurements, np.ndarray) or (
-            measurements and not isinstance(measurements[0], (tuple, list))):
-        measurements = [(np.zeros(n + 1), measurements)]
-    settings = []
-    for offsets, grid in measurements:
-        offsets = np.asarray(offsets, dtype=float)
-        if offsets.shape != (n + 1,):
-            raise InvalidArgumentError("one known offset per pair required")
-        target = np.asarray(grid, dtype=float)
-        settings.append((offsets, target / target.sum()))
-
-    def cost(phis):
-        total = 0.0
-        for offsets, target in settings:
-            shifted = np.concatenate(([0.0], phis)) + offsets
-            pred = _phase_model(shifted, base, pair_bins, signal_op, idler_op)
-            total += float(np.sum((pred - target) ** 2))
-        return total
-
+    cost = _retrieval_cost(measurements, base, pair_bins, signal_op, idler_op)
     rng = np.random.default_rng(seed)
     best = None
     for k in range(restarts):

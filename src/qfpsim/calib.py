@@ -9,13 +9,15 @@ component traces a cosine of the applied phase, which maps heater power
 to phase.
 """
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import curve_fit
+from scipy.optimize import OptimizeWarning, curve_fit
 
 from .errors import DegenerateScanError, FitFailureError, InvalidArgumentError
-from .rings import WsUnitConfig, ws_unit_response
+from .rings import (WsUnitConfig, _detuned_ports, _unit_ports, _ws_output, ws_unit,
+                    ws_unit_response)
 
 
 @dataclass(frozen=True)
@@ -69,19 +71,26 @@ class PhaseCalibration:
     residual_rms: float
 
 
-def simulate_dither_trace(unit: WsUnitConfig, dither: DitherConfig, probe_wavelength: float,
-                          noise_sigma: float = 0.0, rng=None) -> np.ndarray:
-    """Transmitted intensity |response(t)|^2 with both resonances dithered."""
+def _dither_offsets(dither: DitherConfig) -> tuple:
+    """(demux, mux) resonance offsets over the trace's sample times."""
     t = dither.times
-    dd = dither.amplitude * np.sin(2.0 * np.pi * dither.f_demux * t)
-    dm = dither.amplitude * np.sin(2.0 * np.pi * dither.f_mux * t)
-    amp = ws_unit_response(probe_wavelength, unit, extra_detunings=(dd, dm))
-    trace = np.abs(amp) ** 2
+    return (dither.amplitude * np.sin(2.0 * np.pi * dither.f_demux * t),
+            dither.amplitude * np.sin(2.0 * np.pi * dither.f_mux * t))
+
+
+def _add_noise(trace: np.ndarray, noise_sigma: float, rng) -> np.ndarray:
     if noise_sigma > 0.0:
         if rng is None:
             rng = np.random.default_rng()
         trace = trace + rng.normal(0.0, noise_sigma, trace.shape)
     return trace
+
+
+def simulate_dither_trace(unit: WsUnitConfig, dither: DitherConfig, probe_wavelength: float,
+                          noise_sigma: float = 0.0, rng=None) -> np.ndarray:
+    """Transmitted intensity |response(t)|^2 with both resonances dithered."""
+    amp = ws_unit_response(probe_wavelength, unit, extra_detunings=_dither_offsets(dither))
+    return _add_noise(np.abs(amp) ** 2, noise_sigma, rng)
 
 
 def harmonic_component(trace: np.ndarray, frequency: float, sample_rate: float) -> complex:
@@ -117,18 +126,23 @@ def align_scan(unit_template: WsUnitConfig, grid_demux, grid_mux,
     grid_mux = np.asarray(grid_mux, dtype=float)
     if grid_demux.size == 0 or grid_mux.size == 0:
         raise InvalidArgumentError("alignment grid must be non-empty")
+    dd_t, dm_t = _dither_offsets(dither)
     t = dither.times
-    dd_t = dither.amplitude * np.sin(2.0 * np.pi * dither.f_demux * t)
-    dm_t = dither.amplitude * np.sin(2.0 * np.pi * dither.f_mux * t)
     f = dither.alignment_harmonic
     kernel = np.exp(-2j * np.pi * f * t) * (2.0 / len(t))
+    det_d, det_m = unit_template.detunings
+    mode, phase = unit_template.mode, unit_template.channel_phase
+    # keep the mux ports of each grid line and make the demux ports once per
+    # row: a (grid x samples) array for every port would cost memory
+    mux_lines = [_detuned_ports(probe_wavelength, unit_template.mux, det_m + (gm + dm_t))
+                 for gm in grid_mux]
     scan = np.zeros((grid_demux.size, grid_mux.size))
     baseline = 0.0
     for i, gd in enumerate(grid_demux):
-        for j, gm in enumerate(grid_mux):
-            intensity = np.abs(ws_unit_response(
-                probe_wavelength, unit_template,
-                extra_detunings=(gd + dd_t, gm + dm_t))) ** 2
+        demux_ports = _detuned_ports(probe_wavelength, unit_template.demux,
+                                     det_d + (gd + dd_t))
+        for j, mux_ports in enumerate(mux_lines):
+            intensity = np.abs(_ws_output(mode, phase, demux_ports, mux_ports)) ** 2
             scan[i, j] = abs(np.sum(intensity * kernel))
             baseline = max(baseline, float(np.mean(intensity)))
     if scan.max() <= 1e-9 * max(baseline, np.finfo(float).tiny):
@@ -154,6 +168,14 @@ def fit_phase_curve(powers, traces, dither: DitherConfig) -> PhaseCalibration:
     def model(p, i0, p2pi, phi0):
         return i0 * np.cos(2.0 * np.pi * p / p2pi + phi0)
 
+    def jac(p, i0, p2pi, phi0):
+        # analytic, as in tomo.fit_visibility: forward differences leave
+        # the covariance unestimable from some starts
+        u = 2.0 * np.pi * p / p2pi + phi0
+        sin_u = np.sin(u)
+        return np.column_stack((np.cos(u), i0 * 2.0 * np.pi * p / p2pi**2 * sin_u,
+                                -i0 * sin_u))
+
     span = powers.max() - powers.min()
     if span <= 0:
         raise InvalidArgumentError("powers must span a nonzero range")
@@ -163,11 +185,15 @@ def fit_phase_curve(powers, traces, dither: DitherConfig) -> PhaseCalibration:
     min_period = 2.0 * float(np.median(np.diff(np.sort(powers))))
     for p2pi_guess in (span, span / 2.0, 2.0 * span):
         for phi0_guess in (0.0, np.pi / 2.0, np.pi, -np.pi / 2.0):
-            try:
-                popt, pcov = curve_fit(model, powers, y,
-                                       p0=(i0_guess, p2pi_guess, phi0_guess), maxfev=20000)
-            except RuntimeError:
-                continue
+            # a start that collapses to i0 = 0 has no covariance: skip it
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", OptimizeWarning)
+                try:
+                    popt, pcov = curve_fit(model, powers, y,
+                                           p0=(i0_guess, p2pi_guess, phi0_guess),
+                                           jac=jac, maxfev=20000)
+                except (RuntimeError, OptimizeWarning):
+                    continue
             if abs(popt[1]) < min_period:
                 continue
             res = float(np.sqrt(np.mean((model(powers, *popt) - y) ** 2)))
@@ -209,14 +235,15 @@ def simulate_phase_sweep(unit_template: WsUnitConfig, powers, power_2pi: float,
     """Synthetic calibration sweep: one aligned-unit trace per heater power.
 
     Plants Phi(P) = phase_offset + 2 pi P / power_2pi; used by the CLI and
-    by plant-and-recover tests.
+    by plant-and-recover tests.  Each trace equals simulate_dither_trace of
+    ws_unit(demux, mux, mode, Phi(P)): the ring ports do not depend on the
+    phase, so they are computed once for the whole sweep.
     """
-    from .rings import ws_unit
-
+    unit = ws_unit(unit_template.demux, unit_template.mux, unit_template.mode)
+    ports = _unit_ports(probe_wavelength, unit, _dither_offsets(dither))
     traces = []
     for p in np.asarray(powers, dtype=float):
         phi = phase_offset + 2.0 * np.pi * p / power_2pi
-        unit = ws_unit(unit_template.demux, unit_template.mux, unit_template.mode, phi)
-        traces.append(simulate_dither_trace(unit, dither, probe_wavelength,
-                                            noise_sigma=noise_sigma, rng=rng))
+        trace = np.abs(_ws_output(unit.mode, phi, *ports)) ** 2
+        traces.append(_add_noise(trace, noise_sigma, rng))
     return traces

@@ -22,9 +22,9 @@ from .biphoton import (apply_joint, comb_envelope, comb_state, diagonal_weight,
 from .calib import (DitherConfig, align_scan, fit_phase_curve,
                     simulate_phase_sweep)
 from .errors import (DegenerateScanError, FitFailureError,
-                     InvalidArgumentError, OutOfRangeError,
-                     ReconstructionFailureError, RetrievalFailureError,
-                     UndefinedFidelityError)
+                     InvalidArgumentError, NonFiniteResultError,
+                     OutOfRangeError, ReconstructionFailureError,
+                     RetrievalFailureError, UndefinedFidelityError)
 from .lattice import make_lattice
 from .qfp import (beamsplitter_config, beamsplitter_spectra, compose_qfp,
                   fidelity, gauge_distance, reconstruct_submatrix,
@@ -36,7 +36,8 @@ from .tomo import (bell_fringe, carve_bell_state, fit_visibility,
 
 PHYSICS_ERRORS = (OutOfRangeError, FitFailureError, DegenerateScanError,
                   ReconstructionFailureError, RetrievalFailureError,
-                  UndefinedFidelityError, np.linalg.LinAlgError)
+                  UndefinedFidelityError, NonFiniteResultError,
+                  np.linalg.LinAlgError)
 
 
 class ConfigError(Exception):
@@ -116,9 +117,13 @@ def write_csv(path: Path, header, rows) -> None:
 
 
 def write_json(path: Path, payload: dict) -> None:
+    """Strict JSON: a NaN or infinity raises before the file is opened."""
+    try:
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise NonFiniteResultError(f"{path.name}: {exc}") from exc
     with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _lattice_from(constants: dict):
@@ -139,9 +144,11 @@ def cmd_beamsplitter(cfg: dict, out: Path, rng) -> dict:
     lat = _lattice_from(consts)
     bins = _comp_bins(cfg)
     delta = consts["depth"]
+    points = int(cfg.get("alpha_points", 32))
+    if points < 1:
+        raise ConfigError("alpha_points must be at least 1")
     alphas = np.linspace(cfg.get("alpha_min", np.pi),
-                         cfg.get("alpha_max", 2 * np.pi),
-                         int(cfg.get("alpha_points", 32)))
+                         cfg.get("alpha_max", 2 * np.pi), points)
     rows, min_p = [], np.inf
     for alpha in alphas:
         r_cf, t_cf = rt_closed_form(alpha, delta)

@@ -8,7 +8,6 @@ JSON config.
 # optical lattice
 CENTER_FREQUENCY = 193.7e12       # Hz, ~1547.7 nm carrier
 BIN_SPACING = 13.25e9             # Hz, comb spacing of the primary source
-BIN_SPACING_ALT = 15.34e9         # Hz, alternate comb spacing
 DEFAULT_HALF_WIDTH = 16           # bins each side of center
 
 # modulators
@@ -24,10 +23,6 @@ EFFECTIVE_INDEX = 2.8
 # pump filter
 PUMP_FILTER_FSR = 500e9           # Hz
 PUMP_FILTER_EXTINCTION_DB = 30.0
-
-# calibration dither tones
-DITHER_F_DEMUX = 150.0            # Hz
-DITHER_F_MUX = 250.0              # Hz
 
 # photon counting
 CAR = 55.0                        # coincidence-to-accidental ratio

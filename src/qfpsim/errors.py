@@ -27,3 +27,7 @@ class RetrievalFailureError(RuntimeError):
 
 class UndefinedFidelityError(ArithmeticError):
     """Fidelity is undefined because the success probability is zero."""
+
+
+class NonFiniteResultError(ArithmeticError):
+    """A result is NaN or infinite and cannot be written as strict JSON."""

@@ -91,22 +91,27 @@ def _round_trip_phase(probe_wavelength, ring: RingParams, resonance_wavelength=N
     return 2.0 * np.pi * length * (1.0 / np.asarray(probe_wavelength) - 1.0 / lam0)
 
 
-def ring_through(probe_wavelength, ring: RingParams, resonance_wavelength=None):
-    """Through-port amplitude t(lambda); broadcasts over array inputs."""
+def _ring_ports(probe_wavelength, ring: RingParams, resonance_wavelength=None):
+    """(through, drop) amplitudes from one round-trip phase, one exp and
+    one shared denominator."""
     phi = _round_trip_phase(probe_wavelength, ring, resonance_wavelength)
     tc = ring.self_coupling
     a = ring.round_trip_loss
-    e = a * np.exp(1j * phi)
-    return tc * (1.0 - e) / (1.0 - tc**2 * e)
+    half = np.exp(0.5j * phi)
+    e = a * half * half
+    denom = 1.0 - tc**2 * e
+    return (tc * (1.0 - e) / denom,
+            -ring.power_coupling * np.sqrt(a) * half / denom)
+
+
+def ring_through(probe_wavelength, ring: RingParams, resonance_wavelength=None):
+    """Through-port amplitude t(lambda); broadcasts over array inputs."""
+    return _ring_ports(probe_wavelength, ring, resonance_wavelength)[0]
 
 
 def ring_drop(probe_wavelength, ring: RingParams, resonance_wavelength=None):
     """Drop-port amplitude d(lambda); carries half a round trip of loss and phase."""
-    phi = _round_trip_phase(probe_wavelength, ring, resonance_wavelength)
-    tc = ring.self_coupling
-    a = ring.round_trip_loss
-    return (-ring.power_coupling * np.sqrt(a) * np.exp(1j * phi / 2.0)
-            / (1.0 - tc**2 * a * np.exp(1j * phi)))
+    return _ring_ports(probe_wavelength, ring, resonance_wavelength)[1]
 
 
 @dataclass(frozen=True)
@@ -143,24 +148,35 @@ def ws_unit(demux: RingParams, mux: RingParams, mode: str = MODE_PHASE,
     return WsUnitConfig(demux, mux, channel_phase, mode, det)
 
 
+def _detuned_ports(probe_wavelength, ring: RingParams, detuning):
+    """Ring ports with the resonance moved ``detuning`` off its nominal wavelength."""
+    return _ring_ports(probe_wavelength, ring, ring.resonance_wavelength + detuning)
+
+
+def _unit_ports(probe_wavelength, unit: WsUnitConfig, extra_detunings=(0.0, 0.0)):
+    """(demux, mux) ring ports of a unit at its detunings plus ``extra_detunings``."""
+    dd, dm = unit.detunings
+    return (_detuned_ports(probe_wavelength, unit.demux, dd + np.asarray(extra_detunings[0])),
+            _detuned_ports(probe_wavelength, unit.mux, dm + np.asarray(extra_detunings[1])))
+
+
+def _ws_output(mode: str, channel_phase: float, demux_ports, mux_ports):
+    """Bus output t_M t_D + d_M e^{i Phi} d_D of a unit from its ring ports;
+    in STOP mode the dropped light is absorbed and only t_M t_D survives."""
+    (t_d, d_d), (t_m, d_m) = demux_ports, mux_ports
+    if mode == MODE_STOP:
+        return t_m * t_d
+    return t_m * t_d + d_m * np.exp(1j * channel_phase) * d_d
+
+
 def ws_unit_response(probe_wavelength, unit: WsUnitConfig, extra_detunings=(0.0, 0.0)):
     """Bus-output amplitude of a WS unit; broadcasts over wavelength arrays.
 
     PHASE/PASS: t_M t_D + d_M e^{i Phi} d_D.  STOP: the dropped light is
     absorbed, so only the through product survives.
     """
-    dd, dm = unit.detunings
-    dd = dd + np.asarray(extra_detunings[0])
-    dm = dm + np.asarray(extra_detunings[1])
-    lam_d = unit.demux.resonance_wavelength + dd
-    lam_m = unit.mux.resonance_wavelength + dm
-    t_d = ring_through(probe_wavelength, unit.demux, resonance_wavelength=lam_d)
-    t_m = ring_through(probe_wavelength, unit.mux, resonance_wavelength=lam_m)
-    if unit.mode == MODE_STOP:
-        return t_m * t_d
-    d_d = ring_drop(probe_wavelength, unit.demux, resonance_wavelength=lam_d)
-    d_m = ring_drop(probe_wavelength, unit.mux, resonance_wavelength=lam_m)
-    return t_m * t_d + d_m * np.exp(1j * unit.channel_phase) * d_d
+    return _ws_output(unit.mode, unit.channel_phase,
+                      *_unit_ports(probe_wavelength, unit, extra_detunings))
 
 
 MODEL_IDEAL = "IDEAL"
@@ -179,17 +195,6 @@ class WsChannel:
     phase: float = 0.0
     mode: str = MODE_PHASE
     unit: WsUnitConfig | None = None
-
-
-def channel_for_wavelength(lattice: FrequencyLattice, wavelength: float,
-                           unit: WsUnitConfig) -> WsChannel:
-    """Map a physical channel wavelength to its nearest lattice bin."""
-    from scipy.constants import c
-
-    b = lattice.nearest_bin(c / wavelength)
-    if not lattice.contains(b):
-        raise InvalidArgumentError("channel wavelength falls outside the lattice window")
-    return WsChannel(b, unit.channel_phase, unit.mode, unit)
 
 
 def ws_operator(channels, lattice: FrequencyLattice, model: str = MODEL_IDEAL) -> ModeOperator:

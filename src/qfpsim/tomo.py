@@ -321,15 +321,24 @@ def mle_reconstruct(records: list, depth: float = DEFAULT_MEASUREMENT_DEPTH,
     return g / np.trace(g).real
 
 
+def _psd_sqrt(rho: np.ndarray) -> np.ndarray:
+    w, u = np.linalg.eigh(rho)
+    return (u * np.sqrt(np.maximum(w, 0.0))) @ u.conj().T
+
+
 def state_fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """Uhlmann fidelity (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2."""
+    """Uhlmann fidelity (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2.
+
+    Computed as the squared trace norm of sqrt(rho) sqrt(sigma), whose
+    singular values keep the small eigenvalues to absolute rounding
+    (the square roots of the eigenvalues of sqrt(rho) sigma sqrt(rho)
+    lose half the digits), and clipped to [0, 1]: rounding puts nearly
+    equal states a few ulp above 1.
+    """
     rho = _check_density(rho)
     sigma = _check_density(sigma)
-    w, u = np.linalg.eigh(rho)
-    sq = u @ np.diag(np.sqrt(np.maximum(w, 0.0))) @ u.conj().T
-    inner = sq @ sigma @ sq
-    ev = np.linalg.eigvalsh(inner)
-    return float(np.sum(np.sqrt(np.maximum(ev, 0.0))) ** 2)
+    s = np.linalg.svd(_psd_sqrt(rho) @ _psd_sqrt(sigma), compute_uv=False)
+    return float(min(np.sum(s) ** 2, 1.0))
 
 
 def purity(rho: np.ndarray) -> float:

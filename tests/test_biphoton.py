@@ -2,23 +2,23 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfpsim import defaults
 from qfpsim.biphoton import (
     BiphotonState,
+    _retrieval_cost,
     apply_joint,
     comb_envelope,
     comb_state,
     diagonal_weight,
-    idler_phase_channels,
     jsi,
     jsi_fidelity,
-    poisson_counts,
     retrieval_reference_offsets,
     retrieve_phases,
     reversed_operator,
     walk_operators,
-    walk_spread,
     ws_idler_phases,
 )
 from qfpsim.errors import InvalidArgumentError, RetrievalFailureError
@@ -100,7 +100,6 @@ def test_walk_dichotomy_frozen_values():
     assert d_corr == pytest.approx(0.2502, abs=2e-3)
     assert d_anti == pytest.approx(0.7608, abs=2e-3)
     assert d_anti > d_corr + 0.2
-    assert walk_spread(corr, PAIRS) == pytest.approx(1.0 - d_corr, abs=1e-12)
 
 
 def test_ws_idler_phase_patterns():
@@ -113,8 +112,6 @@ def test_ws_idler_phase_patterns():
     assert np.all(np.diff(np.sign(interior)) != 0)
     with pytest.raises(InvalidArgumentError):
         ws_idler_phases(PAIRS, "diagonal")
-    chans = idler_phase_channels(PAIRS, alt)
-    assert len(chans) == len(PAIRS) - 2
 
 
 def test_jsi_normalizations_and_fidelity():
@@ -129,21 +126,6 @@ def test_jsi_normalizations_and_fidelity():
         jsi_fidelity(g, g[:3, :3])
     with pytest.raises(InvalidArgumentError):
         jsi_fidelity(g, np.zeros_like(g))
-
-
-def test_poisson_counts_accidentals_and_determinism():
-    st = comb_state(LAT, LAT, PAIRS, weights=_envelope())
-    grid = jsi(st, "integral")
-    a = poisson_counts(grid, 1e5, defaults.CAR, np.random.default_rng(3))
-    b = poisson_counts(grid, 1e5, defaults.CAR, np.random.default_rng(3))
-    assert np.array_equal(a, b)
-    # car = inf leaves empty cells empty
-    clean = poisson_counts(grid, 1e5, np.inf, np.random.default_rng(3))
-    assert clean[grid == 0].sum() == 0
-    assert a[grid == 0].sum() > 0
-    with pytest.raises(InvalidArgumentError):
-        poisson_counts(np.zeros_like(grid), 1e5, np.inf,
-                       np.random.default_rng(0))
 
 
 def test_single_grid_retrieval_recovers_up_to_conjugation():
@@ -184,3 +166,43 @@ def test_retrieval_failure_on_inconsistent_data():
         retrieve_phases(bogus, base, PAIRS, sig, idl, restarts=1)
     with pytest.raises(InvalidArgumentError):
         retrieve_phases([(np.zeros(2), bogus)], base, PAIRS, sig, idl)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.floats(-np.pi, np.pi), min_size=2 * len(PAIRS) - 1,
+                max_size=2 * len(PAIRS) - 1),
+       st.floats(0.0, 0.5), st.floats(-np.pi, np.pi))
+def test_retrieval_cost_matches_joint_evolution(angles, stray, stray_phase):
+    # the pair-column model against the full S A I^T evolution, for a base
+    # with one amplitude off the pairs (a fixed background)
+    sig, idl = walk_operators(defaults.WALK_DEPTH, LAT)
+    amps = comb_state(LAT, LAT, PAIRS, weights=_envelope()).amplitudes.copy()
+    amps[LAT.index_of(2), LAT.index_of(3)] = stray * np.exp(1j * stray_phase)
+    base = BiphotonState(LAT, LAT, amps)
+    phis = np.asarray(angles[:len(PAIRS) - 1])
+    measurements = []
+    for known in (np.zeros(len(PAIRS)), np.asarray(angles[len(PAIRS) - 1:])):
+        target = comb_state(LAT, LAT, PAIRS, phases=known)
+        measurements.append((known, jsi(apply_joint(target, sig, idl), "integral")))
+
+    expected = 0.0
+    for known, grid in measurements:
+        trial = amps.copy()
+        for (bs, bi), ph in zip(PAIRS, np.concatenate(([0.0], phis)) + known):
+            trial[LAT.index_of(bs), LAT.index_of(bi)] *= np.exp(1j * ph)
+        pred = jsi(apply_joint(BiphotonState(LAT, LAT, trial), sig, idl), "integral")
+        expected += np.sum((pred - grid / grid.sum()) ** 2)
+    cost = _retrieval_cost(measurements, base, PAIRS, sig, idl)
+    assert cost(phis) == pytest.approx(expected, abs=1e-12)
+
+
+def test_retrieval_rejects_duplicate_pairs_and_foreign_windows():
+    sig, idl = walk_operators(defaults.WALK_DEPTH, LAT)
+    base = comb_state(LAT, LAT, PAIRS, weights=_envelope())
+    grid = jsi(apply_joint(base, sig, idl), "integral")
+    with pytest.raises(InvalidArgumentError):
+        retrieve_phases(grid, base, PAIRS + [PAIRS[2]], sig, idl)
+    other = make_lattice(defaults.CENTER_FREQUENCY, defaults.BIN_SPACING, 8)
+    sig2, idl2 = walk_operators(defaults.WALK_DEPTH, other)
+    with pytest.raises(InvalidArgumentError):
+        retrieve_phases(grid, base, PAIRS, sig2, idl2)

@@ -7,7 +7,8 @@ from qfpsim.calib import (DitherConfig, align_scan, fit_phase_curve,
                           simulate_dither_trace, simulate_phase_sweep,
                           wrap_phase)
 from qfpsim.errors import (DegenerateScanError, InvalidArgumentError)
-from qfpsim.rings import WsUnitConfig, make_ring, ws_unit
+from qfpsim.rings import (MODE_PASS, MODE_PHASE, MODE_STOP, WsUnitConfig, make_ring,
+                          ws_unit, ws_unit_response)
 
 WAVELENGTH = c / 193.7e12
 
@@ -99,6 +100,27 @@ def test_align_scan_map_symmetric_for_identical_rings():
     assert np.abs(res.scan_map - res.scan_map.T).max() < 1e-4 * res.scan_map.max()
 
 
+@pytest.mark.parametrize("mode", [MODE_PHASE, MODE_STOP])
+def test_align_scan_matches_per_cell_response(mode):
+    ring = paper_ring()
+    lw = ring.linewidth_fwhm
+    unit = WsUnitConfig(ring, ring, channel_phase=2.3, mode=mode,
+                        detunings=(0.2 * lw, -0.1 * lw))
+    dither = small_dither(ring)
+    grid_d = np.linspace(-0.5, 0.4, 4) * lw
+    grid_m = np.linspace(-0.3, 0.6, 6) * lw
+    res = align_scan(unit, grid_d, grid_m, dither, WAVELENGTH)
+    t = dither.times
+    dd = dither.amplitude * np.sin(2 * np.pi * dither.f_demux * t)
+    dm = dither.amplitude * np.sin(2 * np.pi * dither.f_mux * t)
+    ref = np.array([[abs(harmonic_component(
+        np.abs(ws_unit_response(WAVELENGTH, unit, (gd + dd, gm + dm))) ** 2,
+        dither.alignment_harmonic, dither.sample_rate)) for gm in grid_m]
+        for gd in grid_d])
+    assert res.scan_map.shape == (4, 6)
+    assert np.abs(res.scan_map - ref).max() <= 1e-6 * ref.max()
+
+
 def test_align_scan_zero_dither_is_degenerate():
     ring = paper_ring()
     unit = ws_unit(ring, ring)
@@ -121,18 +143,21 @@ def test_fit_phase_curve_plant_and_recover():
 
 
 def test_fit_phase_curve_exact_when_model_matches_generator():
-    # traces synthesized directly from the fitted curve model
+    # traces synthesized directly from the fitted curve model; (1.0, pi)
+    # and (1.3, pi/2) left the covariance unestimable with forward
+    # differences, and from (1.3, -pi/2) one start collapses to i0 = 0
     dither = DitherConfig(1e-12)
-    p2pi, phi0, i0 = 0.8, 1.1, 0.02
-    powers = np.linspace(0.0, 2.0 * p2pi, 16)
+    i0 = 0.02
     t = dither.times
     carrier = np.cos(2 * np.pi * dither.phase_harmonic * t)
-    traces = [i0 * np.cos(2 * np.pi * p / p2pi + phi0 - np.pi) * carrier
-              for p in powers]
-    cal = fit_phase_curve(powers, traces, dither)
-    assert cal.power_2pi == pytest.approx(p2pi, rel=1e-9)
-    assert abs(wrap_phase(cal.phase_offset - phi0)) < 1e-9
-    assert cal.residual_rms < 1e-6 * cal.amplitude
+    for p2pi, phi0 in ((0.8, 1.1), (1.0, np.pi), (1.3, np.pi / 2), (1.3, -np.pi / 2)):
+        powers = np.linspace(0.0, 2.0 * p2pi, 16)
+        traces = [i0 * np.cos(2 * np.pi * p / p2pi + phi0 - np.pi) * carrier
+                  for p in powers]
+        cal = fit_phase_curve(powers, traces, dither)
+        assert cal.power_2pi == pytest.approx(p2pi, rel=1e-9)
+        assert abs(wrap_phase(cal.phase_offset - phi0)) < 1e-9
+        assert cal.residual_rms < 1e-6 * cal.amplitude
 
 
 def test_fit_phase_curve_needs_enough_points_and_span():
@@ -147,6 +172,28 @@ def test_fit_phase_curve_needs_enough_points_and_span():
     traces = simulate_phase_sweep(unit, powers, 1.0, 0.0, dither, WAVELENGTH)
     with pytest.raises(InvalidArgumentError):
         fit_phase_curve(powers, traces, dither)
+
+
+@pytest.mark.parametrize("template", [
+    lambda r: ws_unit(r, r, MODE_PHASE, 0.7),
+    lambda r: ws_unit(r, r, MODE_PASS),
+    lambda r: ws_unit(r, r, MODE_STOP),
+    lambda r: WsUnitConfig(r, r, 1.9, MODE_PHASE, (0.3 * r.linewidth_fwhm, -0.2e-12)),
+])
+@pytest.mark.parametrize("noise_sigma", [0.0, 1e-3])
+def test_phase_sweep_matches_per_power_traces(template, noise_sigma):
+    ring = paper_ring()
+    unit = template(ring)
+    dither = small_dither(ring)
+    powers = np.linspace(0.0, 2.0, 9)
+    traces = simulate_phase_sweep(unit, powers, 1.1, 0.3, dither, WAVELENGTH,
+                                  noise_sigma=noise_sigma, rng=np.random.default_rng(4))
+    rng = np.random.default_rng(4)
+    for p, trace in zip(powers, traces):
+        per_power = ws_unit(ring, ring, unit.mode, 0.3 + 2 * np.pi * p / 1.1)
+        ref = simulate_dither_trace(per_power, dither, WAVELENGTH,
+                                    noise_sigma=noise_sigma, rng=rng)
+        assert np.abs(trace - ref).max() <= 1e-12
 
 
 def test_phase_from_power_wraps():

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from qfpsim import cli
 from qfpsim.cli import main
 from qfpsim.qfp import rt_closed_form
 
@@ -92,6 +93,7 @@ def test_tomography_expected_value(tmp_path):
     assert 0.90 <= summary["visibility"] <= 0.97
     assert summary["violates_classical_bound"]
     assert np.isfinite(summary["visibility_sigma"])
+    assert 0.999 <= summary["fidelity_to_true"] <= 1.0
     for name in ("rho_real.csv", "rho_imag.csv", "fringe.csv"):
         assert (out / name).exists()
 
@@ -110,6 +112,22 @@ def test_calibrate_command(tmp_path):
         summary["power_2pi_true"], rel=1e-3)
     assert summary["phase_offset_fit"] == pytest.approx(
         summary["phase_offset_true"], abs=1e-3)
+
+
+def test_alpha_points_below_one_is_config_error(tmp_path):
+    cfg = _write_cfg(tmp_path, {"alpha_points": 0})
+    out = tmp_path / "out"
+    assert _run("beamsplitter", cfg, out) == 2
+    assert not (out / "beamsplitter_summary.json").exists()
+
+
+def test_non_finite_summary_is_physics_error(tmp_path, monkeypatch):
+    # strict JSON: the value is rejected before the summary file is opened
+    monkeypatch.setattr(cli, "purity", lambda rho: float("nan"))
+    cfg = _write_cfg(tmp_path, {})
+    out = tmp_path / "out"
+    assert _run("tomography", cfg, out, "--expected-value") == 3
+    assert not (out / "tomography_summary.json").exists()
 
 
 def test_unknown_field_rejected(tmp_path):

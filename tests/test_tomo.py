@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qfpsim.eom import bessel_row
 from qfpsim.errors import InvalidArgumentError
@@ -178,6 +181,25 @@ def test_fidelity_and_purity_basics():
     mixed = np.eye(4) / 4.0
     assert state_fidelity(rho, mixed) == pytest.approx(0.25, abs=1e-10)
     assert purity(mixed) == pytest.approx(0.25, abs=1e-12)
+
+
+def _density(parts):
+    g = parts[0] + 1j * parts[1]
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+_GINIBRE = arrays(np.float64, (2, 4, 4), elements=st.floats(-1.0, 1.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_GINIBRE.filter(lambda p: np.abs(p).sum() > 1e-3),
+       _GINIBRE.filter(lambda p: np.abs(p).sum() > 1e-3))
+def test_fidelity_bounded_by_one(a, b):
+    # rho = G G^dagger / Tr, G complex 4x4
+    rho, sigma = _density(a), _density(b)
+    assert 0.0 <= state_fidelity(rho, sigma) <= 1.0
+    assert 1.0 - 1e-12 <= state_fidelity(rho, rho) <= 1.0
 
 
 def test_density_validation():
