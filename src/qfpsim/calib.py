@@ -3,10 +3,12 @@
 Both ring resonances are wiggled by small sinusoidal dither tones; the
 transmitted intensity picks up harmonics whose amplitudes encode the
 resonance detunings and the channel phase.  The magnitude of the harmonic
-at 2*(f_demux + f_mux) peaks at zero detuning independent of the phase,
-and with the rings aligned the real part of the (f_mux - f_demux)
-component traces a cosine of the applied phase, which maps heater power
-to phase.
+at 2*(f_demux + f_mux) peaks near zero detuning: exactly at it for a
+channel phase of 0 or pi, and otherwise up to about 0.045 linewidths off
+in both rings, depending on the phase (fine scans put it at -0.04 for a
+phase of 2.3 and +0.04 for 4.0).  With the rings aligned the real part of
+the (f_mux - f_demux) component traces a cosine of the applied phase,
+which maps heater power to phase.
 """
 
 import warnings

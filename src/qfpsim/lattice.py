@@ -11,6 +11,8 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 
+SPEED_OF_LIGHT = 299792458.0  # m/s, exact in SI
+
 
 @dataclass(frozen=True)
 class FrequencyLattice:
@@ -46,9 +48,7 @@ class FrequencyLattice:
         return self.center_frequency + np.asarray(l) * self.spacing
 
     def bin_wavelength(self, l):
-        from scipy.constants import c
-
-        return c / self.bin_frequency(l)
+        return SPEED_OF_LIGHT / self.bin_frequency(l)
 
     def index_of(self, l: int) -> int:
         """Position of bin ``l`` in the matrix ordering; raises if outside."""

@@ -278,93 +278,61 @@ def reconstruct_submatrix(spectra: dict, lattice: FrequencyLattice,
                           computational_bins: tuple, tol: float = 1e-6) -> np.ndarray:
     """Complex 2x2 scattering matrix from four (or six) probe spectra.
 
-    Magnitudes come from the single-bin spectra; the per-row relative
-    phase between columns comes from the gamma = 0 / pi pair.  These two
-    gammas leave the sign of each row's imaginary part ambiguous; if the
-    gamma = pi/2, 3pi/2 spectra are present the sign is determined, else
-    it is chosen to minimize the distance to the real beamsplitter family
-    (positive off-diagonal, negative second diagonal).
+    Magnitudes come from the single-bin spectra.  The row gauge takes
+    V_m0 = sqrt(bin0) real non-negative; where V_m0 >= ``tol``, the gamma =
+    0 / pi pair gives Re V_m1 = (I_0 - I_pi) / (2 V_m0), the gamma = pi/2,
+    3pi/2 pair (when present) gives Im V_m1 = -(I_pi/2 - I_3pi/2) / (2 V_m0),
+    and without it Im V_m1 = +sqrt(|V_m1|^2 - Re^2).  Where V_m0 < ``tol``
+    the phase of V_m1 is free and V_m1 = |V_m1| is taken real.
 
-    The row gauge is fixed with V00 real non-negative and V10 real
-    non-negative.  Raises ReconstructionFailureError when the inferred
-    cosines exceed 1 beyond ``tol``.
+    Two probe phases leave each row's Im-sign open.  The block is
+    proportional to a unitary, so its columns are orthogonal: V_11 is
+    conjugated when that makes them more nearly so (to 1e-9), which pins
+    the relative sign; Im V_01 >= 0 breaks the global conjugation.
+
+    Raises ReconstructionFailureError when a probe spectrum is missing or
+    an inferred cosine exceeds 1 beyond ``tol``.
     """
-    b0, b1 = computational_bins
-    i0, i1 = lattice.index_of(b0), lattice.index_of(b1)
+    i0, i1 = (lattice.index_of(b) for b in computational_bins)
+    keys = {float(k.split(":", 1)[1]): k for k in spectra if k.startswith("gamma:")}
 
-    gamma_map = {float(k.split(":", 1)[1]): k
-                 for k in spectra if k.startswith("gamma:")}
-
-    def gamma_key(target):
-        for g, k in gamma_map.items():
-            if abs(g - target) <= 1e-9:
-                return k
-        return None
-
-    def row_data(key):
+    def rows(key):
         s = np.asarray(spectra[key])
         return s[i0], s[i1]
 
-    m00, m10 = np.sqrt(np.maximum(row_data("bin0"), 0.0))
-    m01, m11 = np.sqrt(np.maximum(row_data("bin1"), 0.0))
-    k0, kp = gamma_key(0.0), gamma_key(np.pi)
-    if "bin0" not in spectra or "bin1" not in spectra or k0 is None or kp is None:
+    def probe(gamma):
+        key = next((k for g, k in keys.items() if abs(g - gamma) <= 1e-9), None)
+        return None if key is None else rows(key)
+
+    i_0, i_pi = probe(0.0), probe(np.pi)
+    if "bin0" not in spectra or "bin1" not in spectra or i_0 is None or i_pi is None:
         raise ReconstructionFailureError(
             "need 'bin0', 'bin1' and the gamma = 0, pi probe spectra")
-    g0 = np.array(row_data(k0))
-    gp = np.array(row_data(kp))
-    re = g0 - gp  # per row: 2 Re(V_m0 conj(V_m1)) / 2 -> see below
-    # I_m(0) - I_m(pi) = 2 Re(V_m0 V_m1*)
-    re_cross = re
-    mags = np.array([[m00, m01], [m10, m11]])
-    v = np.zeros((2, 2), dtype=complex)
-    # row gauge: first column real non-negative
-    v[0, 0] = mags[0, 0]
-    v[1, 0] = mags[1, 0]
-
-    key_q1 = gamma_key(np.pi / 2.0)
-    key_q3 = gamma_key(3.0 * np.pi / 2.0)
-    have_quad = key_q1 is not None and key_q3 is not None
-    if have_quad:
-        q = np.array(row_data(key_q1)) - np.array(row_data(key_q3))
-        # I_m(pi/2) - I_m(3pi/2) = 2 Im(V_m0 V_m1*)
-    candidates = []
-    for s0 in (+1.0, -1.0):
-        for s1 in (+1.0, -1.0):
-            cand = v.copy()
-            for row, sgn in ((0, s0), (1, s1)):
-                anchor = cand[row, 0].real
-                if anchor < tol:
-                    # column-0 magnitude ~ 0: phase of column 1 is free, take it real
-                    cand[row, 1] = mags[row, 1]
-                    continue
-                re_part = re_cross[row] / (2.0 * anchor)
-                if abs(re_part) > mags[row, 1] + 10.0 * np.sqrt(tol):
-                    raise ReconstructionFailureError(
-                        f"row {row}: inferred cosine exceeds 1 "
-                        f"(|Re| = {abs(re_part):.3g} > |V| = {mags[row, 1]:.3g})")
-                im_sq = max(mags[row, 1] ** 2 - re_part**2, 0.0)
-                if have_quad:
-                    im_part = -q[row] / (2.0 * anchor)
-                else:
-                    im_part = sgn * np.sqrt(im_sq)
-                cand[row, 1] = re_part + 1j * im_part
-            candidates.append(cand)
-            if have_quad:
-                break
-        if have_quad:
-            break
-    if len(candidates) > 1:
-        # Two probe phases leave each row's Im-sign open.  The block is
-        # proportional to a unitary, so its columns are orthogonal; that
-        # pins the relative sign.  The remaining global-conjugation
-        # ambiguity is broken by convention: Im(V01) >= 0.
-        def badness(m):
-            ortho = abs(np.vdot(m[:, 0], m[:, 1]))
-            return (round(ortho, 9), 0.0 if m[0, 1].imag >= -1e-12 else 1.0)
-
-        candidates.sort(key=badness)
-    return candidates[0]
+    i_q1, i_q3 = probe(np.pi / 2.0), probe(3.0 * np.pi / 2.0)
+    quadrature = i_q1 is not None and i_q3 is not None
+    col0 = np.sqrt(np.maximum(rows("bin0"), 0.0))
+    mag1 = np.sqrt(np.maximum(rows("bin1"), 0.0))
+    v = np.array([[col0[0], mag1[0]], [col0[1], mag1[1]]], dtype=complex)
+    for m in (0, 1):
+        if col0[m] < tol:
+            continue
+        re = (i_0[m] - i_pi[m]) / (2.0 * col0[m])
+        if abs(re) > mag1[m] + 10.0 * np.sqrt(tol):
+            raise ReconstructionFailureError(
+                f"row {m}: inferred cosine exceeds 1 "
+                f"(|Re| = {abs(re):.3g} > |V| = {mag1[m]:.3g})")
+        if quadrature:
+            im = -(i_q1[m] - i_q3[m]) / (2.0 * col0[m])
+        else:
+            im = np.sqrt(max(mag1[m] ** 2 - re**2, 0.0))
+        v[m, 1] = re + 1j * im
+    if not quadrature and col0[1] >= tol:
+        flipped = v.copy()
+        flipped[1, 1] = np.conj(v[1, 1])
+        overlap = [round(abs(np.vdot(c[:, 0], c[:, 1])), 9) for c in (v, flipped)]
+        if overlap[1] < overlap[0]:
+            return flipped
+    return v
 
 
 def reconstruction_residual(v: np.ndarray, spectra: dict, lattice: FrequencyLattice,

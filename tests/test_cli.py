@@ -2,9 +2,13 @@
 
 import csv
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfpsim import cli
 from qfpsim.cli import main
@@ -19,6 +23,9 @@ def _write_cfg(tmp_path, payload, name="cfg.json"):
 
 def _run(command, cfg_path, out_dir, *extra):
     return main([command, "--config", cfg_path, "--out", str(out_dir), *extra])
+
+
+NAN, INF = float("nan"), float("inf")
 
 
 def test_beamsplitter_outputs_and_anchor_row(tmp_path):
@@ -144,6 +151,8 @@ def test_malformed_json_rejected(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text("{not json")
     assert _run("beamsplitter", str(path), tmp_path / "out") == 2
+    path.write_bytes(b'{"theta": "\xff"}')  # not UTF-8
+    assert _run("gate", str(path), tmp_path / "out") == 2
 
 
 def test_reruns_are_byte_identical(tmp_path):
@@ -153,3 +162,91 @@ def test_reruns_are_byte_identical(tmp_path):
     assert _run("tomography", cfg, out_b, "--seed", "7") == 0
     for path in sorted(out_a.iterdir()):
         assert path.read_bytes() == (out_b / path.name).read_bytes()
+
+
+@pytest.mark.parametrize("command, config, code", [
+    # wrongly typed
+    ("beamsplitter", {"alpha_points": "x"}, 2),
+    ("beamsplitter", {"alpha_min": "a"}, 2),
+    ("gate", {"theta": "a"}, 2),
+    ("gate", {"lam": [1]}, 2),
+    ("gate", {"computational_bins": [0, True]}, 2),
+    ("spectrum", {"input_bin": "x"}, 2),
+    ("tomography", {"suppression_db": None}, 2),
+    ("calibrate", {"planted_detunings": ["a", 1]}, 2),
+    ("qwalk", {"planted_phases": "ab"}, 2),
+    ("qwalk", {"walk_depth": "1"}, 2),
+    ("beamsplitter", {"constants": {"half_width": 2.7}}, 2),
+    # not finite
+    ("beamsplitter", {"alpha_min": NAN}, 2),
+    ("beamsplitter", {"constants": {"depth": NAN}}, 2),
+    ("gate", {"theta": INF}, 2),
+    # out of range
+    ("tomography", {"constants": {"car": 0}}, 2),
+    ("tomography", {"constants": {"car": -3}}, 2),
+    ("tomography", {"shots": -5}, 2),
+    ("tomography", {"shots": 0}, 2),
+    ("tomography", {"shots": 1e300}, 2),
+    ("tomography", {"fringe_shots": 1e300}, 2),
+    ("tomography", {"fringe_points": 0}, 2),
+    ("qwalk", {"num_pairs": 1}, 2),
+    ("calibrate", {"constants": {"ring_radius": 0}}, 2),
+    ("calibrate", {"constants": {"effective_index": 0}}, 2),
+    ("calibrate", {"constants": {"center_frequency": 1e-300}}, 2),
+    ("calibrate", {"noise_sigma": -1}, 2),
+    ("calibrate", {"power_2pi": -1}, 2),
+    ("beamsplitter", {"constants": {"half_width": 100000}}, 2),
+    # accepted: an integral float for an integer, Infinity for "no accidentals"
+    ("beamsplitter", {"alpha_points": 8.0}, 0),
+    ("tomography", {"constants": {"car": INF}}, 0),
+])
+def test_config_exit_codes(tmp_path, command, config, code):
+    assert _run(command, _write_cfg(tmp_path, config), tmp_path / "out") == code
+
+
+def test_expected_value_only_on_tomography(tmp_path):
+    cfg = _write_cfg(tmp_path, {})
+    with pytest.raises(SystemExit) as exc:
+        _run("gate", cfg, tmp_path / "out", "--expected-value")
+    assert exc.value.code == 2
+
+
+def test_help_lists_fields_and_defaults(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["gate", "--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    assert "theta" in text and "default 1.5707963267948966" in text
+    assert "half_width" in text and "default 16" in text
+
+
+def _reject_constant(name):
+    raise AssertionError(f"non-strict JSON constant {name}")
+
+
+# One field or constant of the default config replaced by a value of the
+# wrong type, or a non-finite, zero, negative or non-integral number.  No
+# large valid size is drawn: a valid half_width of 10^4 allocates gigabytes.
+_DRAWN = st.one_of(
+    st.sampled_from([NAN, INF, -INF, 0, 0.0, -1, -0.5, 2.5]),
+    st.integers(-5, -1), st.floats(-10.0, -0.01),
+    st.one_of(st.text(max_size=3), st.none(), st.booleans(),
+              st.dictionaries(st.text(max_size=2), st.integers(-2, 2), max_size=2),
+              st.lists(st.one_of(st.integers(-3, 3), st.floats(-3.0, 3.0)), max_size=3)))
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_fuzzed_config_exits_cleanly(command, data):
+    targets = [(name, False) for name in cli.COMMANDS[command].fields]
+    name, constant = data.draw(st.sampled_from(targets + [(n, True) for n in cli.CONSTANTS]))
+    value = data.draw(_DRAWN)
+    config = {"constants": {name: value}} if constant else {name: value}
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        code = _run(command, _write_cfg(Path(tmp), config), out)
+        assert code in (0, 2, 3)
+        if code == 0:
+            for path in out.glob("*.json"):
+                json.loads(path.read_text(), parse_constant=_reject_constant)

@@ -174,6 +174,40 @@ def test_reconstruct_with_two_probes_up_to_conjugation():
     assert reconstruction_residual(v_rec, spectra, LAT, BINS) < 1e-10
 
 
+def _probe_spectra(v, gammas):
+    """Probe spectra of a 2x2 block by definition, zero off the computational bins."""
+    idx = [LAT.index_of(b) for b in BINS]
+
+    def window(rows):
+        s = np.zeros(LAT.size)
+        s[idx] = rows
+        return s
+
+    spectra = {"bin0": window(np.abs(v[:, 0]) ** 2), "bin1": window(np.abs(v[:, 1]) ** 2)}
+    for g in gammas:
+        spectra[f"gamma:{g:.17g}"] = window(
+            0.5 * np.abs(v[:, 0] + np.exp(1j * g) * v[:, 1]) ** 2)
+    return spectra
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(0.2, np.pi - 0.2), st.floats(-np.pi, np.pi), st.floats(-np.pi, np.pi),
+       st.floats(0.3, 1.0), st.floats(-np.pi, np.pi), st.floats(-np.pi, np.pi),
+       st.booleans())
+def test_reconstruct_random_blocks(theta, lam, mu, scale, row0, row1, quadrature):
+    # a block proportional to a unitary, with arbitrary row phases
+    v = scale * np.exp(1j * np.array([[row0], [row1]])) * target_unitary(theta, lam, mu)
+    gammas = (0.0, np.pi, np.pi / 2, 3 * np.pi / 2) if quadrature else (0.0, np.pi)
+    spectra = _probe_spectra(v, gammas)
+    v_rec = reconstruct_submatrix(spectra, LAT, BINS)
+    assert reconstruction_residual(v_rec, spectra, LAT, BINS) < 1e-10
+    if quadrature:
+        assert gauge_distance(v_rec, v) < 1e-6
+    else:
+        assert min(gauge_distance(v_rec, v), gauge_distance(v_rec.conj(), v)) < 1e-6
+        assert v_rec[0, 1].imag >= 0
+
+
 def test_single_pm_balanced_splitting_is_bounded():
     delta_star, prob = single_pm_balanced_probability()
     assert 1.3 < delta_star < 1.6
