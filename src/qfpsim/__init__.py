@@ -10,13 +10,12 @@ from .errors import (DegenerateScanError, FitFailureError,
                      InvalidArgumentError, OutOfRangeError,
                      ReconstructionFailureError, RetrievalFailureError,
                      UndefinedFidelityError)
-from .lattice import FrequencyLattice, default_half_width, make_lattice
+from .lattice import FrequencyLattice, make_lattice
 
 __all__ = [
     "DegenerateScanError", "FitFailureError", "InvalidArgumentError",
     "OutOfRangeError", "ReconstructionFailureError", "RetrievalFailureError",
-    "UndefinedFidelityError", "FrequencyLattice", "default_half_width",
-    "make_lattice",
+    "UndefinedFidelityError", "FrequencyLattice", "make_lattice",
 ]
 
 __version__ = "1.0.0"

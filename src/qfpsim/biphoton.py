@@ -45,17 +45,16 @@ class BiphotonState:
 
 
 def comb_envelope(num_pairs: int, filter_fsr: float, bin_spacing: float,
-                  extinction_db: float = 30.0,
-                  alignment_phase: float = np.pi / 2 + 0.25) -> np.ndarray:
+                  extinction_db: float = 30.0) -> np.ndarray:
     """|beta_l|^2 weights from the interferometric pump filter edge.
 
-    Bin l sits at alignment_phase + l * pi * bin_spacing / filter_fsr on
-    the filter's sinusoidal transmission, producing the slow monotonic
-    roll-off across the comb lines.
+    Bin l sits at pi/2 + 0.25 + l * pi * bin_spacing / filter_fsr on the
+    filter's sinusoidal transmission, just past its peak, producing the
+    slow monotonic roll-off across the comb lines.
     """
     ls = np.arange(num_pairs)
     t = mzi_pump_filter(ls * bin_spacing, filter_fsr, extinction_db,
-                        phase_offset=alignment_phase)
+                        phase_offset=np.pi / 2 + 0.25)
     return np.asarray(t, dtype=float)
 
 
@@ -75,8 +74,8 @@ def comb_state(signal_lattice: FrequencyLattice, idler_lattice: FrequencyLattice
     ph = np.zeros(n) if phases is None else np.asarray(phases, dtype=float)
     if w.shape != (n,) or ph.shape != (n,):
         raise InvalidArgumentError("weights/phases must match the number of pairs")
-    if np.any(w < 0):
-        raise InvalidArgumentError("weights must be non-negative")
+    if not np.all((w >= 0) & (w < np.inf)):  # NaN fails both
+        raise InvalidArgumentError("weights must be finite and non-negative")
     amps = np.zeros((signal_lattice.size, idler_lattice.size), dtype=complex)
     for (bs, bi), wl, pl in zip(pair_bins, w, ph):
         amps[signal_lattice.index_of(bs), idler_lattice.index_of(bi)] = \
@@ -87,8 +86,7 @@ def comb_state(signal_lattice: FrequencyLattice, idler_lattice: FrequencyLattice
 def reversed_operator(op: ModeOperator) -> ModeOperator:
     """Operator with both bin axes reversed; how a signal-side mode
     transformation reads on the counter-propagating idler axis."""
-    return ModeOperator(op.lattice, op.entries[::-1, ::-1].copy(),
-                        label=f"reversed({op.label})")
+    return ModeOperator(op.lattice, op.entries[::-1, ::-1].copy())
 
 
 def _check_windows(state: BiphotonState, signal_op: ModeOperator,
@@ -105,17 +103,16 @@ def apply_joint(state: BiphotonState, signal_op: ModeOperator,
     return BiphotonState(state.signal_lattice, state.idler_lattice, amps)
 
 
-def walk_operators(depth: float, lattice: FrequencyLattice,
-                   drive_phase: float = np.pi / 2) -> tuple:
+def walk_operators(depth: float, lattice: FrequencyLattice) -> tuple:
     """(signal, idler) operators for both photons crossing one modulator.
 
     The idler spectrum is counter-propagating, so its operator is the
     bin-reversed copy of the same drive.  Reversal flips the sideband
-    phase sign; at the canonical drive phase pi/2 the two photons walk
-    in phase, so a flat-phase comb spreads off the energy-matched
-    diagonal while an alternating +/-pi/2 comb pattern stays confined.
+    phase sign; at the drive phase pi/2 the two photons walk in phase,
+    so a flat-phase comb spreads off the energy-matched diagonal while
+    an alternating +/-pi/2 comb pattern stays confined.
     """
-    op = eom_operator(RfDrive(depth, drive_phase, lattice.spacing), lattice)
+    op = eom_operator(RfDrive(depth, np.pi / 2), lattice)
     return op, reversed_operator(op)
 
 
@@ -197,9 +194,6 @@ def _retrieval_cost(measurements, base: BiphotonState, pair_bins,
     idler_rows = idler_op.entries[:, cols].T
 
     num = len(pair_bins)
-    if isinstance(measurements, np.ndarray) or (
-            measurements and not isinstance(measurements[0], (tuple, list))):
-        measurements = [(np.zeros(num), measurements)]
     offsets, targets = [], []
     for known, grid in measurements:
         known = np.asarray(known, dtype=float)
@@ -231,19 +225,19 @@ def retrieve_phases(measurements, base: BiphotonState, pair_bins,
                     tol: float = 1e-4) -> np.ndarray:
     """Spectral phases on the comb pairs from post-mixing intensity grids.
 
-    ``measurements`` is either a single grid or a list of
-    (known_offset_phases, grid) pairs recorded with extra known phases
-    applied on the pairs.  The first pair's phase is the gauge reference
-    (fixed at 0); the rest are fit by minimizing the squared mismatch
-    between predicted and measured normalized grids with Nelder-Mead over
-    random restarts.  Raises RetrievalFailureError when no restart
-    reaches ``tol``, and InvalidArgumentError when two pairs share both
-    bins or the operator windows do not match ``base``.
+    ``measurements`` is a list of (known_offset_phases, grid) pairs, each
+    grid recorded with the known phases added on the pairs.  The first
+    pair's phase is the gauge reference (fixed at 0); the rest are fit by
+    minimizing the squared mismatch between predicted and measured
+    normalized grids with Nelder-Mead over random restarts.  Raises
+    RetrievalFailureError when no restart reaches ``tol`` (or the best
+    cost is not finite), and InvalidArgumentError when two pairs share
+    both bins or the operator windows do not match ``base``.
 
     A single grid pins the phases only up to joint conjugation (the
     mixing kernel is real up to bin-local phases), so the conjugate set
-    fits equally well; supplying a second grid with a non-symmetric known
-    offset pattern removes the ambiguity.
+    fits equally well; a second grid with a non-symmetric known offset
+    pattern removes the ambiguity.
     """
     pair_bins = list(pair_bins)
     n = len(pair_bins) - 1
@@ -256,7 +250,7 @@ def retrieve_phases(measurements, base: BiphotonState, pair_bins,
                        options={"xatol": 1e-8, "fatol": 1e-14, "maxiter": 4000})
         if best is None or res.fun < best.fun:
             best = res
-    if best.fun > tol:
+    if not best.fun <= tol:
         raise RetrievalFailureError(
             f"best residual {best.fun:.3g} exceeds tolerance {tol:.3g}")
     return np.concatenate(([0.0], np.mod(best.x + np.pi, 2 * np.pi) - np.pi))

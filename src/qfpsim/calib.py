@@ -18,8 +18,7 @@ import numpy as np
 from scipy.optimize import OptimizeWarning, curve_fit
 
 from .errors import DegenerateScanError, FitFailureError, InvalidArgumentError
-from .rings import (WsUnitConfig, _detuned_ports, _unit_ports, _ws_output, ws_unit,
-                    ws_unit_response)
+from .rings import WsUnitConfig, _detuned_ports, _unit_ports, _ws_output, ws_unit
 
 
 @dataclass(frozen=True)
@@ -27,26 +26,16 @@ class DitherConfig:
     """Dither tones applied to the demux/mux heaters.
 
     ``amplitude`` is the wavelength modulation amplitude in meters.  The
-    duration must be commensurate with every analyzed tone (150, 250,
-    100 and 800 Hz by default share a 50 Hz base).
+    tones and the trace are fixed: the duration is commensurate with every
+    analyzed tone (150, 250, 100 and 800 Hz share a 50 Hz base), and the
+    sample rate is 64 times the highest of them.
     """
 
     amplitude: float
-    f_demux: float = 150.0
-    f_mux: float = 250.0
-    duration: float = 0.2
-    sample_rate: float = 51200.0
-
-    def __post_init__(self):
-        if self.f_demux == self.f_mux:
-            raise InvalidArgumentError("dither tones must differ")
-        top = 2.0 * (self.f_demux + self.f_mux)
-        if self.sample_rate < 16.0 * top:
-            raise InvalidArgumentError("sample rate too low for the analyzed harmonics")
-        for f in (self.f_demux, self.f_mux, abs(self.f_mux - self.f_demux), top):
-            if not np.isclose(f * self.duration, round(f * self.duration), atol=1e-9):
-                raise InvalidArgumentError(
-                    f"duration {self.duration} s is not commensurate with tone {f} Hz")
+    f_demux = 150.0       # Hz
+    f_mux = 250.0         # Hz
+    duration = 0.2        # s
+    sample_rate = 51200.0  # Hz
 
     @property
     def times(self) -> np.ndarray:
@@ -88,24 +77,20 @@ def _add_noise(trace: np.ndarray, noise_sigma: float, rng) -> np.ndarray:
     return trace
 
 
-def simulate_dither_trace(unit: WsUnitConfig, dither: DitherConfig, probe_wavelength: float,
-                          noise_sigma: float = 0.0, rng=None) -> np.ndarray:
-    """Transmitted intensity |response(t)|^2 with both resonances dithered."""
-    amp = ws_unit_response(probe_wavelength, unit, extra_detunings=_dither_offsets(dither))
-    return _add_noise(np.abs(amp) ** 2, noise_sigma, rng)
-
-
-def harmonic_component(trace: np.ndarray, frequency: float, sample_rate: float) -> complex:
+def harmonic_component(traces, frequency: float, sample_rate: float):
     """Complex Fourier coefficient (2/N) * sum I(t_k) exp(-2 pi i f t_k).
 
-    The frequency must fall on an exact DFT bin of the trace.
+    ``traces`` is one trace or a stack of them along the last axis; the
+    result has one coefficient per trace.  The frequency must fall on an
+    exact DFT bin of the trace.
     """
-    n = len(trace)
+    traces = np.asarray(traces)
+    n = traces.shape[-1]
     cycles = frequency * n / sample_rate
     if not np.isclose(cycles, round(cycles), atol=1e-6):
         raise InvalidArgumentError(f"{frequency} Hz is not an exact DFT bin of the trace")
-    t = np.arange(n) / sample_rate
-    return complex(2.0 / n * np.sum(trace * np.exp(-2j * np.pi * frequency * t)))
+    tone = np.exp(-2j * np.pi * frequency * (np.arange(n) / sample_rate))
+    return 2.0 / n * np.sum(traces * tone, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -164,8 +149,7 @@ def fit_phase_curve(powers, traces, dither: DitherConfig) -> PhaseCalibration:
         raise InvalidArgumentError("need at least 8 power points")
     if len(traces) != powers.size:
         raise InvalidArgumentError("one trace per power point required")
-    y = np.array([harmonic_component(tr, dither.phase_harmonic, dither.sample_rate).real
-                  for tr in traces])
+    y = harmonic_component(traces, dither.phase_harmonic, dither.sample_rate).real
 
     def model(p, i0, p2pi, phi0):
         return i0 * np.cos(2.0 * np.pi * p / p2pi + phi0)
@@ -187,8 +171,10 @@ def fit_phase_curve(powers, traces, dither: DitherConfig) -> PhaseCalibration:
     min_period = 2.0 * float(np.median(np.diff(np.sort(powers))))
     for p2pi_guess in (span, span / 2.0, 2.0 * span):
         for phi0_guess in (0.0, np.pi / 2.0, np.pi, -np.pi / 2.0):
-            # a start that collapses to i0 = 0 has no covariance: skip it
-            with warnings.catch_warnings():
+            # a start that collapses to i0 = 0 has no covariance, and one that
+            # under- or overflows (powers or noise of extreme scale) has no
+            # finite residual: skip both
+            with warnings.catch_warnings(), np.errstate(all="ignore"):
                 warnings.simplefilter("error", OptimizeWarning)
                 try:
                     popt, pcov = curve_fit(model, powers, y,
@@ -196,9 +182,9 @@ def fit_phase_curve(powers, traces, dither: DitherConfig) -> PhaseCalibration:
                                            jac=jac, maxfev=20000)
                 except (RuntimeError, OptimizeWarning):
                     continue
-            if abs(popt[1]) < min_period:
+                res = float(np.sqrt(np.mean((model(powers, *popt) - y) ** 2)))
+            if abs(popt[1]) < min_period or not np.isfinite(res):
                 continue
-            res = float(np.sqrt(np.mean((model(powers, *popt) - y) ** 2)))
             if best is None or res < best[2]:
                 best = (popt, pcov, res)
     if best is None:
@@ -226,26 +212,24 @@ def wrap_phase(phi: float) -> float:
     return -np.pi if out >= np.pi else out
 
 
-def phase_from_power(cal: PhaseCalibration, power: float) -> float:
-    """Phi(P) wrapped to [-pi, pi)."""
-    return wrap_phase(cal.phase_offset + 2.0 * np.pi * power / cal.power_2pi)
-
-
 def simulate_phase_sweep(unit_template: WsUnitConfig, powers, power_2pi: float,
                          phase_offset: float, dither: DitherConfig,
                          probe_wavelength: float, noise_sigma: float = 0.0, rng=None):
-    """Synthetic calibration sweep: one aligned-unit trace per heater power.
+    """Synthetic calibration sweep: one aligned-unit trace per heater power,
+    stacked as the rows of one array.
 
     Plants Phi(P) = phase_offset + 2 pi P / power_2pi; used by the CLI and
-    by plant-and-recover tests.  Each trace equals simulate_dither_trace of
-    ws_unit(demux, mux, mode, Phi(P)): the ring ports do not depend on the
-    phase, so they are computed once for the whole sweep.
+    by plant-and-recover tests.  Each trace is the dithered intensity
+    |ws_unit_response|^2 of ws_unit(demux, mux, mode, Phi(P)): the ring
+    ports do not depend on the phase, so they are computed once for the
+    whole sweep.
     """
     unit = ws_unit(unit_template.demux, unit_template.mux, unit_template.mode)
     ports = _unit_ports(probe_wavelength, unit, _dither_offsets(dither))
-    traces = []
-    for p in np.asarray(powers, dtype=float):
+    powers = np.asarray(powers, dtype=float)
+    traces = np.empty((powers.size, dither.times.size))
+    for k, p in enumerate(powers):
         phi = phase_offset + 2.0 * np.pi * p / power_2pi
         trace = np.abs(_ws_output(unit.mode, phi, *ports)) ** 2
-        traces.append(_add_noise(trace, noise_sigma, rng))
+        traces[k] = _add_noise(trace, noise_sigma, rng)
     return traces

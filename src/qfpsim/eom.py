@@ -16,7 +16,6 @@ from .lattice import FrequencyLattice
 
 BESSEL_MAX_ARGUMENT = 50.0
 TRUNCATION_POWER_TOL = 1e-14
-DEFAULT_UNITARITY_TOL = 1e-10
 
 
 def bessel_row(max_order: int, argument: float) -> np.ndarray:
@@ -33,8 +32,8 @@ def bessel_row(max_order: int, argument: float) -> np.ndarray:
     return jv(np.arange(max_order + 1), argument)
 
 
-def truncation_order(depth: float, tol: float = TRUNCATION_POWER_TOL) -> int:
-    """Smallest K with sum_{|j|>K} J_j(depth)^2 < tol.
+def truncation_order(depth: float) -> int:
+    """Smallest K with sum_{|j|>K} J_j(depth)^2 < TRUNCATION_POWER_TOL.
 
     Used as the interior guard margin: bins farther than K from the window
     edge see the operator as rigorously unitary.
@@ -46,7 +45,7 @@ def truncation_order(depth: float, tol: float = TRUNCATION_POWER_TOL) -> int:
     total = power[0] + 2.0 * power[1:].sum()
     tail = total - power[0]
     k = 0
-    while tail >= tol:
+    while tail >= TRUNCATION_POWER_TOL:
         k += 1
         if k >= len(row):
             raise InvalidArgumentError("truncation order not found; depth too large")
@@ -56,27 +55,19 @@ def truncation_order(depth: float, tol: float = TRUNCATION_POWER_TOL) -> int:
 
 @dataclass(frozen=True)
 class RfDrive:
-    """Single-tone RF drive of a phase modulator.
+    """Single-tone RF drive of a phase modulator, at the lattice spacing.
 
     Attributes:
         depth: modulation depth in radians (>= 0).
         phase: RF phase in radians.
-        frequency: tone frequency in Hz; must equal the lattice spacing.
-        enabled: disabled drive is equivalent to depth 0.
     """
 
     depth: float
     phase: float = 0.0
-    frequency: float | None = None
-    enabled: bool = True
 
     def __post_init__(self):
         if self.depth < 0:
             raise InvalidArgumentError("modulation depth must be non-negative")
-
-    @property
-    def effective_depth(self) -> float:
-        return self.depth if self.enabled else 0.0
 
 
 @dataclass(frozen=True)
@@ -85,7 +76,6 @@ class ModeOperator:
 
     lattice: FrequencyLattice
     entries: np.ndarray
-    label: str = ""
 
     def __post_init__(self):
         n = self.lattice.size
@@ -99,24 +89,18 @@ def eom_operator(drive: RfDrive, lattice: FrequencyLattice) -> ModeOperator:
     M[m, n] = J_{m-n}(depth) exp(i (m-n) phase).  The matrix keeps the full
     Toeplitz band across the window; only the finite window truncates, which
     keeps the interior (margin ``truncation_order(depth)``) unitary to well
-    below the default tolerance.
+    below 1e-10.
     """
-    if drive.frequency is not None and not np.isclose(drive.frequency, lattice.spacing,
-                                                      rtol=1e-9, atol=0.0):
-        raise InvalidArgumentError(
-            f"drive frequency {drive.frequency} does not match lattice spacing {lattice.spacing}"
-        )
-    depth = drive.effective_depth
     n = lattice.size
     # the Toeplitz band: entry k holds the coefficient of offset m - n = k - (n - 1)
     diff = np.arange(1 - n, n)
-    row = bessel_row(n - 1, depth)
+    row = bessel_row(n - 1, drive.depth)
     mag = row[np.abs(diff)]
     sign = np.where((diff < 0) & (np.abs(diff) % 2 == 1), -1.0, 1.0)
     band = mag * sign * np.exp(1j * diff * drive.phase)
     index = np.arange(n)
     entries = band[index[:, None] - index[None, :] + (n - 1)]
-    return ModeOperator(lattice, entries, label=f"EOM(d={depth:.4g})")
+    return ModeOperator(lattice, entries)
 
 
 def unitarity_deficit(op: ModeOperator, interior_margin: int) -> float:

@@ -1,8 +1,7 @@
 """Frequency-bin index space shared by every mode operator.
 
 Bins live on an equally spaced lattice; indices are signed integers
-centered on bin 0 and physical frequencies are always derived, never
-stored per bin.
+centered on bin 0, and no physical frequency is stored per bin.
 """
 
 from dataclasses import dataclass
@@ -43,13 +42,6 @@ class FrequencyLattice:
     def bins(self) -> np.ndarray:
         return np.arange(self.l_min, self.l_max + 1)
 
-    def bin_frequency(self, l):
-        """Physical frequency of bin ``l`` (scalar or array)."""
-        return self.center_frequency + np.asarray(l) * self.spacing
-
-    def bin_wavelength(self, l):
-        return SPEED_OF_LIGHT / self.bin_frequency(l)
-
     def index_of(self, l: int) -> int:
         """Position of bin ``l`` in the matrix ordering; raises if outside."""
         if not self.contains(l):
@@ -59,9 +51,6 @@ class FrequencyLattice:
     def contains(self, l: int) -> bool:
         return self.l_min <= l <= self.l_max
 
-    def nearest_bin(self, frequency: float) -> int:
-        return int(round((frequency - self.center_frequency) / self.spacing))
-
 
 def make_lattice(center_frequency: float, spacing: float, half_width: int) -> FrequencyLattice:
     """Lattice with window [-half_width, +half_width] and bin 0 at the center frequency."""
@@ -70,9 +59,3 @@ def make_lattice(center_frequency: float, spacing: float, half_width: int) -> Fr
     if half_width < 1:
         raise InvalidArgumentError("half_width must be at least 1")
     return FrequencyLattice(center_frequency, spacing, -int(half_width), int(half_width))
-
-
-def default_half_width(max_depth: float, guard: int = 12) -> int:
-    """Default window half-width for a simulation using modulation depth up to
-    ``max_depth``: ceil(depth) + guard, shared with the operator truncation policy."""
-    return int(np.ceil(max_depth)) + guard

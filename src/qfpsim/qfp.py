@@ -18,7 +18,7 @@ from .errors import (InvalidArgumentError, OutOfRangeError,
                      ReconstructionFailureError, UndefinedFidelityError)
 from .eom import ModeOperator, RfDrive, bessel_row, eom_operator, truncation_order
 from .lattice import FrequencyLattice
-from .rings import MODEL_IDEAL, MODE_PHASE, WsChannel, ws_operator
+from .rings import MODE_PHASE, WsChannel, ws_operator
 
 
 @dataclass(frozen=True)
@@ -30,7 +30,6 @@ class ProcessorConfig:
     channels: tuple
     lattice: FrequencyLattice
     computational_bins: tuple
-    ws_model: str = MODEL_IDEAL
 
     def __post_init__(self):
         b0, b1 = self.computational_bins
@@ -41,7 +40,7 @@ class ProcessorConfig:
             raise InvalidArgumentError("computational bins must lie inside the window")
         # The block sums over intermediate bins within K of the pair, so a
         # margin of K bins to the window edge keeps it exact.
-        depth = max(self.in_drive.effective_depth, self.out_drive.effective_depth)
+        depth = max(self.in_drive.depth, self.out_drive.depth)
         needed = truncation_order(depth)
         margin = min(b0 - lat.l_min, lat.l_max - b1)
         if margin < needed:
@@ -55,10 +54,10 @@ def compose_qfp(config: ProcessorConfig) -> ModeOperator:
     lat = config.lattice
     m_in = eom_operator(config.in_drive, lat)
     m_out = eom_operator(config.out_drive, lat)
-    d_ws = ws_operator(config.channels, lat, config.ws_model)
+    d_ws = ws_operator(config.channels, lat)
     # the WS operator is diagonal: scaling the columns of m_out applies it
     entries = (m_out.entries * np.diagonal(d_ws.entries)) @ m_in.entries
-    return ModeOperator(lat, entries, label="QFP")
+    return ModeOperator(lat, entries)
 
 
 def _step_channels(lattice: FrequencyLattice, upper_bin: int, alpha: float,
@@ -82,8 +81,8 @@ def beamsplitter_config(alpha: float, delta: float, lattice: FrequencyLattice,
     """Tunable-beamsplitter setting: equal depths, relative pi RF phase,
     step spectral phase alpha between the computational bins."""
     b0, b1 = computational_bins
-    in_drive = RfDrive(delta, np.pi, lattice.spacing)
-    out_drive = RfDrive(delta, 0.0, lattice.spacing)
+    in_drive = RfDrive(delta, np.pi)
+    out_drive = RfDrive(delta, 0.0)
     channels = _step_channels(lattice, b1, alpha)
     return ProcessorConfig(in_drive, out_drive, channels, lattice, (b0, b1))
 
@@ -157,11 +156,6 @@ def target_unitary(theta: float, lam: float, mu: float) -> np.ndarray:
                      [np.exp(1j * mu) * s, -np.exp(1j * (lam + mu)) * c]])
 
 
-def splitting_max(delta: float) -> float:
-    """Largest achievable T/(R+T) over alpha, attained at alpha = pi."""
-    return float(_splitting(np.pi, *_rt_coefficients(delta)))
-
-
 def alpha_for_theta(theta: float, delta: float) -> float:
     """Invert T/(R+T) = sin^2(theta/2) for alpha on the [pi, 2pi] branch.
 
@@ -208,8 +202,8 @@ def synthesize_gate(theta: float, lam: float, mu: float, delta: float,
     b0, b1 = computational_bins
     lam0, mu0 = intrinsic_phases(alpha, delta, lattice, computational_bins)
     lam_p, mu_p = lam - lam0, mu - mu0
-    in_drive = RfDrive(delta, np.pi - lam_p, lattice.spacing)
-    out_drive = RfDrive(delta, mu_p, lattice.spacing)
+    in_drive = RfDrive(delta, np.pi - lam_p)
+    out_drive = RfDrive(delta, mu_p)
     channels = _step_channels(lattice, b1, alpha, ramp=lam_p + mu_p)
     return ProcessorConfig(in_drive, out_drive, channels, lattice, (b0, b1))
 
@@ -275,14 +269,14 @@ def gauge_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def reconstruct_submatrix(spectra: dict, lattice: FrequencyLattice,
-                          computational_bins: tuple, tol: float = 1e-6) -> np.ndarray:
+                          computational_bins: tuple) -> np.ndarray:
     """Complex 2x2 scattering matrix from four (or six) probe spectra.
 
     Magnitudes come from the single-bin spectra.  The row gauge takes
-    V_m0 = sqrt(bin0) real non-negative; where V_m0 >= ``tol``, the gamma =
+    V_m0 = sqrt(bin0) real non-negative; where V_m0 >= tol = 1e-6, the gamma =
     0 / pi pair gives Re V_m1 = (I_0 - I_pi) / (2 V_m0), the gamma = pi/2,
     3pi/2 pair (when present) gives Im V_m1 = -(I_pi/2 - I_3pi/2) / (2 V_m0),
-    and without it Im V_m1 = +sqrt(|V_m1|^2 - Re^2).  Where V_m0 < ``tol``
+    and without it Im V_m1 = +sqrt(|V_m1|^2 - Re^2).  Where V_m0 < tol
     the phase of V_m1 is free and V_m1 = |V_m1| is taken real.
 
     Two probe phases leave each row's Im-sign open.  The block is
@@ -291,8 +285,9 @@ def reconstruct_submatrix(spectra: dict, lattice: FrequencyLattice,
     the relative sign; Im V_01 >= 0 breaks the global conjugation.
 
     Raises ReconstructionFailureError when a probe spectrum is missing or
-    an inferred cosine exceeds 1 beyond ``tol``.
+    an inferred cosine exceeds 1 beyond tol.
     """
+    tol = 1e-6
     i0, i1 = (lattice.index_of(b) for b in computational_bins)
     keys = {float(k.split(":", 1)[1]): k for k in spectra if k.startswith("gamma:")}
 
@@ -357,17 +352,15 @@ def reconstruction_residual(v: np.ndarray, spectra: dict, lattice: FrequencyLatt
     return float(np.sqrt(np.mean(np.square(errs))))
 
 
-def single_pm_balanced_probability(delta_grid=None) -> tuple:
+def single_pm_balanced_probability() -> tuple:
     """1-D sweep oracle for the single-modulator balanced beamsplitter.
 
-    Sweeps the depth of a lone modulator, finds the most balanced
-    |J_0|^2 vs |J_1|^2 splitting, and reports (delta*, P).  Documents the
-    ~2/3 upper bound a single phase modulator can reach.
+    Sweeps the depth of a lone modulator over [0.5, 2.5], finds the most
+    balanced |J_0|^2 vs |J_1|^2 splitting, and reports (delta*, P).
+    Documents the ~2/3 upper bound a single phase modulator can reach.
     """
-    if delta_grid is None:
-        delta_grid = np.linspace(0.5, 2.5, 2001)
     best = None
-    for d in delta_grid:
+    for d in np.linspace(0.5, 2.5, 2001):
         row = bessel_row(1, d)
         j0sq, j1sq = row[0] ** 2, row[1] ** 2
         imbalance = abs(j0sq - j1sq)

@@ -43,6 +43,15 @@ class RingParams:
             raise InvalidArgumentError("power coupling must be in (0, 1)")
         if not 0.0 < self.round_trip_loss <= 1.0:
             raise InvalidArgumentError("round-trip amplitude loss must be in (0, 1]")
+        # extreme geometry underflows the optical length or the finesse
+        # denominator; reject it here rather than divide by zero later
+        with np.errstate(all="ignore"):
+            try:
+                widths = (self.fsr_wavelength, self.linewidth_fwhm)
+            except (ZeroDivisionError, OverflowError):
+                widths = (np.nan,)
+        if not all(0.0 < w < np.inf for w in widths):
+            raise InvalidArgumentError("ring FSR and linewidth must be finite and positive")
 
     @property
     def circumference(self) -> float:
@@ -179,33 +188,20 @@ def ws_unit_response(probe_wavelength, unit: WsUnitConfig, extra_detunings=(0.0,
                       *_unit_ports(probe_wavelength, unit, extra_detunings))
 
 
-MODEL_IDEAL = "IDEAL"
-MODEL_PHYSICAL = "PHYSICAL"
-
-
 @dataclass(frozen=True)
 class WsChannel:
-    """A WS unit assigned to one lattice bin.
-
-    ``unit`` may be omitted for the IDEAL model, where only ``phase`` and
-    ``mode`` matter.
-    """
+    """The spectral phase and mode of the WS unit on one lattice bin."""
 
     bin_index: int
     phase: float = 0.0
     mode: str = MODE_PHASE
-    unit: WsUnitConfig | None = None
 
 
-def ws_operator(channels, lattice: FrequencyLattice, model: str = MODEL_IDEAL) -> ModeOperator:
+def ws_operator(channels, lattice: FrequencyLattice) -> ModeOperator:
     """Diagonal operator of the full four-channel (or extended) waveshaper.
 
-    IDEAL: exp(i Phi) on PHASE bins, 1 on PASS/untouched bins, 0 on STOP
-    bins.  PHYSICAL: the complex WS-unit response sampled at the bin center,
-    including channel loss.
+    exp(i Phi) on PHASE bins, 1 on PASS/untouched bins, 0 on STOP bins.
     """
-    if model not in (MODEL_IDEAL, MODEL_PHYSICAL):
-        raise InvalidArgumentError(f"unknown WS model {model!r}")
     diag = np.ones(lattice.size, dtype=complex)
     seen = set()
     for ch in channels:
@@ -213,20 +209,11 @@ def ws_operator(channels, lattice: FrequencyLattice, model: str = MODEL_IDEAL) -
             raise InvalidArgumentError(f"duplicate WS channel on bin {ch.bin_index}")
         seen.add(ch.bin_index)
         idx = lattice.index_of(ch.bin_index)
-        if model == MODEL_IDEAL:
-            if ch.mode == MODE_STOP:
-                diag[idx] = 0.0
-            elif ch.mode == MODE_PHASE:
-                diag[idx] = np.exp(1j * ch.phase)
-        else:
-            if ch.unit is None:
-                raise InvalidArgumentError("PHYSICAL model requires a WsUnitConfig per channel")
-            unit = ch.unit
-            if unit.channel_phase != ch.phase or unit.mode != ch.mode:
-                unit = ws_unit(unit.demux, unit.mux, ch.mode, ch.phase)
-            lam = lattice.bin_wavelength(ch.bin_index)
-            diag[idx] = ws_unit_response(lam, unit)
-    return ModeOperator(lattice, np.diag(diag), label=f"WS[{model}]")
+        if ch.mode == MODE_STOP:
+            diag[idx] = 0.0
+        elif ch.mode == MODE_PHASE:
+            diag[idx] = np.exp(1j * ch.phase)
+    return ModeOperator(lattice, np.diag(diag))
 
 
 def mzi_pump_filter(probe_frequency, fsr: float, extinction: float, phase_offset: float = 0.0):
@@ -236,5 +223,8 @@ def mzi_pump_filter(probe_frequency, fsr: float, extinction: float, phase_offset
     if extinction <= 0:
         raise InvalidArgumentError("extinction must be positive (dB)")
     floor = 10.0 ** (-extinction / 10.0)
-    return floor + (1.0 - floor) * np.sin(np.pi * np.asarray(probe_frequency) / fsr
-                                          + phase_offset) ** 2
+    with np.errstate(over="ignore"):
+        arg = np.pi * np.asarray(probe_frequency) / fsr + phase_offset
+    if not np.all(np.isfinite(arg)):
+        raise InvalidArgumentError("pump-filter phase overflows: FSR too small")
+    return floor + (1.0 - floor) * np.sin(arg) ** 2

@@ -4,9 +4,10 @@ Each photon of a bin-pair qubit is analyzed either in the bin basis
 (which bin the photon occupies) or in a superposition basis realized by
 mixing the two bins on a modulator and detecting one output bin.  The
 superposition projector is lossy: its success amplitude is set by the
-mixer's effective splitting.
+mixer's effective splitting at DEFAULT_MEASUREMENT_DEPTH.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,14 +36,14 @@ class MeasurementSetting:
             raise InvalidArgumentError(f"unknown basis {self.basis!r}")
 
 
-def superposition_efficiency(depth: float = DEFAULT_MEASUREMENT_DEPTH) -> float:
+@functools.cache
+def superposition_efficiency() -> float:
     """Success amplitude 2 J0 J1 of the single-modulator analyzer."""
-    row = bessel_row(1, depth)
+    row = bessel_row(1, DEFAULT_MEASUREMENT_DEPTH)
     return float(2.0 * row[0] * row[1])
 
 
-def projector(setting: MeasurementSetting,
-              depth: float = DEFAULT_MEASUREMENT_DEPTH) -> np.ndarray:
+def projector(setting: MeasurementSetting) -> np.ndarray:
     """Single-qubit POVM element for one analyzer setting.
 
     Bin settings are ideal projectors; superposition settings are
@@ -54,11 +55,11 @@ def projector(setting: MeasurementSetting,
     if setting.basis == BASIS_BIN1:
         return np.diag([0.0, 1.0]).astype(complex)
     v = np.array([1.0, np.exp(1j * setting.phi)]) / np.sqrt(2.0)
-    eta = superposition_efficiency(depth) ** 2
+    eta = superposition_efficiency() ** 2
     return eta * np.outer(v, v.conj())
 
 
-def canonical_settings(depth: float = DEFAULT_MEASUREMENT_DEPTH) -> tuple:
+def canonical_settings() -> tuple:
     """The 16 two-photon settings {bin0, bin1, phi=0, phi=pi/2} x same."""
     singles = (MeasurementSetting(BASIS_BIN0),
                MeasurementSetting(BASIS_BIN1),
@@ -67,10 +68,10 @@ def canonical_settings(depth: float = DEFAULT_MEASUREMENT_DEPTH) -> tuple:
     return tuple((a, b) for a in singles for b in singles)
 
 
-def joint_projector(pair, depth: float = DEFAULT_MEASUREMENT_DEPTH) -> np.ndarray:
+def joint_projector(pair) -> np.ndarray:
     """Tensor product of the two single-photon POVM elements."""
     a, b = pair
-    return np.kron(projector(a, depth), projector(b, depth))
+    return np.kron(projector(a), projector(b))
 
 
 def _check_density(rho: np.ndarray, tol: float = 1e-8) -> np.ndarray:
@@ -103,22 +104,20 @@ def carve_bell_state(suppression_db: float, bell_phase: float = 0.0) -> np.ndarr
     return _check_density(rho)
 
 
-def expected_rate(rho: np.ndarray, pair,
-                  depth: float = DEFAULT_MEASUREMENT_DEPTH) -> float:
+def expected_rate(rho: np.ndarray, pair) -> float:
     """Tr(rho Pi_a x Pi_b): fractional coincidence rate at one setting."""
     rho = _check_density(rho)
-    return float(np.real(np.trace(rho @ joint_projector(pair, depth))))
+    return float(np.real(np.trace(rho @ joint_projector(pair))))
 
 
-def bell_fringe(rho: np.ndarray, phis, fixed_phi: float = 0.0,
-                depth: float = DEFAULT_MEASUREMENT_DEPTH) -> np.ndarray:
-    """Coincidence fringe vs the signal analyzer phase, idler phase fixed."""
+def bell_fringe(rho: np.ndarray, phis) -> np.ndarray:
+    """Coincidence fringe vs the signal analyzer phase, idler phase at 0."""
     rho = _check_density(rho)
     out = []
     for phi in np.atleast_1d(phis):
         pair = (MeasurementSetting(BASIS_SUPERPOSITION, float(phi)),
-                MeasurementSetting(BASIS_SUPERPOSITION, fixed_phi))
-        out.append(expected_rate(rho, pair, depth))
+                MeasurementSetting(BASIS_SUPERPOSITION, 0.0))
+        out.append(expected_rate(rho, pair))
     return np.asarray(out)
 
 
@@ -135,26 +134,19 @@ class VisibilityFit:
     def violates_classical_bound(self) -> bool:
         return self.visibility > 1.0 / np.sqrt(2.0)
 
-    @property
-    def violation_significance(self) -> float:
-        if self.visibility_sigma <= 0:
-            return np.inf
-        return (self.visibility - 1.0 / np.sqrt(2.0)) / self.visibility_sigma
 
-
-def fit_visibility(phis, counts, sigma=None) -> VisibilityFit:
+def fit_visibility(phis, counts) -> VisibilityFit:
     """Fit a two-photon interference fringe and report V with uncertainty.
 
-    ``sigma`` defaults to shot noise sqrt(max(counts, 1)).  Requires at
-    least five phase points; raises FitFailureError when the optimizer
-    cannot converge.
+    Each point is weighted by its shot noise sqrt(max(counts, 1)).
+    Requires at least five phase points; raises FitFailureError when the
+    optimizer cannot converge.
     """
     phis = np.asarray(phis, dtype=float)
     counts = np.asarray(counts, dtype=float)
     if phis.shape != counts.shape or phis.size < 5:
         raise InvalidArgumentError("need matching arrays with >= 5 fringe points")
-    if sigma is None:
-        sigma = np.sqrt(np.maximum(counts, 1.0))
+    sigma = np.sqrt(np.maximum(counts, 1.0))
 
     def model(x, b, v, chi):
         return b * (1.0 + v * np.cos(x + chi))
@@ -194,23 +186,19 @@ class MeasurementRecord:
     accidental: float = 0.0
 
 
-def simulate_counts(rho: np.ndarray, shots: float,
-                    settings=None, accidental_fraction: float = 0.0,
-                    rng: np.random.Generator = None,
-                    depth: float = DEFAULT_MEASUREMENT_DEPTH) -> list:
-    """Coincidence records over the canonical (or given) settings.
+def simulate_counts(rho: np.ndarray, shots: float, accidental_fraction: float = 0.0,
+                    rng: np.random.Generator = None) -> list:
+    """Coincidence records over the canonical settings.
 
     Expected counts are shots * rate + shots * accidental_fraction; with a
     generator supplied they are Poisson sampled, otherwise the expected
     values are returned exactly (deterministic mode).
     """
     rho = _check_density(rho)
-    if settings is None:
-        settings = canonical_settings(depth)
     records = []
-    for pair in settings:
+    for pair in canonical_settings():
         acc = shots * accidental_fraction
-        mean = shots * expected_rate(rho, pair, depth) + acc
+        mean = shots * expected_rate(rho, pair) + acc
         counts = float(rng.poisson(mean)) if rng is not None else float(mean)
         records.append(MeasurementRecord(pair[0], pair[1], counts, shots, acc))
     return records
@@ -249,11 +237,11 @@ def _params_from_rho(rho: np.ndarray) -> np.ndarray:
     return params
 
 
-def _linear_inversion(records: list, depth: float) -> np.ndarray:
+def _linear_inversion(records: list) -> np.ndarray:
     """Least-squares rho estimate ignoring positivity, used as MLE seed."""
     a_rows, y = [], []
     for rec in records:
-        pi = joint_projector((rec.setting_a, rec.setting_b), depth)
+        pi = joint_projector((rec.setting_a, rec.setting_b))
         a_rows.append(pi.conj().ravel())
         y.append(max(rec.counts - rec.accidental, 0.0) / rec.shots)
     a = np.array(a_rows)
@@ -264,8 +252,7 @@ def _linear_inversion(records: list, depth: float) -> np.ndarray:
     return rho / tr if abs(tr) > 1e-12 else np.eye(4) / 4.0
 
 
-def mle_reconstruct(records: list, depth: float = DEFAULT_MEASUREMENT_DEPTH,
-                    restarts: int = 3, seed: int = 11) -> np.ndarray:
+def mle_reconstruct(records: list, restarts: int = 3, seed: int = 11) -> np.ndarray:
     """Maximum-likelihood density matrix from coincidence records.
 
     rho = T^dag T / Tr(T^dag T) with T lower triangular (16 real
@@ -275,8 +262,7 @@ def mle_reconstruct(records: list, depth: float = DEFAULT_MEASUREMENT_DEPTH,
     """
     if len(records) < 16:
         raise InvalidArgumentError("tomography needs at least 16 settings")
-    pis = np.array([joint_projector((r.setting_a, r.setting_b), depth)
-                    for r in records])
+    pis = np.array([joint_projector((r.setting_a, r.setting_b)) for r in records])
     counts = np.array([r.counts for r in records])
     shots = np.array([r.shots for r in records])
     accidentals = np.array([r.accidental for r in records])
@@ -307,7 +293,7 @@ def mle_reconstruct(records: list, depth: float = DEFAULT_MEASUREMENT_DEPTH,
         return nll, grad
 
     rng = np.random.default_rng(seed)
-    starts = [_params_from_rho(_linear_inversion(records, depth))]
+    starts = [_params_from_rho(_linear_inversion(records))]
     for _ in range(restarts):
         starts.append(rng.normal(scale=0.5, size=16))
     best = None

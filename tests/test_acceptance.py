@@ -18,7 +18,7 @@ from qfpsim.calib import (DitherConfig, align_scan, fit_phase_curve,
                           simulate_phase_sweep)
 from qfpsim.cli import main
 from qfpsim.eom import truncation_order
-from qfpsim.lattice import make_lattice
+from qfpsim.lattice import SPEED_OF_LIGHT, make_lattice
 from qfpsim.qfp import (beamsplitter_config, beamsplitter_spectra,
                         compose_qfp, fidelity, gauge_distance, jbar,
                         reconstruct_submatrix, rt_closed_form,
@@ -149,7 +149,7 @@ def test_planted_phase_retrieval():
 # --- 7. dither-tone calibration ------------------------------------------
 
 def _calib_ring():
-    return make_ring(LAT.bin_wavelength(0), defaults.POWER_COUPLING,
+    return make_ring(SPEED_OF_LIGHT / defaults.CENTER_FREQUENCY, defaults.POWER_COUPLING,
                      defaults.LOSS_DB_PER_CM, defaults.RING_RADIUS,
                      defaults.EFFECTIVE_INDEX)
 
@@ -195,7 +195,7 @@ def test_ring_quality_factor_and_channel_loss():
 
 
 def test_lossless_ring_conserves_power():
-    ring = make_ring(LAT.bin_wavelength(0), defaults.POWER_COUPLING,
+    ring = make_ring(SPEED_OF_LIGHT / defaults.CENTER_FREQUENCY, defaults.POWER_COUPLING,
                      0.0, defaults.RING_RADIUS, defaults.EFFECTIVE_INDEX)
     probes = ring.resonance_wavelength + np.linspace(-2, 2, 41) * ring.linewidth_fwhm
     for wl in probes:

@@ -1,0 +1,51 @@
+"""The benchmark's tracer still finds every qfpsim name it wraps.
+
+``perfbench/tracing.py`` looks up the functions it records, and the scipy
+solvers the modules bind, by name in the qfpsim modules.  A deleted or
+renamed one makes the traced benchmark run raise, so install the tracer
+here and take it off again.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import qfpsim.cli  # noqa: F401  (imports every qfpsim module)
+from qfpsim.lattice import FrequencyLattice
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _bindings() -> dict:
+    """(module, name) -> value of every qfpsim module attribute, plus the
+    FrequencyLattice method the tracer counts."""
+    out = {(name, key): value for name, mod in sys.modules.items()
+           if name.startswith("qfpsim.") and mod is not None
+           for key, value in vars(mod).items()}
+    out[("FrequencyLattice", "index_of")] = FrequencyLattice.index_of
+    return out
+
+
+def test_tracer_wraps_every_named_function_and_uninstalls():
+    tracing = _load_tracing()
+    before = _bindings()
+    undo = tracing.install(tracing.Tracer())
+    try:
+        during = _bindings()
+    finally:
+        tracing.uninstall(undo)
+    patched = {key for key, value in during.items() if value is not before[key]}
+    assert len(patched) == len(undo)
+    named = ([(f"qfpsim.{mod}", f) for mod, funcs in tracing.SPANNED.items() for f in funcs]
+             + [(f"qfpsim.{mod}", f) for mod, f in tracing.SOLVERS + tracing.COUNTED])
+    assert set(named) <= patched
+    after = _bindings()
+    assert after.keys() == before.keys()
+    assert all(after[key] is value for key, value in before.items())

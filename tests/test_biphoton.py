@@ -52,6 +52,9 @@ def test_comb_state_validation():
         comb_state(LAT, LAT, PAIRS, weights=[1.0])
     with pytest.raises(InvalidArgumentError):
         comb_state(LAT, LAT, PAIRS, weights=[-1.0] * len(PAIRS))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(InvalidArgumentError):
+            comb_state(LAT, LAT, PAIRS, weights=[1.0] * (len(PAIRS) - 1) + [bad])
     with pytest.raises(InvalidArgumentError):
         BiphotonState(LAT, LAT, np.zeros((3, 3)))
     with pytest.raises(InvalidArgumentError):
@@ -136,7 +139,7 @@ def test_single_grid_retrieval_recovers_up_to_conjugation():
     grid = jsi(apply_joint(
         comb_state(LAT, LAT, PAIRS, weights=env, phases=planted), sig, idl),
         "integral")
-    rec = retrieve_phases(grid, base, PAIRS, sig, idl)
+    rec = retrieve_phases([(np.zeros(len(PAIRS)), grid)], base, PAIRS, sig, idl)
     err_direct = np.abs(rec - planted).max()
     err_conj = np.abs(rec + planted).max()
     assert min(err_direct, err_conj) < 1e-3
@@ -163,9 +166,14 @@ def test_retrieval_failure_on_inconsistent_data():
     base = comb_state(LAT, LAT, PAIRS, weights=env)
     bogus = np.ones((LAT.size, LAT.size))
     with pytest.raises(RetrievalFailureError):
-        retrieve_phases(bogus, base, PAIRS, sig, idl, restarts=1)
+        retrieve_phases([(np.zeros(len(PAIRS)), bogus)], base, PAIRS, sig, idl,
+                        restarts=1)
     with pytest.raises(InvalidArgumentError):
         retrieve_phases([(np.zeros(2), bogus)], base, PAIRS, sig, idl)
+    # a NaN cost compares false with the tolerance: it must still fail
+    with pytest.raises(RetrievalFailureError):
+        retrieve_phases([(np.zeros(len(PAIRS)), np.full_like(bogus, np.nan))],
+                        base, PAIRS, sig, idl, restarts=1)
 
 
 @settings(max_examples=40, deadline=None)
@@ -201,8 +209,9 @@ def test_retrieval_rejects_duplicate_pairs_and_foreign_windows():
     base = comb_state(LAT, LAT, PAIRS, weights=_envelope())
     grid = jsi(apply_joint(base, sig, idl), "integral")
     with pytest.raises(InvalidArgumentError):
-        retrieve_phases(grid, base, PAIRS + [PAIRS[2]], sig, idl)
+        retrieve_phases([(np.zeros(len(PAIRS) + 1), grid)], base, PAIRS + [PAIRS[2]],
+                        sig, idl)
     other = make_lattice(defaults.CENTER_FREQUENCY, defaults.BIN_SPACING, 8)
     sig2, idl2 = walk_operators(defaults.WALK_DEPTH, other)
     with pytest.raises(InvalidArgumentError):
-        retrieve_phases(grid, base, PAIRS, sig2, idl2)
+        retrieve_phases([(np.zeros(len(PAIRS)), grid)], base, PAIRS, sig2, idl2)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from qfpsim import cli
@@ -199,6 +199,14 @@ def test_reruns_are_byte_identical(tmp_path):
     # accepted: an integral float for an integer, Infinity for "no accidentals"
     ("beamsplitter", {"alpha_points": 8.0}, 0),
     ("tomography", {"constants": {"car": INF}}, 0),
+    # out of range together: each value is in range, but they underflow the ring's FSR
+    ("calibrate", {"constants": {"ring_radius": 1e-300, "effective_index": 1e-300}}, 2),
+    # the pump-filter phase overflows (it used to give NaN comb weights)
+    ("qwalk", {"constants": {"pump_filter_fsr": 1e-300}}, 2),
+    # the phase-curve fit under- or overflows from every start (it used to warn)
+    ("calibrate", {"power_2pi": 1e-200}, 3),
+    ("calibrate", {"power_2pi": 1e200}, 3),
+    ("calibrate", {"noise_sigma": 1e200}, 3),
 ])
 def test_config_exit_codes(tmp_path, command, config, code):
     assert _run(command, _write_cfg(tmp_path, config), tmp_path / "out") == code
@@ -224,6 +232,17 @@ def _reject_constant(name):
     raise AssertionError(f"non-strict JSON constant {name}")
 
 
+def _assert_exits_cleanly(command, config):
+    """The command exits 0, 2 or 3, and on success writes strict JSON."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        code = _run(command, _write_cfg(Path(tmp), config), out)
+        assert code in (0, 2, 3)
+        if code == 0:
+            for path in out.glob("*.json"):
+                json.loads(path.read_text(), parse_constant=_reject_constant)
+
+
 # One field or constant of the default config replaced by a value of the
 # wrong type, or a non-finite, zero, negative or non-integral number.  No
 # large valid size is drawn: a valid half_width of 10^4 allocates gigabytes.
@@ -243,10 +262,30 @@ def test_fuzzed_config_exits_cleanly(command, data):
     name, constant = data.draw(st.sampled_from(targets + [(n, True) for n in cli.CONSTANTS]))
     value = data.draw(_DRAWN)
     config = {"constants": {name: value}} if constant else {name: value}
-    with tempfile.TemporaryDirectory() as tmp:
-        out = Path(tmp) / "out"
-        code = _run(command, _write_cfg(Path(tmp), config), out)
-        assert code in (0, 2, 3)
-        if code == 0:
-            for path in out.glob("*.json"):
-                json.loads(path.read_text(), parse_constant=_reject_constant)
+    _assert_exits_cleanly(command, config)
+
+
+# A number of either sign and any magnitude from 1e-300 to 1e300, often a
+# moderate one so that several fields can be in range together, or a
+# non-finite one.  Integral magnitudes (10^k, k >= 0) reach integer fields too.
+_EXTREME = st.one_of(
+    st.builds(lambda sign, k: sign * 10.0**k, st.sampled_from([1.0, -1.0]),
+              st.integers(-300, 300) | st.integers(-4, 4)),
+    st.sampled_from([NAN, INF, -INF, 0.0]))
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+@seed(20260)
+@settings(max_examples=40, deadline=None, database=None)
+@given(data=st.data())
+def test_fuzzed_config_of_several_fields_exits_cleanly(command, data):
+    # two or three fields and constants changed together: values that are
+    # each in range can still be out of range together
+    targets = ([(name, False) for name in cli.COMMANDS[command].fields]
+               + [(name, True) for name in cli.CONSTANTS])
+    chosen = data.draw(st.lists(st.sampled_from(targets), min_size=2, max_size=3,
+                                unique=True))
+    config = {"constants": {}}
+    for name, constant in chosen:
+        (config["constants"] if constant else config)[name] = data.draw(_EXTREME)
+    _assert_exits_cleanly(command, config)

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
-from scipy.constants import c
 
 from qfpsim.errors import InvalidArgumentError
-from qfpsim.lattice import FrequencyLattice, default_half_width, make_lattice
+from qfpsim.lattice import FrequencyLattice, make_lattice
 
 
 def test_make_lattice_window_and_size():
@@ -11,18 +10,6 @@ def test_make_lattice_window_and_size():
     assert lat.l_min == -10 and lat.l_max == 10
     assert lat.size == 21
     assert np.array_equal(lat.bins, np.arange(-10, 11))
-
-
-def test_bin_frequency_is_affine_in_index():
-    lat = make_lattice(193.7e12, 13.25e9, 4)
-    assert lat.bin_frequency(0) == 193.7e12
-    assert lat.bin_frequency(3) == 193.7e12 + 3 * 13.25e9
-    assert lat.bin_frequency(-2) == 193.7e12 - 2 * 13.25e9
-
-
-def test_bin_wavelength_matches_speed_of_light():
-    lat = make_lattice(193.7e12, 25e9, 4)
-    assert lat.bin_wavelength(2) == pytest.approx(c / lat.bin_frequency(2))
 
 
 def test_index_of_and_contains():
@@ -35,21 +22,8 @@ def test_index_of_and_contains():
         lat.index_of(6)
 
 
-def test_nearest_bin_rounds_to_closest_index():
-    lat = make_lattice(193.7e12, 25e9, 5)
-    assert lat.nearest_bin(193.7e12 + 12e9) == 0
-    assert lat.nearest_bin(193.7e12 + 13e9) == 1
-    assert lat.nearest_bin(193.7e12 - 60e9) == -2
-
-
 def test_invalid_lattices_rejected():
     with pytest.raises(InvalidArgumentError):
         FrequencyLattice(193.7e12, -1.0, -5, 5)
     with pytest.raises(InvalidArgumentError):
         FrequencyLattice(193.7e12, 25e9, 3, 3)
-
-
-def test_default_half_width_scales_with_depth():
-    assert default_half_width(0.8169) == 1 + 12
-    assert default_half_width(1.4347) == 2 + 12
-    assert default_half_width(0.8169, guard=20) == 21

@@ -12,13 +12,18 @@ from qfpsim.qfp import (ProcessorConfig, alpha_for_theta, beamsplitter_config,
                         gauge_distance, intrinsic_phases, jbar,
                         reconstruct_submatrix, reconstruction_residual,
                         rt_closed_form, simulate_output_spectrum,
-                        single_pm_balanced_probability, splitting_max,
-                        submatrix, success_probability, synthesize_gate,
-                        target_unitary)
+                        single_pm_balanced_probability, submatrix,
+                        success_probability, synthesize_gate, target_unitary)
 
 DELTA = 0.8169
 LAT = make_lattice(193.7e12, 25e9, 20)
 BINS = (0, 1)
+
+
+def splitting_at_pi(delta):
+    """T/(R+T) at alpha = pi, the largest splitting the depth reaches."""
+    r, t = rt_closed_form(np.pi, delta)
+    return t / (r + t)
 
 
 def bs_block(alpha, delta=DELTA, lat=LAT):
@@ -84,7 +89,7 @@ def test_alpha_for_theta_inverts_splitting():
 @settings(max_examples=80, deadline=None)
 @given(st.floats(0.3, 4.0), st.floats(0.0, 1.0))
 def test_alpha_for_theta_inverts_splitting_at_any_depth(delta, fraction):
-    theta_max = min(2.0 * np.arcsin(np.sqrt(splitting_max(delta))), np.pi / 2)
+    theta_max = min(2.0 * np.arcsin(np.sqrt(splitting_at_pi(delta))), np.pi / 2)
     theta = fraction * theta_max
     alpha = alpha_for_theta(theta, delta)
     assert np.pi <= alpha <= 2.0 * np.pi
@@ -93,7 +98,7 @@ def test_alpha_for_theta_inverts_splitting_at_any_depth(delta, fraction):
 
 
 def test_alpha_for_theta_clamps_at_maximum_splitting():
-    assert splitting_max(DELTA) < 0.5
+    assert splitting_at_pi(DELTA) < 0.5
     assert alpha_for_theta(np.pi / 2, DELTA) == pytest.approx(np.pi)
     with pytest.raises(OutOfRangeError):
         alpha_for_theta(np.pi / 2 + 0.02, DELTA)
@@ -215,7 +220,7 @@ def test_single_pm_balanced_splitting_is_bounded():
 
 
 def test_processor_config_validates_window():
-    drive = RfDrive(DELTA, 0.0, LAT.spacing)
+    drive = RfDrive(DELTA, 0.0)
     with pytest.raises(InvalidArgumentError):
         ProcessorConfig(drive, drive, (), LAT, (0, 3))
     with pytest.raises(InvalidArgumentError):
@@ -235,5 +240,5 @@ def test_compose_order_is_out_ws_in():
     m_in = eom_operator(cfg.in_drive, LAT).entries
     m_out = eom_operator(cfg.out_drive, LAT).entries
     from qfpsim.rings import ws_operator
-    d = ws_operator(cfg.channels, LAT, cfg.ws_model).entries
+    d = ws_operator(cfg.channels, LAT).entries
     assert np.abs(op.entries - m_out @ d @ m_in).max() < 1e-14

@@ -4,10 +4,9 @@ from scipy.constants import c
 
 from qfpsim.errors import InvalidArgumentError
 from qfpsim.lattice import make_lattice
-from qfpsim.rings import (MODE_PASS, MODE_PHASE, MODE_STOP, MODEL_IDEAL,
-                          MODEL_PHYSICAL, WsChannel, make_ring,
-                          mzi_pump_filter, ring_drop, ring_through, ws_operator,
-                          ws_unit, ws_unit_response)
+from qfpsim.rings import (MODE_PASS, MODE_PHASE, MODE_STOP, RingParams, WsChannel,
+                          make_ring, mzi_pump_filter, ring_drop, ring_through,
+                          ws_operator, ws_unit, ws_unit_response)
 
 WAVELENGTH = c / 193.7e12
 
@@ -93,7 +92,7 @@ def test_phase_mode_phase_error_with_loss_is_bounded():
 def test_ws_operator_ideal_is_diagonal_phases():
     lat = make_lattice(193.7e12, 25e9, 4)
     channels = (WsChannel(0, 1.1), WsChannel(2, -0.3))
-    op = ws_operator(channels, lat, MODEL_IDEAL)
+    op = ws_operator(channels, lat)
     e = op.entries
     assert np.abs(e - np.diag(np.diagonal(e))).max() < 1e-15
     assert e[lat.index_of(0), lat.index_of(0)] == pytest.approx(np.exp(1.1j))
@@ -103,19 +102,8 @@ def test_ws_operator_ideal_is_diagonal_phases():
 
 def test_ws_operator_ideal_stop_blocks_bin():
     lat = make_lattice(193.7e12, 25e9, 4)
-    op = ws_operator((WsChannel(1, 0.0, MODE_STOP),), lat, MODEL_IDEAL)
+    op = ws_operator((WsChannel(1, 0.0, MODE_STOP),), lat)
     assert op.entries[lat.index_of(1), lat.index_of(1)] == 0.0
-
-
-def test_ws_operator_physical_attenuates_and_phases():
-    lat = make_lattice(193.7e12, 25e9, 4)
-    ring = make_ring(lat.bin_wavelength(0), 0.023, 1.2, 50e-6, 2.8)
-    unit = ws_unit(ring, ring, MODE_PHASE, channel_phase=np.pi / 2)
-    op = ws_operator((WsChannel(0, np.pi / 2, MODE_PHASE, unit),), lat,
-                     MODEL_PHYSICAL)
-    entry = op.entries[lat.index_of(0), lat.index_of(0)]
-    assert 0.1 < abs(entry) ** 2 < 1.0
-    assert abs(np.angle(entry) - np.pi / 2) < 0.25
 
 
 def test_ws_operator_rejects_duplicate_bins():
@@ -131,8 +119,24 @@ def test_mzi_pump_filter_extremes():
     assert mzi_pump_filter(0.0, 500e9, 30.0, phase_offset=np.pi / 2) == pytest.approx(1.0)
 
 
+def test_mzi_pump_filter_rejects_overflowing_phase():
+    with pytest.raises(InvalidArgumentError):
+        mzi_pump_filter(np.arange(3) * 13.25e9, 1e-300, 30.0)
+
+
 def test_make_ring_validation():
     with pytest.raises(InvalidArgumentError):
         make_ring(WAVELENGTH, 1.5, 1.2, 50e-6, 2.8)
     with pytest.raises(InvalidArgumentError):
         make_ring(WAVELENGTH, 0.023, -1.0, 50e-6, 2.8)
+
+
+@pytest.mark.parametrize("power_coupling, round_trip_loss, radius, index", [
+    (0.023, 0.99, 1e-300, 1e-300),  # the optical length underflows to zero
+    (0.023, 0.99, 1e-322, 2.8),     # the FSR overflows
+    (1e-17, 1.0, 50e-6, 2.8),       # lossless and uncoupled: zero linewidth
+])
+def test_ring_rejects_non_finite_fsr_or_linewidth(power_coupling, round_trip_loss,
+                                                  radius, index):
+    with pytest.raises(InvalidArgumentError):
+        RingParams(WAVELENGTH, power_coupling, round_trip_loss, radius, index)
