@@ -82,7 +82,8 @@ def harmonic_component(traces, frequency: float, sample_rate: float):
 
     ``traces`` is one trace or a stack of them along the last axis; the
     result has one coefficient per trace.  The frequency must fall on an
-    exact DFT bin of the trace.
+    exact DFT bin of the trace.  The tone is built once and each trace's
+    product is summed on its own, so memory stays at one trace's worth.
     """
     traces = np.asarray(traces)
     n = traces.shape[-1]
@@ -90,7 +91,9 @@ def harmonic_component(traces, frequency: float, sample_rate: float):
     if not np.isclose(cycles, round(cycles), atol=1e-6):
         raise InvalidArgumentError(f"{frequency} Hz is not an exact DFT bin of the trace")
     tone = np.exp(-2j * np.pi * frequency * (np.arange(n) / sample_rate))
-    return 2.0 / n * np.sum(traces * tone, axis=-1)
+    rows = traces.reshape(-1, n)
+    sums = np.fromiter((np.sum(row * tone) for row in rows), complex, len(rows))
+    return 2.0 / n * sums.reshape(traces.shape[:-1])
 
 
 @dataclass(frozen=True)

@@ -18,16 +18,17 @@ from .errors import (InvalidArgumentError, OutOfRangeError,
                      ReconstructionFailureError, UndefinedFidelityError)
 from .eom import ModeOperator, RfDrive, bessel_row, eom_operator, truncation_order
 from .lattice import FrequencyLattice
-from .rings import MODE_PHASE, WsChannel, ws_operator
+from .rings import ws_operator
 
 
 @dataclass(frozen=True)
 class ProcessorConfig:
-    """Full declarative description of one processor setting."""
+    """Full declarative description of one processor setting; ``ws_phases``
+    is one WS spectral phase per window bin, a tuple so that a setting hashes."""
 
     in_drive: RfDrive
     out_drive: RfDrive
-    channels: tuple
+    ws_phases: tuple
     lattice: FrequencyLattice
     computational_bins: tuple
 
@@ -54,37 +55,26 @@ def compose_qfp(config: ProcessorConfig) -> ModeOperator:
     lat = config.lattice
     m_in = eom_operator(config.in_drive, lat)
     m_out = eom_operator(config.out_drive, lat)
-    d_ws = ws_operator(config.channels, lat)
     # the WS operator is diagonal: scaling the columns of m_out applies it
-    entries = (m_out.entries * np.diagonal(d_ws.entries)) @ m_in.entries
+    entries = (m_out.entries * ws_operator(config.ws_phases, lat)) @ m_in.entries
     return ModeOperator(lat, entries)
 
 
-def _step_channels(lattice: FrequencyLattice, upper_bin: int, alpha: float,
-                   ramp: float = 0.0):
-    """PHASE channels realizing the step-plus-ramp spectral phase pattern.
-
-    Bins >= upper_bin carry alpha; every bin additionally carries
-    bin * ramp.  Channels with zero total phase are omitted (IDEAL
-    identity entry).
-    """
-    channels = []
-    for b in lattice.bins:
-        phase = (alpha if b >= upper_bin else 0.0) + b * ramp
-        if phase != 0.0:
-            channels.append(WsChannel(int(b), float(phase), MODE_PHASE))
-    return tuple(channels)
+def _shifted_beamsplitter(alpha: float, delta: float, lattice: FrequencyLattice,
+                          computational_bins: tuple, lam_p: float, mu_p: float) -> ProcessorConfig:
+    """The beamsplitter at alpha with its RF phases shifted (in: -lam_p, out:
+    +mu_p) and the spectral ramp bin * (lam_p + mu_p) added to its step."""
+    bins = lattice.bins
+    phases = np.where(bins >= computational_bins[1], alpha, 0.0) + bins * (lam_p + mu_p)
+    return ProcessorConfig(RfDrive(delta, np.pi - lam_p), RfDrive(delta, mu_p),
+                           tuple(phases.tolist()), lattice, tuple(computational_bins))
 
 
 def beamsplitter_config(alpha: float, delta: float, lattice: FrequencyLattice,
                         computational_bins: tuple) -> ProcessorConfig:
     """Tunable-beamsplitter setting: equal depths, relative pi RF phase,
-    step spectral phase alpha between the computational bins."""
-    b0, b1 = computational_bins
-    in_drive = RfDrive(delta, np.pi)
-    out_drive = RfDrive(delta, 0.0)
-    channels = _step_channels(lattice, b1, alpha)
-    return ProcessorConfig(in_drive, out_drive, channels, lattice, (b0, b1))
+    step spectral phase alpha on the bins from the upper computational bin up."""
+    return _shifted_beamsplitter(alpha, delta, lattice, computational_bins, 0.0, 0.0)
 
 
 def jbar(delta: float) -> float:
@@ -199,13 +189,9 @@ def synthesize_gate(theta: float, lam: float, mu: float, delta: float,
     Euler phases, and applies RF phase shifts (in: -lam', out: +mu') plus
     the linear spectral ramp bin * (lam' + mu')."""
     alpha = alpha_for_theta(theta, delta)
-    b0, b1 = computational_bins
     lam0, mu0 = intrinsic_phases(alpha, delta, lattice, computational_bins)
-    lam_p, mu_p = lam - lam0, mu - mu0
-    in_drive = RfDrive(delta, np.pi - lam_p)
-    out_drive = RfDrive(delta, mu_p)
-    channels = _step_channels(lattice, b1, alpha, ramp=lam_p + mu_p)
-    return ProcessorConfig(in_drive, out_drive, channels, lattice, (b0, b1))
+    return _shifted_beamsplitter(alpha, delta, lattice, computational_bins,
+                                 lam - lam0, mu - mu0)
 
 
 def simulate_output_spectrum(config: ProcessorConfig, input_amplitudes) -> np.ndarray:

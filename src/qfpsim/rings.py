@@ -6,7 +6,8 @@ t_c = sqrt(1 - kappa^2).  The drop path carries half a round trip of loss
 and phase.  A waveshaper (WS) unit is a DEMUX ring whose drop port feeds a
 programmable phase shifter and is multiplexed back onto the bus by a MUX
 ring; the bus output is the two-path interference of the through path and
-the drop-phase-add path.
+the drop-phase-add path.  The processor's waveshaper is one spectral phase
+per bin (``ws_operator``); PASS and STOP belong to the unit model alone.
 """
 
 from dataclasses import dataclass
@@ -14,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .eom import ModeOperator
 from .lattice import FrequencyLattice
 
 MODE_PHASE = "PHASE"
@@ -188,32 +188,13 @@ def ws_unit_response(probe_wavelength, unit: WsUnitConfig, extra_detunings=(0.0,
                       *_unit_ports(probe_wavelength, unit, extra_detunings))
 
 
-@dataclass(frozen=True)
-class WsChannel:
-    """The spectral phase and mode of the WS unit on one lattice bin."""
-
-    bin_index: int
-    phase: float = 0.0
-    mode: str = MODE_PHASE
-
-
-def ws_operator(channels, lattice: FrequencyLattice) -> ModeOperator:
-    """Diagonal operator of the full four-channel (or extended) waveshaper.
-
-    exp(i Phi) on PHASE bins, 1 on PASS/untouched bins, 0 on STOP bins.
-    """
-    diag = np.ones(lattice.size, dtype=complex)
-    seen = set()
-    for ch in channels:
-        if ch.bin_index in seen:
-            raise InvalidArgumentError(f"duplicate WS channel on bin {ch.bin_index}")
-        seen.add(ch.bin_index)
-        idx = lattice.index_of(ch.bin_index)
-        if ch.mode == MODE_STOP:
-            diag[idx] = 0.0
-        elif ch.mode == MODE_PHASE:
-            diag[idx] = np.exp(1j * ch.phase)
-    return ModeOperator(lattice, np.diag(diag))
+def ws_operator(phases, lattice: FrequencyLattice) -> np.ndarray:
+    """Diagonal exp(i Phi) of the processor's waveshaper, one spectral phase
+    per window bin (a bin at phase 0 passes unchanged)."""
+    phases = np.asarray(phases, dtype=float)
+    if phases.shape != (lattice.size,):
+        raise InvalidArgumentError(f"need one WS phase for each of the {lattice.size} bins")
+    return np.exp(1j * phases)
 
 
 def mzi_pump_filter(probe_frequency, fsr: float, extinction: float, phase_offset: float = 0.0):

@@ -8,10 +8,11 @@ mixer's effective splitting at DEFAULT_MEASUREMENT_DEPTH.
 """
 
 import functools
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import curve_fit, minimize
+from scipy.optimize import OptimizeWarning, curve_fit, minimize
 
 from .errors import FitFailureError, InvalidArgumentError
 from .eom import bessel_row
@@ -74,6 +75,16 @@ def joint_projector(pair) -> np.ndarray:
     return np.kron(projector(a), projector(b))
 
 
+def _projectors(pairs) -> np.ndarray:
+    """Stack of joint projectors Pi_k, one per setting pair."""
+    return np.array([joint_projector(pair) for pair in pairs])
+
+
+def _rates(rho: np.ndarray, pis: np.ndarray) -> np.ndarray:
+    """Tr(rho Pi_k), the fractional coincidence rate, for each projector of the stack."""
+    return np.real(np.trace(rho @ pis, axis1=1, axis2=2))
+
+
 def _check_density(rho: np.ndarray, tol: float = 1e-8) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
@@ -104,21 +115,13 @@ def carve_bell_state(suppression_db: float, bell_phase: float = 0.0) -> np.ndarr
     return _check_density(rho)
 
 
-def expected_rate(rho: np.ndarray, pair) -> float:
-    """Tr(rho Pi_a x Pi_b): fractional coincidence rate at one setting."""
-    rho = _check_density(rho)
-    return float(np.real(np.trace(rho @ joint_projector(pair))))
-
-
 def bell_fringe(rho: np.ndarray, phis) -> np.ndarray:
     """Coincidence fringe vs the signal analyzer phase, idler phase at 0."""
     rho = _check_density(rho)
-    out = []
-    for phi in np.atleast_1d(phis):
-        pair = (MeasurementSetting(BASIS_SUPERPOSITION, float(phi)),
-                MeasurementSetting(BASIS_SUPERPOSITION, 0.0))
-        out.append(expected_rate(rho, pair))
-    return np.asarray(out)
+    idler = MeasurementSetting(BASIS_SUPERPOSITION, 0.0)
+    return _rates(rho, _projectors(
+        (MeasurementSetting(BASIS_SUPERPOSITION, float(phi)), idler)
+        for phi in np.atleast_1d(phis)))
 
 
 @dataclass(frozen=True)
@@ -140,7 +143,8 @@ def fit_visibility(phis, counts) -> VisibilityFit:
 
     Each point is weighted by its shot noise sqrt(max(counts, 1)).
     Requires at least five phase points; raises FitFailureError when the
-    optimizer cannot converge.
+    optimizer cannot converge or the covariance is not finite (a flat
+    fringe leaves the phase, and so V's uncertainty, undetermined).
     """
     phis = np.asarray(phis, dtype=float)
     counts = np.asarray(counts, dtype=float)
@@ -159,13 +163,16 @@ def fit_visibility(phis, counts) -> VisibilityFit:
     b0 = float(np.mean(counts))
     spread = (counts.max() - counts.min()) / (2.0 * b0) if b0 > 0 else 0.5
     chi0 = float(-phis[np.argmax(counts)])
-    try:
-        popt, pcov = curve_fit(model, phis, counts, sigma=sigma, jac=jac,
-                               absolute_sigma=True,
-                               p0=[b0, min(spread, 0.99), chi0],
-                               maxfev=20000)
-    except RuntimeError as exc:
-        raise FitFailureError(f"fringe fit failed: {exc}") from exc
+    with warnings.catch_warnings():
+        # curve_fit warns exactly when it returns a covariance that is not finite
+        warnings.simplefilter("error", OptimizeWarning)
+        try:
+            popt, pcov = curve_fit(model, phis, counts, sigma=sigma, jac=jac,
+                                   absolute_sigma=True,
+                                   p0=[b0, min(spread, 0.99), chi0],
+                                   maxfev=20000)
+        except (RuntimeError, OptimizeWarning) as exc:
+            raise FitFailureError(f"fringe fit failed: {exc}") from exc
     b, v, chi = popt
     if b < 0:
         b, v = -b, -v
@@ -194,62 +201,67 @@ def simulate_counts(rho: np.ndarray, shots: float, accidental_fraction: float = 
     generator supplied they are Poisson sampled, otherwise the expected
     values are returned exactly (deterministic mode).
     """
-    rho = _check_density(rho)
-    records = []
-    for pair in canonical_settings():
-        acc = shots * accidental_fraction
-        mean = shots * expected_rate(rho, pair) + acc
-        counts = float(rng.poisson(mean)) if rng is not None else float(mean)
-        records.append(MeasurementRecord(pair[0], pair[1], counts, shots, acc))
-    return records
+    pairs = canonical_settings()
+    acc = shots * accidental_fraction
+    means = shots * _rates(_check_density(rho), _projectors(pairs)) + acc
+    counts = means if rng is None else rng.poisson(means)
+    return [MeasurementRecord(a, b, float(n), shots, acc) for (a, b), n in zip(pairs, counts)]
+
+
+_BELOW = np.tril_indices(4, -1)  # entries below the diagonal, row by row
 
 
 def _t_from_params(params: np.ndarray) -> np.ndarray:
-    """Lower-triangular T from 16 reals (diagonal first, then off-diagonal
-    real/imag pairs row by row)."""
-    t = np.zeros((4, 4), dtype=complex)
-    t[np.diag_indices(4)] = params[:4]
-    k = 4
-    for i in range(1, 4):
-        for j in range(i):
-            t[i, j] = params[k] + 1j * params[k + 1]
-            k += 2
+    """Lower-triangular T from 16 reals: the diagonal, then the real and
+    imaginary parts of each entry below it, row by row."""
+    t = np.diag(params[:4].astype(complex))
+    t[_BELOW] = params[4::2] + 1j * params[5::2]
     return t
 
 
+def _params_from_t(t: np.ndarray) -> np.ndarray:
+    """The 16 reals of _t_from_params from a lower-triangular complex T."""
+    return np.concatenate((t.diagonal().real, t[_BELOW].view(float)))
+
+
 def _params_from_rho(rho: np.ndarray) -> np.ndarray:
-    """Inverse of _t_from_params via Cholesky of a regularized rho."""
+    """Parameters of a T with rho = T^dag T, via Cholesky of a regularized rho."""
     w, u = np.linalg.eigh(rho)
-    w = np.maximum(w, 1e-9)
-    reg = u @ np.diag(w) @ u.conj().T
+    reg = u @ np.diag(np.maximum(w, 1e-9)) @ u.conj().T
     reg = reg / np.trace(reg).real
-    # want lower-triangular T with reg = T^dag T: Cholesky in the
-    # index-reversed basis gives it
-    rev = reg[::-1, ::-1]
-    t = np.linalg.cholesky(rev).conj().T[::-1, ::-1]
-    params = np.zeros(16)
-    params[:4] = t.diagonal().real
-    k = 4
-    for i in range(1, 4):
-        for j in range(i):
-            params[k], params[k + 1] = t[i, j].real, t[i, j].imag
-            k += 2
-    return params
+    # Cholesky in the index-reversed basis gives the lower-triangular T
+    return _params_from_t(np.linalg.cholesky(reg[::-1, ::-1]).conj().T[::-1, ::-1])
 
 
-def _linear_inversion(records: list) -> np.ndarray:
-    """Least-squares rho estimate ignoring positivity, used as MLE seed."""
-    a_rows, y = [], []
-    for rec in records:
-        pi = joint_projector((rec.setting_a, rec.setting_b))
-        a_rows.append(pi.conj().ravel())
-        y.append(max(rec.counts - rec.accidental, 0.0) / rec.shots)
-    a = np.array(a_rows)
-    x, *_ = np.linalg.lstsq(a, np.array(y), rcond=None)
+def _linear_inversion(pis: np.ndarray, rates: np.ndarray) -> np.ndarray:
+    """Least-squares rho with Tr(rho Pi_k) = rates_k, ignoring positivity;
+    the MLE seed."""
+    # Tr(rho Pi) = sum_ij conj(Pi_ij) rho_ij for Hermitian Pi
+    x, *_ = np.linalg.lstsq(pis.conj().reshape(len(pis), 16), rates, rcond=None)
     rho = x.reshape(4, 4)
     rho = 0.5 * (rho + rho.conj().T)
     tr = np.trace(rho).real
     return rho / tr if abs(tr) > 1e-12 else np.eye(4) / 4.0
+
+
+def _negloglike_and_grad(params, pis, counts, shots, accidentals):
+    """Poisson negative log-likelihood of the records at rho(T(params)),
+    and its gradient in the 16 parameters."""
+    t = _t_from_params(params)
+    g = t.conj().T @ t
+    trg = np.trace(g).real
+    if trg <= 0:
+        return 1e18, np.zeros(16)
+    rho = g / trg
+    # the rates of _rates, in the order of summation this fit has always
+    # used: the two orders differ in the last bit, and the fitted rho with them
+    mu = np.maximum(shots * np.real(np.einsum("kij,ji->k", pis, rho)) + accidentals, 1e-12)
+    nll = float(np.sum(mu - counts * np.log(mu)))
+    # d nll / d rho = sum_k (1 - counts/mu) * shots * Pi_k
+    drho = np.einsum("k,kij->ij", (1.0 - counts / mu) * shots, pis)
+    # rho = G/TrG; d/dT* : grad_T = 2 * (T drho - Tr(rho drho) T) / TrG
+    inner = np.trace(rho @ drho).real
+    return nll, _params_from_t(2.0 * (t @ drho - inner * t) / trg)
 
 
 def mle_reconstruct(records: list, restarts: int = 3, seed: int = 11) -> np.ndarray:
@@ -262,46 +274,17 @@ def mle_reconstruct(records: list, restarts: int = 3, seed: int = 11) -> np.ndar
     """
     if len(records) < 16:
         raise InvalidArgumentError("tomography needs at least 16 settings")
-    pis = np.array([joint_projector((r.setting_a, r.setting_b)) for r in records])
-    counts = np.array([r.counts for r in records])
-    shots = np.array([r.shots for r in records])
-    accidentals = np.array([r.accidental for r in records])
-
-    def negloglike_and_grad(params):
-        t = _t_from_params(params)
-        g = t.conj().T @ t
-        trg = np.trace(g).real
-        if trg <= 0:
-            return 1e18, np.zeros(16)
-        rho = g / trg
-        mu = shots * np.real(np.einsum("kij,ji->k", pis, rho)) + accidentals
-        mu = np.maximum(mu, 1e-12)
-        nll = float(np.sum(mu - counts * np.log(mu)))
-        # d nll / d rho = sum_k (1 - counts/mu) * shots * Pi_k
-        w = (1.0 - counts / mu) * shots
-        drho = np.einsum("k,kij->ij", w, pis)
-        # rho = G/TrG; d/dT* : grad_T = 2 * (T drho - Tr(rho drho) T) / TrG
-        inner = np.trace(rho @ drho).real
-        grad_t = 2.0 * (t @ drho - inner * t) / trg
-        grad = np.zeros(16)
-        grad[:4] = grad_t.diagonal().real
-        k = 4
-        for i in range(1, 4):
-            for j in range(i):
-                grad[k], grad[k + 1] = grad_t[i, j].real, grad_t[i, j].imag
-                k += 2
-        return nll, grad
-
+    pis = _projectors((r.setting_a, r.setting_b) for r in records)
+    data = np.array([(r.counts, r.shots, r.accidental) for r in records]).T
+    counts, shots, accidentals = data
     rng = np.random.default_rng(seed)
-    starts = [_params_from_rho(_linear_inversion(records))]
-    for _ in range(restarts):
-        starts.append(rng.normal(scale=0.5, size=16))
-    best = None
-    for x0 in starts:
-        res = minimize(negloglike_and_grad, x0, jac=True, method="L-BFGS-B",
-                       options={"maxiter": 2000, "ftol": 1e-14, "gtol": 1e-10})
-        if best is None or res.fun < best.fun:
-            best = res
+    starts = [_params_from_rho(_linear_inversion(
+        pis, np.maximum(counts - accidentals, 0.0) / shots))]
+    starts += [rng.normal(scale=0.5, size=16) for _ in range(restarts)]
+    best = min((minimize(_negloglike_and_grad, x0, args=(pis, *data), jac=True,
+                         method="L-BFGS-B",
+                         options={"maxiter": 2000, "ftol": 1e-14, "gtol": 1e-10})
+                for x0 in starts), key=lambda res: res.fun)
     t = _t_from_params(best.x)
     g = t.conj().T @ t
     return g / np.trace(g).real

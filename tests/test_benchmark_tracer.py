@@ -3,7 +3,8 @@
 ``perfbench/tracing.py`` looks up the functions it records, and the scipy
 solvers the modules bind, by name in the qfpsim modules.  A deleted or
 renamed one makes the traced benchmark run raise, so install the tracer
-here and take it off again.
+here and take it off again.  A traced gate op also puts every processor
+setting it composes into a set, so a setting must stay hashable.
 """
 
 import importlib.util
@@ -11,7 +12,8 @@ import sys
 from pathlib import Path
 
 import qfpsim.cli  # noqa: F401  (imports every qfpsim module)
-from qfpsim.lattice import FrequencyLattice
+from qfpsim import qfp
+from qfpsim.lattice import FrequencyLattice, make_lattice
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -49,3 +51,27 @@ def test_tracer_wraps_every_named_function_and_uninstalls():
     after = _bindings()
     assert after.keys() == before.keys()
     assert all(after[key] is value for key, value in before.items())
+
+
+def test_a_traced_gate_op_runs_through_the_wrappers():
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    lat = make_lattice(193.7e12, 25e9, 16)
+    undo = tracing.install(tracer)
+    try:
+        # the gate op of the processor workloads, called through the
+        # module attributes the tracer patched
+        config = qfp.synthesize_gate(0.9, 0.4, -1.1, 0.8169, lat, (0, 1))
+        qfp.compose_qfp(config)
+        qfp.beamsplitter_spectra(config)
+        tracer.end_op()
+    finally:
+        tracing.uninstall(undo)
+    _, calls, _ = tracer.layer_totals()
+    for name in ("qfp.synthesize_gate", "qfp.alpha_for_theta", "qfp.brentq",
+                 "qfp.intrinsic_phases", "qfp.beamsplitter_spectra", "eom.eom_operator"):
+        assert calls[name] >= 1, name
+    # the bare beamsplitter of intrinsic_phases, the gate, and the gate again
+    assert calls["qfp.compose_qfp"] == calls["rings.ws_operator"] == 3
+    assert tracer.counts["qfp.compose_qfp.distinct"] == 2
+    assert tracer.counts["qfp.brentq.nfev"] > 0

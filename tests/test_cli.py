@@ -2,6 +2,9 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+import qfpsim
 from qfpsim import cli
 from qfpsim.cli import main
 from qfpsim.qfp import rt_closed_form
@@ -155,13 +159,34 @@ def test_malformed_json_rejected(tmp_path):
     assert _run("gate", str(path), tmp_path / "out") == 2
 
 
-def test_reruns_are_byte_identical(tmp_path):
-    cfg = _write_cfg(tmp_path, {"shots": 2000.0, "fringe_shots": 5e4})
+# configs of the rerun check that exercise noise or a non-default path
+RERUN_PAYLOADS = {"beamsplitter": {"alpha_points": 5},
+                  "gate": {"theta": 0.9, "lam": 0.4, "mu": -1.1},
+                  "tomography": {"shots": 2000.0, "fringe_shots": 5e4},
+                  "calibrate": {"noise_sigma": 0.01}}
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_reruns_are_byte_identical(tmp_path, command):
+    cfg = _write_cfg(tmp_path, RERUN_PAYLOADS.get(command, {}))
     out_a, out_b = tmp_path / "a", tmp_path / "b"
-    assert _run("tomography", cfg, out_a, "--seed", "7") == 0
-    assert _run("tomography", cfg, out_b, "--seed", "7") == 0
+    assert _run(command, cfg, out_a, "--seed", "7") == 0
+    assert _run(command, cfg, out_b, "--seed", "7") == 0
+    assert sorted(p.name for p in out_a.iterdir()) == sorted(p.name for p in out_b.iterdir())
     for path in sorted(out_a.iterdir()):
         assert path.read_bytes() == (out_b / path.name).read_bytes()
+
+
+def test_flat_fringe_exits_3_without_a_warning(tmp_path):
+    # zero suppression carves the maximally mixed state, whose fringe is flat
+    cfg = _write_cfg(tmp_path, {"suppression_db": 0})
+    env = {**os.environ, "PYTHONPATH": str(Path(qfpsim.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-m", "qfpsim.cli", "tomography", "--config", cfg,
+                           "--out", str(tmp_path / "out"), "--expected-value"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 3
+    assert done.stderr.startswith("numerical failure: fringe fit failed")
+    assert "Warning" not in done.stderr and len(done.stderr.splitlines()) == 1
 
 
 @pytest.mark.parametrize("command, config, code", [

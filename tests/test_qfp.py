@@ -234,11 +234,14 @@ def test_processor_config_validates_window():
         ProcessorConfig(drive, drive, (), narrow, (0, 1))
 
 
-def test_compose_order_is_out_ws_in():
-    cfg = beamsplitter_config(np.pi / 3, DELTA, LAT, BINS)
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.floats(-2 * np.pi, 2 * np.pi), min_size=LAT.size, max_size=LAT.size),
+       st.floats(0.0, 2.0), st.floats(0.0, 2.0), st.floats(-np.pi, np.pi))
+def test_compose_order_is_out_ws_in(phases, depth_in, depth_out, rf_phase):
+    cfg = ProcessorConfig(RfDrive(depth_in, rf_phase), RfDrive(depth_out, 0.0),
+                          tuple(phases), LAT, BINS)
     op = compose_qfp(cfg)
     m_in = eom_operator(cfg.in_drive, LAT).entries
     m_out = eom_operator(cfg.out_drive, LAT).entries
-    from qfpsim.rings import ws_operator
-    d = ws_operator(cfg.channels, LAT).entries
+    d = np.diag(np.exp(1j * np.array(phases)))
     assert np.abs(op.entries - m_out @ d @ m_in).max() < 1e-14

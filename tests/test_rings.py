@@ -4,7 +4,7 @@ from scipy.constants import c
 
 from qfpsim.errors import InvalidArgumentError
 from qfpsim.lattice import make_lattice
-from qfpsim.rings import (MODE_PASS, MODE_PHASE, MODE_STOP, RingParams, WsChannel,
+from qfpsim.rings import (MODE_PASS, MODE_PHASE, MODE_STOP, RingParams,
                           make_ring, mzi_pump_filter, ring_drop, ring_through,
                           ws_operator, ws_unit, ws_unit_response)
 
@@ -91,25 +91,22 @@ def test_phase_mode_phase_error_with_loss_is_bounded():
 
 def test_ws_operator_ideal_is_diagonal_phases():
     lat = make_lattice(193.7e12, 25e9, 4)
-    channels = (WsChannel(0, 1.1), WsChannel(2, -0.3))
-    op = ws_operator(channels, lat)
-    e = op.entries
-    assert np.abs(e - np.diag(np.diagonal(e))).max() < 1e-15
-    assert e[lat.index_of(0), lat.index_of(0)] == pytest.approx(np.exp(1.1j))
-    assert e[lat.index_of(2), lat.index_of(2)] == pytest.approx(np.exp(-0.3j))
-    assert e[lat.index_of(1), lat.index_of(1)] == pytest.approx(1.0)
+    phases = np.zeros(lat.size)
+    phases[lat.index_of(0)], phases[lat.index_of(2)] = 1.1, -0.3
+    d = ws_operator(tuple(phases), lat)
+    assert d.shape == (lat.size,)
+    assert d[lat.index_of(0)] == pytest.approx(np.exp(1.1j))
+    assert d[lat.index_of(2)] == pytest.approx(np.exp(-0.3j))
+    # phase 0 passes a bin unchanged, exactly
+    others = np.delete(d, [lat.index_of(0), lat.index_of(2)])
+    assert np.array_equal(others, np.ones(lat.size - 2))
 
 
-def test_ws_operator_ideal_stop_blocks_bin():
-    lat = make_lattice(193.7e12, 25e9, 4)
-    op = ws_operator((WsChannel(1, 0.0, MODE_STOP),), lat)
-    assert op.entries[lat.index_of(1), lat.index_of(1)] == 0.0
-
-
-def test_ws_operator_rejects_duplicate_bins():
+@pytest.mark.parametrize("size", [0, 8, 10])
+def test_ws_operator_rejects_a_phase_vector_of_the_wrong_length(size):
     lat = make_lattice(193.7e12, 25e9, 4)
     with pytest.raises(InvalidArgumentError):
-        ws_operator((WsChannel(0, 0.1), WsChannel(0, 0.2)), lat)
+        ws_operator(np.zeros(size), lat)
 
 
 def test_mzi_pump_filter_extremes():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from qfpsim.eom import bessel_row
-from qfpsim.errors import InvalidArgumentError
+from qfpsim.errors import FitFailureError, InvalidArgumentError
 from qfpsim.tomo import (
     BASIS_BIN0,
     BASIS_BIN1,
@@ -23,6 +23,10 @@ from qfpsim.tomo import (
     purity,
     simulate_counts,
     state_fidelity,
+    _negloglike_and_grad,
+    _params_from_t,
+    _projectors,
+    _t_from_params,
     superposition_efficiency,
 )
 
@@ -90,6 +94,12 @@ def test_fit_visibility_validation_and_sign_handling():
         fit_visibility(phis[:4], counts[:4])
 
 
+def test_fit_visibility_raises_on_a_flat_fringe():
+    # no fringe: the phase, and with it V's uncertainty, is undetermined
+    with pytest.raises(FitFailureError, match="fringe fit failed"):
+        fit_visibility(np.linspace(0, 2 * np.pi, 13), np.full(13, 500.0))
+
+
 def test_fit_visibility_sigma_is_finite_on_noiseless_fringe_at_zero_phase():
     phis = np.linspace(0, 2 * np.pi, 13)
     counts = 1e5 * (1.0 + 0.93 * np.cos(phis))
@@ -100,54 +110,28 @@ def test_fit_visibility_sigma_is_finite_on_noiseless_fringe_at_zero_phase():
 
 
 def test_mle_gradient_matches_finite_differences():
-    from qfpsim.tomo import _t_from_params
-
     rho = carve_bell_state(13.5, 0.4)
-    records = simulate_counts(rho, 1e4)
-    # rebuild the internal objective through the public API path
-    import qfpsim.tomo as tomo
-
-    pis = np.array([tomo.joint_projector((r.setting_a, r.setting_b))
-                    for r in records])
-    counts = np.array([r.counts for r in records])
-    shots = np.array([r.shots for r in records])
-
-    def nll(params):
-        t = _t_from_params(params)
-        g = t.conj().T @ t
-        rho_t = g / np.trace(g).real
-        mu = shots * np.real(np.einsum("kij,ji->k", pis, rho_t))
-        mu = np.maximum(mu, 1e-12)
-        return float(np.sum(mu - counts * np.log(mu)))
-
-    rng = np.random.default_rng(5)
-    x = rng.normal(scale=0.4, size=16)
-    # analytic gradient via the optimizer's internal callable
-    recs = records
-    res = tomo.mle_reconstruct(recs, restarts=0)
-    assert res.shape == (4, 4)
-    # finite-difference check of the closed-form gradient used inside
+    records = simulate_counts(rho, 1e4, accidental_fraction=1e-3)
+    args = (_projectors((r.setting_a, r.setting_b) for r in records),
+            np.array([r.counts for r in records]),
+            np.array([r.shots for r in records]),
+            np.array([r.accidental for r in records]))
+    x = np.random.default_rng(5).normal(scale=0.4, size=16)
+    _, grad = _negloglike_and_grad(x, *args)
     eps = 1e-6
-    t = _t_from_params(x)
-    g = t.conj().T @ t
-    trg = np.trace(g).real
-    rho_t = g / trg
-    mu = shots * np.real(np.einsum("kij,ji->k", pis, rho_t))
-    mu = np.maximum(mu, 1e-12)
-    w = (1.0 - counts / mu) * shots
-    drho = np.einsum("k,kij->ij", w, pis)
-    inner = np.trace(rho_t @ drho).real
-    grad_t = 2.0 * (t @ drho - inner * t) / trg
-    grad = np.zeros(16)
-    grad[:4] = grad_t.diagonal().real
-    k = 4
-    for i in range(1, 4):
-        for j in range(i):
-            grad[k], grad[k + 1] = grad_t[i, j].real, grad_t[i, j].imag
-            k += 2
-    num = np.array([(nll(x + eps * e) - nll(x - eps * e)) / (2 * eps)
+    num = np.array([(_negloglike_and_grad(x + eps * e, *args)[0]
+                     - _negloglike_and_grad(x - eps * e, *args)[0]) / (2 * eps)
                     for e in np.eye(16)])
     assert np.abs(grad - num).max() < 1e-4 * max(1.0, np.abs(num).max())
+
+
+def test_t_parameters_round_trip():
+    x = np.random.default_rng(2).normal(size=16)
+    t = _t_from_params(x)
+    assert np.array_equal(np.triu(t, 1), np.zeros((4, 4)))
+    assert np.array_equal(_params_from_t(t), x)
+    # the order is the diagonal, then (Re, Im) of each entry below it, row by row
+    assert t[2, 1] == x[8] + 1j * x[9]
 
 
 def test_mle_exact_on_expected_counts():
