@@ -18,7 +18,7 @@ import numpy as np
 from scipy.optimize import OptimizeWarning, curve_fit
 
 from .errors import DegenerateScanError, FitFailureError, InvalidArgumentError
-from .rings import WsUnitConfig, _detuned_ports, _unit_ports, _ws_output, ws_unit
+from .rings import WsUnitConfig, _ring_ports, _ws_output, ws_unit
 
 
 @dataclass(frozen=True)
@@ -101,8 +101,6 @@ class AlignScanResult:
     detuning_demux: float
     detuning_mux: float
     scan_map: np.ndarray
-    grid_demux: np.ndarray
-    grid_mux: np.ndarray
 
 
 def align_scan(unit_template: WsUnitConfig, grid_demux, grid_mux,
@@ -124,13 +122,12 @@ def align_scan(unit_template: WsUnitConfig, grid_demux, grid_mux,
     mode, phase = unit_template.mode, unit_template.channel_phase
     # keep the mux ports of each grid line and make the demux ports once per
     # row: a (grid x samples) array for every port would cost memory
-    mux_lines = [_detuned_ports(probe_wavelength, unit_template.mux, det_m + (gm + dm_t))
+    mux_lines = [_ring_ports(probe_wavelength, unit_template.mux, det_m + (gm + dm_t))
                  for gm in grid_mux]
     scan = np.zeros((grid_demux.size, grid_mux.size))
     baseline = 0.0
     for i, gd in enumerate(grid_demux):
-        demux_ports = _detuned_ports(probe_wavelength, unit_template.demux,
-                                     det_d + (gd + dd_t))
+        demux_ports = _ring_ports(probe_wavelength, unit_template.demux, det_d + (gd + dd_t))
         for j, mux_ports in enumerate(mux_lines):
             intensity = np.abs(_ws_output(mode, phase, demux_ports, mux_ports)) ** 2
             scan[i, j] = abs(np.sum(intensity * kernel))
@@ -138,7 +135,7 @@ def align_scan(unit_template: WsUnitConfig, grid_demux, grid_mux,
     if scan.max() <= 1e-9 * max(baseline, np.finfo(float).tiny):
         raise DegenerateScanError("scan map is flat; dither amplitude too small")
     i, j = np.unravel_index(np.argmax(scan), scan.shape)
-    return AlignScanResult(float(grid_demux[i]), float(grid_mux[j]), scan, grid_demux, grid_mux)
+    return AlignScanResult(float(grid_demux[i]), float(grid_mux[j]), scan)
 
 
 def fit_phase_curve(powers, traces, dither: DitherConfig) -> PhaseCalibration:
@@ -228,7 +225,8 @@ def simulate_phase_sweep(unit_template: WsUnitConfig, powers, power_2pi: float,
     whole sweep.
     """
     unit = ws_unit(unit_template.demux, unit_template.mux, unit_template.mode)
-    ports = _unit_ports(probe_wavelength, unit, _dither_offsets(dither))
+    ports = [_ring_ports(probe_wavelength, ring, det + offsets) for ring, det, offsets
+             in zip((unit.demux, unit.mux), unit.detunings, _dither_offsets(dither))]
     powers = np.asarray(powers, dtype=float)
     traces = np.empty((powers.size, dither.times.size))
     for k, p in enumerate(powers):

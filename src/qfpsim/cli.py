@@ -140,15 +140,15 @@ def cmd_beamsplitter(cfg: dict, out: Path, rng) -> None:
     delta = cfg["constants"]["depth"]
     alphas = np.linspace(cfg["alpha_min"], cfg["alpha_max"], cfg["alpha_points"])
     rows, min_p = [], np.inf
-    for alpha in alphas:
-        r_cf, t_cf = rt_closed_form(alpha, delta)
+    r_cf, t_cf = rt_closed_form(alphas, delta)
+    for alpha, r, t in zip(alphas, r_cf.tolist(), t_cf.tolist()):
         v = submatrix(compose_qfp(beamsplitter_config(alpha, delta, lat, bins)), bins)
         p = success_probability(v)
         denom = abs(v[0, 0]) ** 2 + abs(v[0, 1]) ** 2
         tgt_theta = 2 * np.arcsin(np.sqrt(abs(v[0, 1]) ** 2 / denom))
         f = fidelity(v, target_unitary(tgt_theta, 0.0, 0.0))
         min_p = min(min_p, p)
-        rows.append([float(alpha), r_cf, t_cf,
+        rows.append([float(alpha), r, t,
                      float(abs(v[0, 0]) ** 2), float(abs(v[0, 1]) ** 2), p, f])
     write_csv(out / "beamsplitter.csv",
               ["alpha", "R_closed_form", "T_closed_form",

@@ -1,12 +1,17 @@
 """Three-element processor (IN PM -> WS -> OUT PM): gates and figures of merit.
 
 A beamsplitter between two adjacent bins is programmed by driving both
-modulators at equal depth with a relative pi RF phase and applying a step
-spectral phase alpha between the two computational bins.  With the pi
-phase on the input modulator and the step phase on bins at and above the
-upper computational bin, the 2x2 block on the computational bins takes
-the real symmetric form [[sqrt(R), sqrt(T)], [sqrt(T), -sqrt(R)]] at
-alpha = pi.
+modulators at equal depth delta with a relative pi RF phase and applying a
+step spectral phase alpha on the bins from the upper computational bin up.
+The 2x2 block on the computational bins is then the closed form
+
+    V(alpha) = I + (e^{i alpha} - 1) [[(1 - J_0^2)/2, -s], [-s, (1 + J_0^2)/2]],
+
+with J_k = J_k(delta) and s = sum_{k>=1} J_k J_{k-1} (Lukens and Lougovski,
+Optica 4, 8, 2017).  It is exact to about 1e-14 while both bins lie at
+least truncation_order(delta) bins from the window edge, the margin
+ProcessorConfig enforces.  R = |V_00|^2 and T = |V_01|^2 give the cosine
+laws, and at alpha = pi the block is [[sqrt(R), sqrt(T)], [sqrt(T), -sqrt(R)]].
 """
 
 from dataclasses import dataclass
@@ -77,44 +82,44 @@ def beamsplitter_config(alpha: float, delta: float, lattice: FrequencyLattice,
     return _shifted_beamsplitter(alpha, delta, lattice, computational_bins, 0.0, 0.0)
 
 
+def _bessel_sums(delta: float) -> tuple:
+    """(J_0, s = sum_{k>=1} J_k J_{k-1}) at depth delta from one Bessel row."""
+    if delta < 0:
+        raise InvalidArgumentError("depth must be non-negative")
+    row = bessel_row(truncation_order(delta) + 5, delta)
+    return row[0], float(np.sum(row[1:] * row[:-1]))
+
+
 def jbar(delta: float) -> float:
-    """Effective cross-coupling strength 2 * (sum_{k>=1} J_k J_{k-1})^2.
+    """Effective cross-coupling strength 2 s^2, s = sum_{k>=1} J_k J_{k-1}.
 
     Normalized so the transmittivity is jbar * (1 - cos(alpha)); equals
     0.239 at the 50/50 working depth 0.8169 rad.
     """
-    if delta == 0.0:
-        return 0.0
-    kmax = truncation_order(delta) + 4
-    row = bessel_row(kmax + 1, delta)
-    s = float(np.sum(row[1:] * row[:-1]))
+    s = _bessel_sums(delta)[1]
     return 2.0 * s * s
 
 
-def _rt_coefficients(delta: float) -> tuple:
-    """(J_0^4, jbar): the depth-dependent coefficients of the cosine laws."""
-    if delta < 0:
-        raise InvalidArgumentError("depth must be non-negative")
-    return bessel_row(0, delta)[0] ** 4, jbar(delta)
-
-
-def _cosine_laws(alpha, j04: float, jb: float) -> tuple:
+def _cosine_laws(alpha, j0: float, s: float) -> tuple:
     """(R, T) at step phase alpha: R = J_0^4 + (1 - J_0^4)(1 + cos alpha)/2,
-    T = jbar (1 - cos alpha)."""
+    T = jbar (1 - cos alpha).  Not |V|^2 of the block: |e^{2 pi i} - 1| is
+    2e-16, and T must vanish at alpha = 2 pi for alpha_for_theta(0)."""
+    j04 = j0**4
     c = np.cos(alpha)
-    return j04 + ((1.0 - j04) / 2.0) * (1.0 + c), jb * (1.0 - c)
+    return j04 + ((1.0 - j04) / 2.0) * (1.0 + c), 2.0 * s * s * (1.0 - c)
 
 
-def _splitting(alpha, j04: float, jb: float) -> float:
+def _splitting(alpha, j0: float, s: float) -> float:
     """T/(R+T) at step phase alpha."""
-    r, t = _cosine_laws(alpha, j04, jb)
+    r, t = _cosine_laws(alpha, j0, s)
     return t / (r + t)
 
 
-def rt_closed_form(alpha: float, delta: float) -> tuple:
-    """(R, T) of the beamsplitter from the closed-form cosine laws."""
-    r, t = _cosine_laws(alpha, *_rt_coefficients(delta))
-    return float(r), float(t)
+def rt_closed_form(alpha, delta: float) -> tuple:
+    """(R, T) of the beamsplitter from the closed-form cosine laws: floats
+    for one alpha, arrays for an array of them."""
+    r, t = _cosine_laws(alpha, *_bessel_sums(delta))
+    return (float(r), float(t)) if np.ndim(alpha) == 0 else (r, t)
 
 
 def submatrix(op: ModeOperator, bins: tuple) -> np.ndarray:
@@ -157,7 +162,7 @@ def alpha_for_theta(theta: float, delta: float) -> float:
         raise OutOfRangeError(
             f"theta = {theta} outside the achievable interval [0, pi/2] at depth {delta}")
     want = np.sin(theta / 2.0) ** 2
-    coeffs = _rt_coefficients(delta)
+    coeffs = _bessel_sums(delta)
     if want >= _splitting(np.pi, *coeffs):
         return np.pi
 
@@ -167,16 +172,21 @@ def alpha_for_theta(theta: float, delta: float) -> float:
     return float(brentq(ratio, np.pi, 2.0 * np.pi, xtol=1e-12))
 
 
-def intrinsic_phases(alpha: float, delta: float, lattice: FrequencyLattice,
-                     computational_bins: tuple) -> tuple:
+def _beamsplitter_block(alpha: float, delta: float) -> np.ndarray:
+    """The closed-form 2x2 block V(alpha) of the module docstring."""
+    j0, s = _bessel_sums(delta)
+    a = np.array([[(1.0 - j0 * j0) / 2.0, -s], [-s, (1.0 + j0 * j0) / 2.0]])
+    return np.eye(2) + (np.exp(1j * alpha) - 1.0) * a
+
+
+def intrinsic_phases(alpha: float, delta: float) -> tuple:
     """Euler phases (lam0, mu0) the bare beamsplitter at alpha already carries.
 
     Away from alpha = pi the computational block is still in the target
     family but with equal non-zero column/row phases; gate synthesis
     subtracts them so the programmed phases land on the requested values.
     """
-    cfg = beamsplitter_config(alpha, delta, lattice, computational_bins)
-    v = submatrix(compose_qfp(cfg), computational_bins)
+    v = _beamsplitter_block(alpha, delta)
     ref = np.angle(v[0, 0])
     return (float(np.angle(v[0, 1]) - ref), float(np.angle(v[1, 0]) - ref))
 
@@ -189,31 +199,22 @@ def synthesize_gate(theta: float, lam: float, mu: float, delta: float,
     Euler phases, and applies RF phase shifts (in: -lam', out: +mu') plus
     the linear spectral ramp bin * (lam' + mu')."""
     alpha = alpha_for_theta(theta, delta)
-    lam0, mu0 = intrinsic_phases(alpha, delta, lattice, computational_bins)
+    lam0, mu0 = intrinsic_phases(alpha, delta)
     return _shifted_beamsplitter(alpha, delta, lattice, computational_bins,
                                  lam - lam0, mu - mu0)
 
 
-def simulate_output_spectrum(config: ProcessorConfig, input_amplitudes) -> np.ndarray:
-    """Per-bin output powers |M a|^2 for a normalized input amplitude vector.
-
-    ``input_amplitudes`` may be a full window vector or a {bin: amplitude}
-    mapping.
-    """
+def simulate_output_spectrum(config: ProcessorConfig, input_amplitudes: dict) -> np.ndarray:
+    """Per-bin output powers |M a|^2 for a normalized {bin: amplitude} input."""
     return _output_powers(compose_qfp(config), input_amplitudes)
 
 
-def _output_powers(op: ModeOperator, input_amplitudes) -> np.ndarray:
+def _output_powers(op: ModeOperator, input_amplitudes: dict) -> np.ndarray:
     """|M a|^2 of a composed processor for one probe (see simulate_output_spectrum)."""
     lat = op.lattice
-    if isinstance(input_amplitudes, dict):
-        a = np.zeros(lat.size, dtype=complex)
-        for b, amp in input_amplitudes.items():
-            a[lat.index_of(b)] = amp
-    else:
-        a = np.asarray(input_amplitudes, dtype=complex)
-        if a.shape != (lat.size,):
-            raise InvalidArgumentError("input vector must match the lattice window")
+    a = np.zeros(lat.size, dtype=complex)
+    for b, amp in input_amplitudes.items():
+        a[lat.index_of(b)] = amp
     norm = np.sum(np.abs(a) ** 2)
     if not np.isclose(norm, 1.0, atol=1e-9):
         raise InvalidArgumentError("input amplitudes must be normalized")

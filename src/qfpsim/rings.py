@@ -94,16 +94,13 @@ def make_ring(resonance_wavelength: float, power_coupling: float, loss_db_per_cm
     return RingParams(resonance_wavelength, power_coupling, a, radius, effective_index)
 
 
-def _round_trip_phase(probe_wavelength, ring: RingParams, resonance_wavelength=None):
-    lam0 = ring.resonance_wavelength if resonance_wavelength is None else resonance_wavelength
+def _ring_ports(probe_wavelength, ring: RingParams, detuning=0.0):
+    """(through, drop) amplitudes with the resonance moved ``detuning`` off
+    its nominal wavelength, from one round-trip phase, one exp and one
+    shared denominator."""
     length = ring.circumference * ring.effective_index
-    return 2.0 * np.pi * length * (1.0 / np.asarray(probe_wavelength) - 1.0 / lam0)
-
-
-def _ring_ports(probe_wavelength, ring: RingParams, resonance_wavelength=None):
-    """(through, drop) amplitudes from one round-trip phase, one exp and
-    one shared denominator."""
-    phi = _round_trip_phase(probe_wavelength, ring, resonance_wavelength)
+    phi = 2.0 * np.pi * length * (1.0 / np.asarray(probe_wavelength)
+                                  - 1.0 / (ring.resonance_wavelength + detuning))
     tc = ring.self_coupling
     a = ring.round_trip_loss
     half = np.exp(0.5j * phi)
@@ -113,14 +110,14 @@ def _ring_ports(probe_wavelength, ring: RingParams, resonance_wavelength=None):
             -ring.power_coupling * np.sqrt(a) * half / denom)
 
 
-def ring_through(probe_wavelength, ring: RingParams, resonance_wavelength=None):
+def ring_through(probe_wavelength, ring: RingParams):
     """Through-port amplitude t(lambda); broadcasts over array inputs."""
-    return _ring_ports(probe_wavelength, ring, resonance_wavelength)[0]
+    return _ring_ports(probe_wavelength, ring)[0]
 
 
-def ring_drop(probe_wavelength, ring: RingParams, resonance_wavelength=None):
+def ring_drop(probe_wavelength, ring: RingParams):
     """Drop-port amplitude d(lambda); carries half a round trip of loss and phase."""
-    return _ring_ports(probe_wavelength, ring, resonance_wavelength)[1]
+    return _ring_ports(probe_wavelength, ring)[1]
 
 
 @dataclass(frozen=True)
@@ -157,18 +154,6 @@ def ws_unit(demux: RingParams, mux: RingParams, mode: str = MODE_PHASE,
     return WsUnitConfig(demux, mux, channel_phase, mode, det)
 
 
-def _detuned_ports(probe_wavelength, ring: RingParams, detuning):
-    """Ring ports with the resonance moved ``detuning`` off its nominal wavelength."""
-    return _ring_ports(probe_wavelength, ring, ring.resonance_wavelength + detuning)
-
-
-def _unit_ports(probe_wavelength, unit: WsUnitConfig, extra_detunings=(0.0, 0.0)):
-    """(demux, mux) ring ports of a unit at its detunings plus ``extra_detunings``."""
-    dd, dm = unit.detunings
-    return (_detuned_ports(probe_wavelength, unit.demux, dd + np.asarray(extra_detunings[0])),
-            _detuned_ports(probe_wavelength, unit.mux, dm + np.asarray(extra_detunings[1])))
-
-
 def _ws_output(mode: str, channel_phase: float, demux_ports, mux_ports):
     """Bus output t_M t_D + d_M e^{i Phi} d_D of a unit from its ring ports;
     in STOP mode the dropped light is absorbed and only t_M t_D survives."""
@@ -184,8 +169,9 @@ def ws_unit_response(probe_wavelength, unit: WsUnitConfig, extra_detunings=(0.0,
     PHASE/PASS: t_M t_D + d_M e^{i Phi} d_D.  STOP: the dropped light is
     absorbed, so only the through product survives.
     """
-    return _ws_output(unit.mode, unit.channel_phase,
-                      *_unit_ports(probe_wavelength, unit, extra_detunings))
+    ports = [_ring_ports(probe_wavelength, ring, det + np.asarray(extra))
+             for ring, det, extra in zip((unit.demux, unit.mux), unit.detunings, extra_detunings)]
+    return _ws_output(unit.mode, unit.channel_phase, *ports)
 
 
 def ws_operator(phases, lattice: FrequencyLattice) -> np.ndarray:

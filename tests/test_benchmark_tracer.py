@@ -71,7 +71,7 @@ def test_a_traced_gate_op_runs_through_the_wrappers():
     for name in ("qfp.synthesize_gate", "qfp.alpha_for_theta", "qfp.brentq",
                  "qfp.intrinsic_phases", "qfp.beamsplitter_spectra", "eom.eom_operator"):
         assert calls[name] >= 1, name
-    # the bare beamsplitter of intrinsic_phases, the gate, and the gate again
-    assert calls["qfp.compose_qfp"] == calls["rings.ws_operator"] == 3
-    assert tracer.counts["qfp.compose_qfp.distinct"] == 2
+    # the gate, and the gate again: intrinsic_phases composes nothing
+    assert calls["qfp.compose_qfp"] == calls["rings.ws_operator"] == 2
+    assert tracer.counts["qfp.compose_qfp.distinct"] == 1
     assert tracer.counts["qfp.brentq.nfev"] > 0

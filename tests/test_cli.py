@@ -48,6 +48,16 @@ def test_beamsplitter_outputs_and_anchor_row(tmp_path):
     assert summary["min_success_probability"] > 0.9
 
 
+def test_beamsplitter_sweep_takes_one_bessel_row_per_closed_form(tmp_path, monkeypatch):
+    # one closed-form call for the whole alpha column and one for the summary
+    calls = []
+    bessel_row = qfpsim.qfp.bessel_row
+    monkeypatch.setattr(qfpsim.qfp, "bessel_row",
+                        lambda *args: calls.append(args) or bessel_row(*args))
+    assert _run("beamsplitter", _write_cfg(tmp_path, {}), tmp_path / "out") == 0
+    assert len(calls) <= 2
+
+
 def test_gate_command(tmp_path):
     cfg = _write_cfg(tmp_path, {"theta": 1.2, "lam": 0.3, "mu": -0.4})
     out = tmp_path / "out"

@@ -7,8 +7,8 @@ from qfpsim.eom import RfDrive, eom_operator, truncation_order
 from qfpsim.errors import (InvalidArgumentError, OutOfRangeError,
                            UndefinedFidelityError)
 from qfpsim.lattice import make_lattice
-from qfpsim.qfp import (ProcessorConfig, alpha_for_theta, beamsplitter_config,
-                        beamsplitter_spectra, compose_qfp, fidelity,
+from qfpsim.qfp import (ProcessorConfig, _beamsplitter_block, alpha_for_theta,
+                        beamsplitter_config, beamsplitter_spectra, compose_qfp, fidelity,
                         gauge_distance, intrinsic_phases, jbar,
                         reconstruct_submatrix, reconstruction_residual,
                         rt_closed_form, simulate_output_spectrum,
@@ -109,11 +109,16 @@ def test_alpha_for_theta_clamps_at_maximum_splitting():
 def test_synthesize_gate_hits_random_targets():
     rng = np.random.default_rng(42)
     for _ in range(10):
-        theta = rng.uniform(0.05, np.pi / 2 - 0.05)
+        delta = rng.uniform(0.3, 4.0)
+        theta_max = min(2.0 * np.arcsin(np.sqrt(splitting_at_pi(delta))), np.pi / 2)
+        theta = rng.uniform(0.05, 0.95) * theta_max
         lam = rng.uniform(-np.pi, np.pi)
         mu = rng.uniform(-np.pi, np.pi)
-        cfg = synthesize_gate(theta, lam, mu, DELTA, LAT, BINS)
-        v = submatrix(compose_qfp(cfg), BINS)
+        margin = truncation_order(delta)
+        b0 = int(rng.integers(LAT.l_min + margin, LAT.l_max - margin))
+        bins = (b0, b0 + 1)
+        cfg = synthesize_gate(theta, lam, mu, delta, LAT, bins)
+        v = submatrix(compose_qfp(cfg), bins)
         assert fidelity(v, target_unitary(theta, lam, mu)) > 1 - 1e-10
 
 
@@ -125,8 +130,34 @@ def test_identity_gate_block():
 
 
 def test_intrinsic_phases_vanish_at_pi():
-    lam0, mu0 = intrinsic_phases(np.pi, DELTA, LAT, BINS)
+    lam0, mu0 = intrinsic_phases(np.pi, DELTA)
     assert abs(lam0) < 1e-10 and abs(mu0) < 1e-10
+
+
+def composed_intrinsic_phases(v):
+    """The Euler phases of a composed block, as gate synthesis read them
+    before the closed form: column and row phases against V_00."""
+    ref = np.angle(v[0, 0])
+    return np.angle(v[0, 1]) - ref, np.angle(v[1, 0]) - ref
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(0.0, 4.0), st.floats(0.0, 2 * np.pi), st.data())
+def test_closed_form_block_matches_the_composed_beamsplitter(delta, alpha, data):
+    # a window that meets the margin, and any adjacent pair inside it
+    margin = max(truncation_order(delta), 1)
+    half_width = data.draw(st.integers(margin + 1, margin + 12))
+    b0 = data.draw(st.integers(margin - half_width, half_width - margin - 1))
+    lat = make_lattice(193.7e12, 25e9, half_width)
+    bins = (b0, b0 + 1)
+    v = submatrix(compose_qfp(beamsplitter_config(alpha, delta, lat, bins)), bins)
+    block = _beamsplitter_block(alpha, delta)
+    assert np.abs(block - v).max() < 1e-13
+    # an entry good to ~2e-16 has its phase good to ~2e-16 / |entry|, and the
+    # phases are read against V_00, which vanishes at alpha = pi on a zero of J_0
+    if min(abs(v[0, 0]), abs(v[0, 1])) >= 1e-5:
+        for got, want in zip(intrinsic_phases(alpha, delta), composed_intrinsic_phases(v)):
+            assert abs(np.remainder(got - want + np.pi, 2 * np.pi) - np.pi) < 1e-10
 
 
 def test_computational_bins_must_be_adjacent_and_interior():
