@@ -116,22 +116,15 @@ def walk_operators(depth: float, lattice: FrequencyLattice) -> tuple:
     return op, reversed_operator(op)
 
 
-def ws_idler_phases(pair_bins, pattern: str) -> tuple:
-    """Per-pair idler-side spectral phases toggling the walk character.
-
-    'correlated' leaves all pairs untouched; 'anticorrelated' alternates
-    -pi/2, +pi/2 on the interior pairs (endpoints unchanged), flipping
-    the effective sign of the relative drive phase.
-    """
+def ws_idler_phases(pair_bins) -> tuple:
+    """Per-pair idler-side spectral phases that make the walk anticorrelated:
+    -pi/2, +pi/2 alternating on the interior pairs (endpoints unchanged),
+    flipping the effective sign of the relative drive phase."""
     n = len(list(pair_bins))
-    if pattern == "correlated":
-        return tuple(0.0 for _ in range(n))
-    if pattern == "anticorrelated":
-        phases = [0.0] * n
-        for i in range(1, n - 1):
-            phases[i] = -np.pi / 2 if (i % 2) else np.pi / 2
-        return tuple(phases)
-    raise InvalidArgumentError(f"unknown phase pattern {pattern!r}")
+    phases = [0.0] * n
+    for i in range(1, n - 1):
+        phases[i] = -np.pi / 2 if i % 2 else np.pi / 2
+    return tuple(phases)
 
 
 def jsi(state: BiphotonState, normalization: str = "max") -> np.ndarray:

@@ -168,7 +168,7 @@ def cmd_gate(cfg: dict, out: Path, rng) -> None:
     config = synthesize_gate(theta, lam, mu, delta, lat, bins)
     v = submatrix(compose_qfp(config), bins)
     target = target_unitary(theta, lam, mu)
-    spectra = beamsplitter_spectra(config, gammas=(0.0, np.pi, np.pi / 2, 3 * np.pi / 2))
+    spectra = beamsplitter_spectra(config)
     v_rec = reconstruct_submatrix(spectra, lat, bins)
     write_json(out / "gate.json", {
         "theta": theta, "lam": lam, "mu": mu, "depth": delta,
@@ -201,8 +201,7 @@ def cmd_qwalk(cfg: dict, out: Path, rng) -> None:
                             consts["pump_filter_extinction_db"])
     initial = comb_state(lat, lat, pairs, weights=weights)
     sig, idl = walk_operators(depth, lat)
-    anti_phases = ws_idler_phases(pairs, "anticorrelated")
-    anti_state = comb_state(lat, lat, pairs, weights=weights, phases=anti_phases)
+    anti_state = comb_state(lat, lat, pairs, weights=weights, phases=ws_idler_phases(pairs))
     corr_out = apply_joint(initial, sig, idl)
     anti_out = apply_joint(anti_state, sig, idl)
 

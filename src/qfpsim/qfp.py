@@ -25,6 +25,13 @@ from .eom import ModeOperator, RfDrive, bessel_row, eom_operator, truncation_ord
 from .lattice import FrequencyLattice
 from .rings import ws_operator
 
+# relative phases of the four superposition probes: cos from 0 / pi, sin from pi/2 / 3pi/2
+QUADRATURE_GAMMAS = (0.0, np.pi, np.pi / 2.0, 3.0 * np.pi / 2.0)
+_PROBE_KEYS = ("bin0", "bin1") + tuple(f"gamma:{g:.17g}" for g in QUADRATURE_GAMMAS)
+# the paper's 99.9 % gate fidelity: alpha_for_theta clamps a theta beyond the
+# depth's reach to alpha = pi only while the clamped gate keeps it
+MIN_GATE_FIDELITY = 0.999
+
 
 @dataclass(frozen=True)
 class ProcessorConfig:
@@ -154,16 +161,24 @@ def target_unitary(theta: float, lam: float, mu: float) -> np.ndarray:
 def alpha_for_theta(theta: float, delta: float) -> float:
     """Invert T/(R+T) = sin^2(theta/2) for alpha on the [pi, 2pi] branch.
 
-    The ratio peaks just below 1/2 at alpha = pi for delta = 0.8169, so a
-    requested theta = pi/2 clamps to alpha = pi (best achievable
-    splitting); anything above pi/2 is rejected.
+    The ratio peaks at alpha = pi, at theta_max = 2 arcsin sqrt(T/(R+T)),
+    just below pi/2 for delta = 0.8169.  A theta above theta_max clamps to
+    alpha = pi, whose gate has fidelity cos^2((theta - theta_max)/2) to the
+    target; the clamp is rejected when that falls below MIN_GATE_FIDELITY,
+    and so is any theta outside [0, pi/2].
     """
     if not 0.0 <= theta <= np.pi / 2.0 + 1e-12:
         raise OutOfRangeError(
             f"theta = {theta} outside the achievable interval [0, pi/2] at depth {delta}")
     want = np.sin(theta / 2.0) ** 2
     coeffs = _bessel_sums(delta)
-    if want >= _splitting(np.pi, *coeffs):
+    best = _splitting(np.pi, *coeffs)
+    if want >= best:
+        theta_max = 2.0 * np.arcsin(np.sqrt(best))
+        if np.cos((theta - theta_max) / 2.0) ** 2 < MIN_GATE_FIDELITY:
+            raise OutOfRangeError(
+                f"theta = {theta} exceeds the largest splitting theta = {theta_max:.6g} "
+                f"at depth {delta} by more than a gate fidelity of {MIN_GATE_FIDELITY} allows")
         return np.pi
 
     def ratio(alpha):
@@ -221,8 +236,8 @@ def _output_powers(op: ModeOperator, input_amplitudes: dict) -> np.ndarray:
     return np.abs(op.entries @ a) ** 2
 
 
-def beamsplitter_spectra(config: ProcessorConfig, gammas=(0.0, np.pi)) -> dict:
-    """The canonical probe spectra used for scattering-matrix reconstruction.
+def beamsplitter_spectra(config: ProcessorConfig, gammas=QUADRATURE_GAMMAS) -> dict:
+    """The probe spectra used for scattering-matrix reconstruction.
 
     Keys: 'bin0', 'bin1' (single-bin inputs) and 'gamma:<value>' for
     equal superpositions with relative phase gamma.
@@ -255,45 +270,38 @@ def gauge_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.abs(_gauge_fix_rows(a) - _gauge_fix_rows(b)).max())
 
 
+def _probe_rows(spectra: dict, lattice: FrequencyLattice,
+                computational_bins: tuple) -> np.ndarray:
+    """The computational-bin rows of the six probe spectra (bin0, bin1, then
+    gamma in QUADRATURE_GAMMAS order) as a 6 x 2 array.
+
+    Raises ReconstructionFailureError naming any missing probe spectrum.
+    """
+    missing = [k for k in _PROBE_KEYS if k not in spectra]
+    if missing:
+        raise ReconstructionFailureError(f"missing probe spectra: {', '.join(missing)}")
+    idx = [lattice.index_of(b) for b in computational_bins]
+    return np.array([np.asarray(spectra[k])[idx] for k in _PROBE_KEYS])
+
+
 def reconstruct_submatrix(spectra: dict, lattice: FrequencyLattice,
                           computational_bins: tuple) -> np.ndarray:
-    """Complex 2x2 scattering matrix from four (or six) probe spectra.
+    """Complex 2x2 scattering matrix from the six probe spectra of
+    beamsplitter_spectra at QUADRATURE_GAMMAS.
 
     Magnitudes come from the single-bin spectra.  The row gauge takes
     V_m0 = sqrt(bin0) real non-negative; where V_m0 >= tol = 1e-6, the gamma =
-    0 / pi pair gives Re V_m1 = (I_0 - I_pi) / (2 V_m0), the gamma = pi/2,
-    3pi/2 pair (when present) gives Im V_m1 = -(I_pi/2 - I_3pi/2) / (2 V_m0),
-    and without it Im V_m1 = +sqrt(|V_m1|^2 - Re^2).  Where V_m0 < tol
+    0 / pi pair gives Re V_m1 = (I_0 - I_pi) / (2 V_m0) and the gamma = pi/2,
+    3pi/2 pair gives Im V_m1 = -(I_pi/2 - I_3pi/2) / (2 V_m0).  Where V_m0 < tol
     the phase of V_m1 is free and V_m1 = |V_m1| is taken real.
-
-    Two probe phases leave each row's Im-sign open.  The block is
-    proportional to a unitary, so its columns are orthogonal: V_11 is
-    conjugated when that makes them more nearly so (to 1e-9), which pins
-    the relative sign; Im V_01 >= 0 breaks the global conjugation.
 
     Raises ReconstructionFailureError when a probe spectrum is missing or
     an inferred cosine exceeds 1 beyond tol.
     """
     tol = 1e-6
-    i0, i1 = (lattice.index_of(b) for b in computational_bins)
-    keys = {float(k.split(":", 1)[1]): k for k in spectra if k.startswith("gamma:")}
-
-    def rows(key):
-        s = np.asarray(spectra[key])
-        return s[i0], s[i1]
-
-    def probe(gamma):
-        key = next((k for g, k in keys.items() if abs(g - gamma) <= 1e-9), None)
-        return None if key is None else rows(key)
-
-    i_0, i_pi = probe(0.0), probe(np.pi)
-    if "bin0" not in spectra or "bin1" not in spectra or i_0 is None or i_pi is None:
-        raise ReconstructionFailureError(
-            "need 'bin0', 'bin1' and the gamma = 0, pi probe spectra")
-    i_q1, i_q3 = probe(np.pi / 2.0), probe(3.0 * np.pi / 2.0)
-    quadrature = i_q1 is not None and i_q3 is not None
-    col0 = np.sqrt(np.maximum(rows("bin0"), 0.0))
-    mag1 = np.sqrt(np.maximum(rows("bin1"), 0.0))
+    bin0, bin1, i_0, i_pi, i_q1, i_q3 = _probe_rows(spectra, lattice, computational_bins)
+    col0 = np.sqrt(np.maximum(bin0, 0.0))
+    mag1 = np.sqrt(np.maximum(bin1, 0.0))
     v = np.array([[col0[0], mag1[0]], [col0[1], mag1[1]]], dtype=complex)
     for m in (0, 1):
         if col0[m] < tol:
@@ -303,40 +311,19 @@ def reconstruct_submatrix(spectra: dict, lattice: FrequencyLattice,
             raise ReconstructionFailureError(
                 f"row {m}: inferred cosine exceeds 1 "
                 f"(|Re| = {abs(re):.3g} > |V| = {mag1[m]:.3g})")
-        if quadrature:
-            im = -(i_q1[m] - i_q3[m]) / (2.0 * col0[m])
-        else:
-            im = np.sqrt(max(mag1[m] ** 2 - re**2, 0.0))
+        im = -(i_q1[m] - i_q3[m]) / (2.0 * col0[m])
         v[m, 1] = re + 1j * im
-    if not quadrature and col0[1] >= tol:
-        flipped = v.copy()
-        flipped[1, 1] = np.conj(v[1, 1])
-        overlap = [round(abs(np.vdot(c[:, 0], c[:, 1])), 9) for c in (v, flipped)]
-        if overlap[1] < overlap[0]:
-            return flipped
     return v
 
 
 def reconstruction_residual(v: np.ndarray, spectra: dict, lattice: FrequencyLattice,
                             computational_bins: tuple) -> float:
-    """RMS mismatch between the computational-bin rows of the input spectra
-    and those regenerated from the reconstructed matrix."""
-    b0, b1 = computational_bins
-    i0, i1 = lattice.index_of(b0), lattice.index_of(b1)
-    errs = []
-    for key, s in spectra.items():
-        s = np.asarray(s)
-        if key == "bin0":
-            pred = np.abs(v[:, 0]) ** 2
-        elif key == "bin1":
-            pred = np.abs(v[:, 1]) ** 2
-        elif key.startswith("gamma:"):
-            g = float(key.split(":")[1])
-            pred = 0.5 * np.abs(v[:, 0] + np.exp(1j * g) * v[:, 1]) ** 2
-        else:
-            continue
-        errs.extend([pred[0] - s[i0], pred[1] - s[i1]])
-    return float(np.sqrt(np.mean(np.square(errs))))
+    """RMS mismatch between the computational-bin rows of the six probe
+    spectra and those regenerated from the reconstructed matrix."""
+    pred = [np.abs(v[:, 0]) ** 2, np.abs(v[:, 1]) ** 2]
+    pred += [0.5 * np.abs(v[:, 0] + np.exp(1j * g) * v[:, 1]) ** 2 for g in QUADRATURE_GAMMAS]
+    err = np.array(pred) - _probe_rows(spectra, lattice, computational_bins)
+    return float(np.sqrt(np.mean(np.square(err))))
 
 
 def single_pm_balanced_probability() -> tuple:

@@ -9,7 +9,7 @@ mixer's effective splitting at DEFAULT_MEASUREMENT_DEPTH.
 
 import functools
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import OptimizeWarning, curve_fit, minimize
@@ -19,23 +19,6 @@ from .eom import bessel_row
 
 DEFAULT_MEASUREMENT_DEPTH = 0.8169
 
-BASIS_BIN0 = "bin0"
-BASIS_BIN1 = "bin1"
-BASIS_SUPERPOSITION = "superposition"
-
-
-@dataclass(frozen=True)
-class MeasurementSetting:
-    """Single-photon analyzer choice: a bin projector or a phased
-    superposition projector (phi is the relative bin phase)."""
-
-    basis: str
-    phi: float = 0.0
-
-    def __post_init__(self):
-        if self.basis not in (BASIS_BIN0, BASIS_BIN1, BASIS_SUPERPOSITION):
-            raise InvalidArgumentError(f"unknown basis {self.basis!r}")
-
 
 @functools.cache
 def superposition_efficiency() -> float:
@@ -44,40 +27,20 @@ def superposition_efficiency() -> float:
     return float(2.0 * row[0] * row[1])
 
 
-def projector(setting: MeasurementSetting) -> np.ndarray:
-    """Single-qubit POVM element for one analyzer setting.
-
-    Bin settings are ideal projectors; superposition settings are
-    eta * |v><v| with |v> = (|0> + e^{i phi} |1>)/sqrt(2) and
-    eta = (2 J0 J1)^2 <= 1.
-    """
-    if setting.basis == BASIS_BIN0:
-        return np.diag([1.0, 0.0]).astype(complex)
-    if setting.basis == BASIS_BIN1:
-        return np.diag([0.0, 1.0]).astype(complex)
-    v = np.array([1.0, np.exp(1j * setting.phi)]) / np.sqrt(2.0)
+def _superposition(phi: float) -> np.ndarray:
+    """Superposition analyzer POVM element eta |v><v|, with
+    |v> = (|0> + e^{i phi} |1>)/sqrt(2) and eta = (2 J0 J1)^2 <= 1."""
+    v = np.array([1.0, np.exp(1j * phi)]) / np.sqrt(2.0)
     eta = superposition_efficiency() ** 2
     return eta * np.outer(v, v.conj())
 
 
-def canonical_settings() -> tuple:
-    """The 16 two-photon settings {bin0, bin1, phi=0, phi=pi/2} x same."""
-    singles = (MeasurementSetting(BASIS_BIN0),
-               MeasurementSetting(BASIS_BIN1),
-               MeasurementSetting(BASIS_SUPERPOSITION, 0.0),
-               MeasurementSetting(BASIS_SUPERPOSITION, np.pi / 2.0))
-    return tuple((a, b) for a in singles for b in singles)
-
-
-def joint_projector(pair) -> np.ndarray:
-    """Tensor product of the two single-photon POVM elements."""
-    a, b = pair
-    return np.kron(projector(a), projector(b))
-
-
-def _projectors(pairs) -> np.ndarray:
-    """Stack of joint projectors Pi_k, one per setting pair."""
-    return np.array([joint_projector(pair) for pair in pairs])
+def _canonical_projectors() -> np.ndarray:
+    """The 16 joint POVM elements: each photon analyzed in bin 0, in bin 1
+    (ideal projectors) or in the superpositions at phi = 0 and pi/2."""
+    singles = np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0]),
+                        _superposition(0.0), _superposition(np.pi / 2.0)])
+    return np.kron(singles[:, None], singles[None, :]).reshape(16, 4, 4)
 
 
 def _rates(rho: np.ndarray, pis: np.ndarray) -> np.ndarray:
@@ -118,10 +81,8 @@ def carve_bell_state(suppression_db: float, bell_phase: float = 0.0) -> np.ndarr
 def bell_fringe(rho: np.ndarray, phis) -> np.ndarray:
     """Coincidence fringe vs the signal analyzer phase, idler phase at 0."""
     rho = _check_density(rho)
-    idler = MeasurementSetting(BASIS_SUPERPOSITION, 0.0)
-    return _rates(rho, _projectors(
-        (MeasurementSetting(BASIS_SUPERPOSITION, float(phi)), idler)
-        for phi in np.atleast_1d(phis)))
+    signal = np.array([_superposition(float(phi)) for phi in np.atleast_1d(phis)])
+    return _rates(rho, np.kron(signal, _superposition(0.0)))
 
 
 @dataclass(frozen=True)
@@ -184,10 +145,10 @@ def fit_visibility(phis, counts) -> VisibilityFit:
 
 @dataclass(frozen=True)
 class MeasurementRecord:
-    """Counts observed (or expected) at one joint setting."""
+    """Counts observed (or expected) at one joint setting, whose 4x4 POVM
+    element is ``projector``."""
 
-    setting_a: MeasurementSetting
-    setting_b: MeasurementSetting
+    projector: np.ndarray = field(repr=False, compare=False)
     counts: float
     shots: float
     accidental: float = 0.0
@@ -201,11 +162,11 @@ def simulate_counts(rho: np.ndarray, shots: float, accidental_fraction: float = 
     generator supplied they are Poisson sampled, otherwise the expected
     values are returned exactly (deterministic mode).
     """
-    pairs = canonical_settings()
+    pis = _canonical_projectors()
     acc = shots * accidental_fraction
-    means = shots * _rates(_check_density(rho), _projectors(pairs)) + acc
+    means = shots * _rates(_check_density(rho), pis) + acc
     counts = means if rng is None else rng.poisson(means)
-    return [MeasurementRecord(a, b, float(n), shots, acc) for (a, b), n in zip(pairs, counts)]
+    return [MeasurementRecord(pi, float(n), shots, acc) for pi, n in zip(pis, counts)]
 
 
 _BELOW = np.tril_indices(4, -1)  # entries below the diagonal, row by row
@@ -274,7 +235,7 @@ def mle_reconstruct(records: list, restarts: int = 3, seed: int = 11) -> np.ndar
     """
     if len(records) < 16:
         raise InvalidArgumentError("tomography needs at least 16 settings")
-    pis = _projectors((r.setting_a, r.setting_b) for r in records)
+    pis = np.array([r.projector for r in records])
     data = np.array([(r.counts, r.shots, r.accidental) for r in records]).T
     counts, shots, accidentals = data
     rng = np.random.default_rng(seed)

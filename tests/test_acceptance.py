@@ -119,7 +119,7 @@ def test_walk_dichotomy():
     corr = apply_joint(comb_state(LAT, LAT, PAIRS, weights=env), sig, idl)
     anti = apply_joint(
         comb_state(LAT, LAT, PAIRS, weights=env,
-                   phases=ws_idler_phases(PAIRS, "anticorrelated")),
+                   phases=ws_idler_phases(PAIRS)),
         sig, idl)
     assert (diagonal_weight(anti, PAIRS)
             > diagonal_weight(corr, PAIRS) + 0.2)

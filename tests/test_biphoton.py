@@ -96,7 +96,7 @@ def test_walk_dichotomy_frozen_values():
     corr = apply_joint(comb_state(LAT, LAT, PAIRS, weights=env), sig, idl)
     anti = apply_joint(
         comb_state(LAT, LAT, PAIRS, weights=env,
-                   phases=ws_idler_phases(PAIRS, "anticorrelated")),
+                   phases=ws_idler_phases(PAIRS)),
         sig, idl)
     d_corr = diagonal_weight(corr, PAIRS)
     d_anti = diagonal_weight(anti, PAIRS)
@@ -106,15 +106,11 @@ def test_walk_dichotomy_frozen_values():
 
 
 def test_ws_idler_phase_patterns():
-    flat = ws_idler_phases(PAIRS, "correlated")
-    assert flat == tuple([0.0] * len(PAIRS))
-    alt = ws_idler_phases(PAIRS, "anticorrelated")
+    alt = ws_idler_phases(PAIRS)
+    assert len(alt) == len(PAIRS)
     assert alt[0] == 0.0 and alt[-1] == 0.0
-    interior = alt[1:-1]
-    assert np.allclose(np.abs(interior), np.pi / 2)
-    assert np.all(np.diff(np.sign(interior)) != 0)
-    with pytest.raises(InvalidArgumentError):
-        ws_idler_phases(PAIRS, "diagonal")
+    assert alt[1:-1] == tuple((-np.pi / 2, np.pi / 2)[i % 2] for i in range(len(PAIRS) - 2))
+    assert ws_idler_phases([(1, -1), (2, -2)]) == (0.0, 0.0)
 
 
 def test_jsi_normalizations_and_fidelity():

@@ -242,6 +242,8 @@ def test_flat_fringe_exits_3_without_a_warning(tmp_path):
     ("calibrate", {"power_2pi": 1e-200}, 3),
     ("calibrate", {"power_2pi": 1e200}, 3),
     ("calibrate", {"noise_sigma": 1e200}, 3),
+    # theta = pi/2 beyond depth 0.2's reach: the clamped gate has fidelity 0.694
+    ("gate", {"constants": {"depth": 0.2}}, 3),
 ])
 def test_config_exit_codes(tmp_path, command, config, code):
     assert _run(command, _write_cfg(tmp_path, config), tmp_path / "out") == code

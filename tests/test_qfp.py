@@ -5,9 +5,10 @@ from hypothesis import strategies as st
 
 from qfpsim.eom import RfDrive, eom_operator, truncation_order
 from qfpsim.errors import (InvalidArgumentError, OutOfRangeError,
-                           UndefinedFidelityError)
+                           ReconstructionFailureError, UndefinedFidelityError)
 from qfpsim.lattice import make_lattice
-from qfpsim.qfp import (ProcessorConfig, _beamsplitter_block, alpha_for_theta,
+from qfpsim.qfp import (MIN_GATE_FIDELITY, QUADRATURE_GAMMAS, ProcessorConfig,
+                        _beamsplitter_block, alpha_for_theta,
                         beamsplitter_config, beamsplitter_spectra, compose_qfp, fidelity,
                         gauge_distance, intrinsic_phases, jbar,
                         reconstruct_submatrix, reconstruction_residual,
@@ -106,6 +107,23 @@ def test_alpha_for_theta_clamps_at_maximum_splitting():
         alpha_for_theta(-0.1, DELTA)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.floats(0.05, 0.75), st.floats(1e-6, 1e-3))
+def test_alpha_for_theta_clamps_only_within_the_gate_fidelity(delta, step):
+    # the clamped gate has fidelity cos^2((theta - theta_max)/2): the bound on
+    # theta sits at theta_max + 2 arccos(sqrt(MIN_GATE_FIDELITY)), below pi/2 here
+    theta_max = 2.0 * np.arcsin(np.sqrt(splitting_at_pi(delta)))
+    inside, outside = (theta_max + 2.0 * np.arccos(np.sqrt(MIN_GATE_FIDELITY)) + d
+                       for d in (-step, step))
+    assert outside < np.pi / 2
+    assert alpha_for_theta(inside, delta) == np.pi
+    config = synthesize_gate(inside, 0.3, -0.2, delta, LAT, BINS)
+    assert fidelity(submatrix(compose_qfp(config), BINS),
+                    target_unitary(inside, 0.3, -0.2)) >= MIN_GATE_FIDELITY
+    with pytest.raises(OutOfRangeError, match="gate fidelity"):
+        alpha_for_theta(outside, delta)
+
+
 def test_synthesize_gate_hits_random_targets():
     rng = np.random.default_rng(42)
     for _ in range(10):
@@ -193,24 +211,24 @@ def test_reconstruct_with_quadrature_probes_is_exact():
     for alpha in (np.pi, 4.2, 5.5):
         cfg = beamsplitter_config(alpha, DELTA, LAT, BINS)
         v = submatrix(compose_qfp(cfg), BINS)
-        spectra = beamsplitter_spectra(
-            cfg, gammas=(0.0, np.pi, np.pi / 2, 3 * np.pi / 2))
+        spectra = beamsplitter_spectra(cfg)
         v_rec = reconstruct_submatrix(spectra, LAT, BINS)
         assert gauge_distance(v_rec, v) < 1e-6
         assert reconstruction_residual(v_rec, spectra, LAT, BINS) < 1e-10
 
 
-def test_reconstruct_with_two_probes_up_to_conjugation():
-    cfg = beamsplitter_config(4.5, DELTA, LAT, BINS)
-    v = submatrix(compose_qfp(cfg), BINS)
-    spectra = beamsplitter_spectra(cfg, gammas=(0.0, np.pi))
-    v_rec = reconstruct_submatrix(spectra, LAT, BINS)
-    err = min(gauge_distance(v_rec, v), gauge_distance(v_rec.conj(), v))
-    assert err < 1e-6
-    assert reconstruction_residual(v_rec, spectra, LAT, BINS) < 1e-10
+def test_reconstruct_names_a_missing_quadrature_probe():
+    spectra = beamsplitter_spectra(beamsplitter_config(4.5, DELTA, LAT, BINS))
+    assert len(spectra) == 6
+    key = f"gamma:{3 * np.pi / 2:.17g}"
+    del spectra[key]
+    with pytest.raises(ReconstructionFailureError, match=key):
+        reconstruct_submatrix(spectra, LAT, BINS)
+    with pytest.raises(ReconstructionFailureError, match=key):
+        reconstruction_residual(np.eye(2), spectra, LAT, BINS)
 
 
-def _probe_spectra(v, gammas):
+def _probe_spectra(v):
     """Probe spectra of a 2x2 block by definition, zero off the computational bins."""
     idx = [LAT.index_of(b) for b in BINS]
 
@@ -220,7 +238,7 @@ def _probe_spectra(v, gammas):
         return s
 
     spectra = {"bin0": window(np.abs(v[:, 0]) ** 2), "bin1": window(np.abs(v[:, 1]) ** 2)}
-    for g in gammas:
+    for g in QUADRATURE_GAMMAS:
         spectra[f"gamma:{g:.17g}"] = window(
             0.5 * np.abs(v[:, 0] + np.exp(1j * g) * v[:, 1]) ** 2)
     return spectra
@@ -228,20 +246,14 @@ def _probe_spectra(v, gammas):
 
 @settings(max_examples=200, deadline=None)
 @given(st.floats(0.2, np.pi - 0.2), st.floats(-np.pi, np.pi), st.floats(-np.pi, np.pi),
-       st.floats(0.3, 1.0), st.floats(-np.pi, np.pi), st.floats(-np.pi, np.pi),
-       st.booleans())
-def test_reconstruct_random_blocks(theta, lam, mu, scale, row0, row1, quadrature):
+       st.floats(0.3, 1.0), st.floats(-np.pi, np.pi), st.floats(-np.pi, np.pi))
+def test_reconstruct_random_blocks(theta, lam, mu, scale, row0, row1):
     # a block proportional to a unitary, with arbitrary row phases
     v = scale * np.exp(1j * np.array([[row0], [row1]])) * target_unitary(theta, lam, mu)
-    gammas = (0.0, np.pi, np.pi / 2, 3 * np.pi / 2) if quadrature else (0.0, np.pi)
-    spectra = _probe_spectra(v, gammas)
+    spectra = _probe_spectra(v)
     v_rec = reconstruct_submatrix(spectra, LAT, BINS)
     assert reconstruction_residual(v_rec, spectra, LAT, BINS) < 1e-10
-    if quadrature:
-        assert gauge_distance(v_rec, v) < 1e-6
-    else:
-        assert min(gauge_distance(v_rec, v), gauge_distance(v_rec.conj(), v)) < 1e-6
-        assert v_rec[0, 1].imag >= 0
+    assert gauge_distance(v_rec, v) < 1e-6
 
 
 def test_single_pm_balanced_splitting_is_bounded():

@@ -1,5 +1,7 @@
 """Two-qubit tomography: projectors, Bell fringes, MLE reconstruction."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,45 +11,79 @@ from hypothesis.extra.numpy import arrays
 from qfpsim.eom import bessel_row
 from qfpsim.errors import FitFailureError, InvalidArgumentError
 from qfpsim.tomo import (
-    BASIS_BIN0,
-    BASIS_BIN1,
-    BASIS_SUPERPOSITION,
-    MeasurementSetting,
     bell_fringe,
-    canonical_settings,
     carve_bell_state,
     fit_visibility,
-    joint_projector,
     mle_reconstruct,
-    projector,
     purity,
     simulate_counts,
     state_fidelity,
+    _canonical_projectors,
     _negloglike_and_grad,
     _params_from_t,
-    _projectors,
+    _rates,
+    _superposition,
     _t_from_params,
     superposition_efficiency,
 )
 
 
+@dataclass(frozen=True)
+class _Setting:
+    """One photon's analyzer, spelled out: a bin basis, or a superposition
+    basis with relative bin phase phi."""
+
+    basis: str
+    phi: float = 0.0
+
+
+def _reference_projector(setting: _Setting) -> np.ndarray:
+    """The single-photon POVM element of one setting, built on its own."""
+    if setting.basis == "bin0":
+        return np.diag([1.0, 0.0]).astype(complex)
+    if setting.basis == "bin1":
+        return np.diag([0.0, 1.0]).astype(complex)
+    v = np.array([1.0, np.exp(1j * setting.phi)]) / np.sqrt(2.0)
+    eta = superposition_efficiency() ** 2
+    return eta * np.outer(v, v.conj())
+
+
+def _reference_stack(pairs) -> np.ndarray:
+    """Joint POVM elements, one Kronecker product per setting pair."""
+    return np.array([np.kron(_reference_projector(a), _reference_projector(b))
+                     for a, b in pairs])
+
+
+_SINGLES = (_Setting("bin0"), _Setting("bin1"), _Setting("superposition", 0.0),
+            _Setting("superposition", np.pi / 2.0))
+
+
 def test_projectors_and_settings():
-    p0 = projector(MeasurementSetting(BASIS_BIN0))
-    p1 = projector(MeasurementSetting(BASIS_BIN1))
-    assert np.allclose(p0 + p1, np.eye(2))
-    ps = projector(MeasurementSetting(BASIS_SUPERPOSITION, 0.0))
+    # the canonical stack against the setting-by-setting construction
+    pis = _canonical_projectors()
+    ref = _reference_stack((a, b) for a in _SINGLES for b in _SINGLES)
+    assert pis.shape == (16, 4, 4) and pis.dtype == ref.dtype
+    assert pis.tobytes() == ref.tobytes()  # bit for bit
+    # the four bin-basis pairs resolve the identity
+    assert np.allclose(pis[[0, 1, 4, 5]].sum(axis=0), np.eye(4))
+    # the superposition analyzer is a lossy rank-1 projector
     eta = superposition_efficiency() ** 2
     assert 0 < eta < 1
-    assert np.trace(ps).real == pytest.approx(eta, abs=1e-12)
-    # rank-1 and PSD
-    w = np.linalg.eigvalsh(ps)
-    assert w.min() >= -1e-12 and w.max() == pytest.approx(eta, abs=1e-12)
-    with pytest.raises(InvalidArgumentError):
-        MeasurementSetting("diagonal")
-    settings = canonical_settings()
-    assert len(settings) == 16
-    jp = joint_projector(settings[0])
-    assert jp.shape == (4, 4)
+    for phi in (0.0, 0.7, np.pi / 2.0):
+        ps = _superposition(phi)
+        assert np.array_equal(ps, _reference_projector(_Setting("superposition", phi)))
+        assert np.trace(ps).real == pytest.approx(eta, abs=1e-12)
+        w = np.linalg.eigvalsh(ps)
+        assert w.min() >= -1e-12 and w.max() == pytest.approx(eta, abs=1e-12)
+
+
+def test_bell_fringe_matches_setting_by_setting_construction():
+    rho = carve_bell_state(13.5, 0.3)
+    phis = np.linspace(0.0, 2.0 * np.pi, 13)
+    idler = _Setting("superposition", 0.0)
+    ref = _rates(rho, _reference_stack((_Setting("superposition", float(p)), idler)
+                                       for p in phis))
+    assert bell_fringe(rho, phis).tobytes() == ref.tobytes()
 
 
 def test_superposition_efficiency_matches_bessel_product():
@@ -112,7 +148,7 @@ def test_fit_visibility_sigma_is_finite_on_noiseless_fringe_at_zero_phase():
 def test_mle_gradient_matches_finite_differences():
     rho = carve_bell_state(13.5, 0.4)
     records = simulate_counts(rho, 1e4, accidental_fraction=1e-3)
-    args = (_projectors((r.setting_a, r.setting_b) for r in records),
+    args = (np.array([r.projector for r in records]),
             np.array([r.counts for r in records]),
             np.array([r.shots for r in records]),
             np.array([r.accidental for r in records]))
@@ -152,6 +188,7 @@ def test_simulate_counts_modes_and_accidentals():
     rho = carve_bell_state(np.inf)
     exact = simulate_counts(rho, 1e4, accidental_fraction=1e-3)
     assert all(r.accidental == pytest.approx(10.0) for r in exact)
+    assert np.array_equal([r.projector for r in exact], _canonical_projectors())
     a = simulate_counts(rho, 1e4, rng=np.random.default_rng(2))
     b = simulate_counts(rho, 1e4, rng=np.random.default_rng(2))
     assert [r.counts for r in a] == [r.counts for r in b]
