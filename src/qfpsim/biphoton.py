@@ -164,16 +164,25 @@ def retrieval_reference_offsets(num_pairs: int) -> np.ndarray:
     return np.arange(num_pairs) * np.pi / 4.0
 
 
-def _retrieval_cost(measurements, base: BiphotonState, pair_bins,
-                    signal_op: ModeOperator, idler_op: ModeOperator):
-    """Squared mismatch between predicted and measured normalized grids,
-    summed over the settings, as a function of the phases of pairs 1..P-1.
+# Largest real design matrix (rows x unknowns) the lifted seed of
+# ``retrieve_phases`` may build: 2**17 doubles, 1 MB, so that with the
+# solver's copy and workspace the seed adds a few MB at most.
+LIFTED_MAX_SIZE = 2 ** 17
+# Relative size below which a cell, an entry of X or an offset spread
+# tells the seed nothing it needs: what it leaves out moves the seed by
+# about this much, and the polish on the full cost removes that.
+_FLOOR = np.sqrt(np.finfo(float).eps)
 
-    Only the pair amplitudes change from one evaluation to the next, so
-    each setting's output S A I^T is the fixed background S A_rest I^T of
-    the amplitudes off the pairs plus P outer products of the pairs'
-    signal- and idler-operator columns.  Everything but the phases is
-    built here once.
+
+def _pair_model(measurements, base: BiphotonState, pair_bins,
+                signal_op: ModeOperator, idler_op: ModeOperator):
+    """The retrieval model, built once: each setting's output S A I^T is
+    the fixed background S A_rest I^T of the amplitudes off the pairs plus
+    P outer products of the pairs' signal- and idler-operator columns.
+
+    Returns (signal_cols, idler_rows, background, offsets, targets): the
+    n_s x P and P x n_i pair columns, the background grid, the K x P known
+    offsets and the K measured grids normalized to unit sum.
     """
     _check_windows(base, signal_op, idler_op)
     rows = [base.signal_lattice.index_of(bs) for bs, _ in pair_bins]
@@ -195,11 +204,20 @@ def _retrieval_cost(measurements, base: BiphotonState, pair_bins,
         grid = np.asarray(grid, dtype=float)
         if grid.shape != background.shape:
             raise InvalidArgumentError("measured grids must match the two windows")
+        total = grid.sum()
+        if not (np.isfinite(total) and total > 0):
+            raise RetrievalFailureError(
+                f"measured grid must be finite with a positive sum, got sum {total}")
         offsets.append(known)
-        targets.append(grid / grid.sum())
+        targets.append(grid / total)
     if not targets:
         raise InvalidArgumentError("at least one measured grid required")
-    offsets, targets = np.array(offsets), np.array(targets)
+    return signal_cols, idler_rows, background, np.array(offsets), np.array(targets)
+
+
+def _model_cost(signal_cols, idler_rows, background, offsets, targets):
+    """Squared mismatch between predicted and measured normalized grids,
+    summed over the settings, as a function of the phases of pairs 1..P-1."""
 
     def cost(phis):
         phases = np.concatenate(([0.0], phis)) + offsets
@@ -212,38 +230,134 @@ def _retrieval_cost(measurements, base: BiphotonState, pair_bins,
     return cost
 
 
+def _retrieval_cost(measurements, base: BiphotonState, pair_bins,
+                    signal_op: ModeOperator, idler_op: ModeOperator):
+    """The cost of :func:`_model_cost` on the model of :func:`_pair_model`."""
+    return _model_cost(*_pair_model(measurements, base, pair_bins, signal_op, idler_op))
+
+
+def _phase_tree(signal_cols, idler_rows, offsets):
+    """Order in which to read the pair phases off the lifted X = z z^H.
+
+    An entry X_pq is reached when the pairs' columns overlap by more than
+    _FLOOR of their norms, and determined when, besides, the known offset
+    differences o_p - o_q of two settings differ by other than a multiple
+    of pi (the mixing kernel is real up to bin-local phases, so each
+    setting fixes one real combination of the entry).  Returns the
+    reached entries (p < q) and the (p, q) edges of the spanning tree from
+    pair 0 that maximizes its weakest edge (overlap times the offsets'
+    spread), or raises RetrievalFailureError when the determined entries
+    leave some pair unconnected to pair 0.
+    """
+    amp_s, amp_i = np.abs(signal_cols), np.abs(idler_rows)
+    overlap = (amp_s.T @ amp_s) * (amp_i @ amp_i.T)
+    norms = np.sqrt(np.diag(overlap))
+    overlap /= np.maximum(np.outer(norms, norms), np.finfo(float).tiny)
+    diff = offsets[:, :, None] - offsets[:, None, :]
+    spread = np.abs(np.sin(diff - diff[0])).max(axis=0)
+    weight = np.where((overlap > _FLOOR) & (spread > _FLOOR), overlap * spread, 0.0)
+
+    num = len(weight)
+    done = np.zeros(num, dtype=bool)
+    done[0] = True
+    best, via, edges = weight[0].copy(), np.zeros(num, dtype=int), []
+    for _ in range(num - 1):
+        open_best = np.where(done, 0.0, best)
+        q = int(np.argmax(open_best))
+        if open_best[q] <= 0.0:
+            raise RetrievalFailureError(
+                f"pairs {sorted(np.flatnonzero(~done).tolist())} are not tied to pair 0 "
+                "by any entry the settings determine")
+        edges.append((int(via[q]), q))
+        done[q] = True
+        better = weight[q] > best
+        best[better], via[better] = weight[q][better], q
+    return np.argwhere(np.triu(overlap > _FLOOR, 1)), edges
+
+
+def _lifted_seed(signal_cols, idler_rows, offsets, targets, entries, edges):
+    """Pair phases from one linear least-squares solve for X = z z^H.
+
+    Each normalized grid cell is linear in X: s_k t_k = sum_p |a_p|^2 |b_p|^2
+    + sum_{p<q} 2 Re(e^{i(o_kp - o_kq)} X_pq a_p conj(a_q) b_p conj(b_q)),
+    with the diagonal of X fixed to 1 and one unknown scale s_k per grid.
+    The system holds only the reached ``entries`` and the cells whose
+    diagonal term, which bounds the cell by Cauchy-Schwarz, is above
+    _FLOOR of its largest value, so its size does not grow with the
+    window.  Phases are read along ``edges`` from pair 0, since
+    arg X_pq = phi_p - phi_q.  Returns None when the design would exceed
+    LIFTED_MAX_SIZE doubles.
+    """
+    diagonal = np.abs(signal_cols) ** 2 @ np.abs(idler_rows) ** 2
+    rows, cols = np.nonzero(diagonal >= _FLOOR * diagonal.max())
+    num_grids, num_entries = len(targets), len(entries)
+    if num_grids * len(rows) * (2 * num_entries + num_grids) > LIFTED_MAX_SIZE:
+        return None
+
+    p, q = entries.T
+    a, b = signal_cols[rows], idler_rows[:, cols].T
+    kernel = 2.0 * a[:, p] * a[:, q].conj() * b[:, p] * b[:, q].conj()
+    design = np.zeros((num_grids, len(rows), 2 * num_entries + num_grids))
+    for k, phase in enumerate(np.exp(1j * (offsets[:, p] - offsets[:, q]))):
+        coef = phase * kernel
+        design[k, :, :num_entries] = coef.real
+        design[k, :, num_entries:2 * num_entries] = -coef.imag
+        design[k, :, 2 * num_entries + k] = -targets[k][rows, cols]
+    del kernel, coef  # freed before the solver copies the design
+    rhs = -np.tile(diagonal[rows, cols], num_grids)
+    x = np.linalg.lstsq(design.reshape(-1, design.shape[2]), rhs, rcond=None)[0]
+
+    lifted = np.zeros((signal_cols.shape[1],) * 2, dtype=complex)
+    lifted[p, q] = x[:num_entries] + 1j * x[num_entries:2 * num_entries]
+    lifted[q, p] = lifted[p, q].conj()
+    phases = np.zeros(len(lifted))
+    for src, dst in edges:
+        phases[dst] = phases[src] - np.angle(lifted[src, dst])
+    return phases[1:]
+
+
 def retrieve_phases(measurements, base: BiphotonState, pair_bins,
                     signal_op: ModeOperator, idler_op: ModeOperator,
-                    restarts: int = 8, seed: int = 7,
                     tol: float = 1e-4) -> np.ndarray:
     """Spectral phases on the comb pairs from post-mixing intensity grids.
 
     ``measurements`` is a list of (known_offset_phases, grid) pairs, each
     grid recorded with the known phases added on the pairs.  The first
-    pair's phase is the gauge reference (fixed at 0); the rest are fit by
-    minimizing the squared mismatch between predicted and measured
-    normalized grids with Nelder-Mead over random restarts.  Raises
-    RetrievalFailureError when no restart reaches ``tol`` (or the best
-    cost is not finite), and InvalidArgumentError when two pairs share
-    both bins or the operator windows do not match ``base``.
+    pair's phase is the gauge reference (fixed at 0).
 
-    A single grid pins the phases only up to joint conjugation (the
-    mixing kernel is real up to bin-local phases), so the conjugate set
-    fits equally well; a second grid with a non-symmetric known offset
-    pattern removes the ambiguity.
+    Each normalized grid cell is linear in the lifted X = z z^H of the
+    pair phasors z_p = e^{i phi_p} (PhaseLift: Candes, Strohmer and
+    Voroninski, CPAM 66, 1241, 2013), so one least-squares solve gives X
+    and the phases are read off its determined entries along a spanning
+    tree from pair 0 (angular synchronisation: Singer, ACHA 30, 20, 2011).
+    The lifted seed models the pairs only; amplitudes of ``base`` off the
+    pairs enter the cost but not the seed.  One Nelder-Mead run on the
+    squared mismatch between predicted and measured normalized grids then
+    polishes whichever of the seed and the zero vector costs less.  Above
+    LIFTED_MAX_SIZE the seed is skipped and the zero vector is polished.
+
+    A single grid fixes each X_pq only up to its conjugate (the mixing
+    kernel is real up to bin-local phases), so X_pq is determined only
+    where a second setting's known offset difference o_p - o_q is not that
+    of the first plus a multiple of pi.  Raises RetrievalFailureError when
+    those entries leave a pair unconnected to pair 0 (a single grid
+    always does), when a grid is not finite or sums to zero, or when the
+    polished cost exceeds ``tol`` (or is not finite); raises
+    InvalidArgumentError when two pairs share both bins or the operator
+    windows do not match ``base``.
     """
     pair_bins = list(pair_bins)
-    n = len(pair_bins) - 1
-    cost = _retrieval_cost(measurements, base, pair_bins, signal_op, idler_op)
-    rng = np.random.default_rng(seed)
-    best = None
-    for k in range(restarts):
-        x0 = np.zeros(n) if k == 0 else rng.uniform(-np.pi, np.pi, n)
-        res = minimize(cost, x0, method="Nelder-Mead",
-                       options={"xatol": 1e-8, "fatol": 1e-14, "maxiter": 4000})
-        if best is None or res.fun < best.fun:
-            best = res
+    model = _pair_model(measurements, base, pair_bins, signal_op, idler_op)
+    signal_cols, idler_rows, _, offsets, targets = model
+    cost = _model_cost(*model)
+    entries, edges = _phase_tree(signal_cols, idler_rows, offsets)
+    x0 = np.zeros(len(pair_bins) - 1)
+    seed = _lifted_seed(signal_cols, idler_rows, offsets, targets, entries, edges)
+    if seed is not None and cost(seed) < cost(x0):
+        x0 = seed
+    best = minimize(cost, x0, method="Nelder-Mead",
+                    options={"xatol": 1e-8, "fatol": 1e-14, "maxiter": 4000})
     if not best.fun <= tol:
         raise RetrievalFailureError(
-            f"best residual {best.fun:.3g} exceeds tolerance {tol:.3g}")
+            f"residual {best.fun:.3g} exceeds tolerance {tol:.3g}")
     return np.concatenate(([0.0], np.mod(best.x + np.pi, 2 * np.pi) - np.pi))

@@ -22,7 +22,7 @@ class ReconstructionFailureError(RuntimeError):
 
 
 class RetrievalFailureError(RuntimeError):
-    """Phase retrieval failed to converge from every starting point."""
+    """Phase retrieval found no phases that fit the measured grids."""
 
 
 class UndefinedFidelityError(ArithmeticError):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfpsim import defaults
+from qfpsim import biphoton, defaults
 from qfpsim.biphoton import (
     BiphotonState,
     _retrieval_cost,
@@ -127,7 +127,10 @@ def test_jsi_normalizations_and_fidelity():
         jsi_fidelity(g, np.zeros_like(g))
 
 
-def test_single_grid_retrieval_recovers_up_to_conjugation():
+def test_single_grid_retrieval_is_refused():
+    # one grid fixes each X_pq only up to its own conjugation; fed one grid,
+    # the former Nelder-Mead fit returned phases 0.4-2.3 rad off (up to
+    # joint conjugation) with the cost below tol on 3 of 6 draws over +-pi
     env = _envelope()
     sig, idl = walk_operators(defaults.WALK_DEPTH, LAT)
     base = comb_state(LAT, LAT, PAIRS, weights=env)
@@ -135,10 +138,16 @@ def test_single_grid_retrieval_recovers_up_to_conjugation():
     grid = jsi(apply_joint(
         comb_state(LAT, LAT, PAIRS, weights=env, phases=planted), sig, idl),
         "integral")
-    rec = retrieve_phases([(np.zeros(len(PAIRS)), grid)], base, PAIRS, sig, idl)
-    err_direct = np.abs(rec - planted).max()
-    err_conj = np.abs(rec + planted).max()
-    assert min(err_direct, err_conj) < 1e-3
+    with pytest.raises(RetrievalFailureError, match="not tied to pair 0"):
+        retrieve_phases([(np.zeros(len(PAIRS)), grid)], base, PAIRS, sig, idl)
+
+
+def _two_grids(planted, env, sig, idl):
+    measurements = []
+    for offsets in (np.zeros(len(PAIRS)), retrieval_reference_offsets(len(PAIRS))):
+        state = comb_state(LAT, LAT, PAIRS, weights=env, phases=planted + offsets)
+        measurements.append((offsets, jsi(apply_joint(state, sig, idl), "integral")))
+    return measurements
 
 
 def test_two_setting_retrieval_is_unambiguous():
@@ -146,30 +155,60 @@ def test_two_setting_retrieval_is_unambiguous():
     sig, idl = walk_operators(defaults.WALK_DEPTH, LAT)
     base = comb_state(LAT, LAT, PAIRS, weights=env)
     planted = np.array([0.0, 0.1, -0.1, 0.1, -0.1, 0.1])
-    ref = retrieval_reference_offsets(len(PAIRS))
-    measurements = []
-    for offsets in (np.zeros(len(PAIRS)), ref):
-        st = comb_state(LAT, LAT, PAIRS, weights=env, phases=planted + offsets)
-        measurements.append((offsets, jsi(apply_joint(st, sig, idl),
-                                          "integral")))
-    rec = retrieve_phases(measurements, base, PAIRS, sig, idl)
+    rec = retrieve_phases(_two_grids(planted, env, sig, idl), base, PAIRS, sig, idl)
     assert np.abs(rec - planted).max() < 1e-3
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.floats(-np.pi, np.pi), min_size=len(PAIRS) - 1,
+                max_size=len(PAIRS) - 1))
+def test_two_grid_retrieval_recovers_any_phases(angles):
+    env = _envelope()
+    sig, idl = walk_operators(defaults.WALK_DEPTH, LAT)
+    base = comb_state(LAT, LAT, PAIRS, weights=env)
+    planted = np.concatenate(([0.0], angles))
+    rec = retrieve_phases(_two_grids(planted, env, sig, idl), base, PAIRS, sig, idl)
+    assert np.abs(np.angle(np.exp(1j * (rec - planted)))).max() < 1e-6
+
+
+def test_retrieval_above_the_size_cap_polishes_the_zero_start(monkeypatch):
+    env = _envelope()
+    sig, idl = walk_operators(defaults.WALK_DEPTH, LAT)
+    base = comb_state(LAT, LAT, PAIRS, weights=env)
+    planted = np.array([0.0, 0.1, -0.1, 0.05, -0.05, 0.1])
+    starts = []
+    real_minimize = biphoton.minimize
+
+    def recording(fun, x0, **kwargs):
+        starts.append(np.array(x0))
+        return real_minimize(fun, x0, **kwargs)
+
+    monkeypatch.setattr(biphoton, "minimize", recording)
+    monkeypatch.setattr(biphoton, "LIFTED_MAX_SIZE", 1)
+    rec = retrieve_phases(_two_grids(planted, env, sig, idl), base, PAIRS, sig, idl)
+    assert len(starts) == 1 and not starts[0].any()
+    assert np.abs(rec - planted).max() < 1e-6
 
 
 def test_retrieval_failure_on_inconsistent_data():
     env = _envelope()
     sig, idl = walk_operators(defaults.WALK_DEPTH, LAT)
     base = comb_state(LAT, LAT, PAIRS, weights=env)
+    zeros, ref = np.zeros(len(PAIRS)), retrieval_reference_offsets(len(PAIRS))
     bogus = np.ones((LAT.size, LAT.size))
-    with pytest.raises(RetrievalFailureError):
-        retrieve_phases([(np.zeros(len(PAIRS)), bogus)], base, PAIRS, sig, idl,
-                        restarts=1)
+    with pytest.raises(RetrievalFailureError, match="exceeds tolerance"):
+        retrieve_phases([(zeros, bogus), (ref, bogus)], base, PAIRS, sig, idl)
     with pytest.raises(InvalidArgumentError):
         retrieve_phases([(np.zeros(2), bogus)], base, PAIRS, sig, idl)
-    # a NaN cost compares false with the tolerance: it must still fail
-    with pytest.raises(RetrievalFailureError):
-        retrieve_phases([(np.zeros(len(PAIRS)), np.full_like(bogus, np.nan))],
-                        base, PAIRS, sig, idl, restarts=1)
+    # a pair without amplitude in the base has no phase to retrieve
+    hole = comb_state(LAT, LAT, PAIRS, weights=np.where(np.arange(len(PAIRS)) == 2, 0.0, env))
+    with pytest.raises(RetrievalFailureError, match=r"pairs \[2\] are not tied"):
+        retrieve_phases(_two_grids(zeros, env, sig, idl), hole, PAIRS, sig, idl)
+    # non-finite and zero-sum grids fail before any solve
+    for value in (np.nan, np.inf, 0.0):
+        with pytest.raises(RetrievalFailureError, match="positive sum"):
+            retrieve_phases([(zeros, bogus), (ref, np.full_like(bogus, value))],
+                            base, PAIRS, sig, idl)
 
 
 @settings(max_examples=40, deadline=None)

@@ -105,6 +105,17 @@ def test_qwalk_command(tmp_path):
         assert (out / name).exists()
 
 
+def test_qwalk_recovers_phases_far_from_zero(tmp_path):
+    # a draw on which none of eight Nelder-Mead restarts found the minimum
+    planted = [0.0, -1.872969, 2.415567, 1.129788, 2.194315, 0.907519]
+    cfg = _write_cfg(tmp_path, {"planted_phases": planted})
+    out = tmp_path / "out"
+    assert _run("qwalk", cfg, out) == 0
+    summary = json.loads((out / "qwalk_summary.json").read_text())
+    err = np.angle(np.exp(1j * (np.array(summary["recovered_phases"]) - planted)))
+    assert np.abs(err).max() < 1e-6
+
+
 def test_tomography_expected_value(tmp_path):
     cfg = _write_cfg(tmp_path, {})
     out = tmp_path / "out"
