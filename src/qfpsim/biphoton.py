@@ -230,12 +230,6 @@ def _model_cost(signal_cols, idler_rows, background, offsets, targets):
     return cost
 
 
-def _retrieval_cost(measurements, base: BiphotonState, pair_bins,
-                    signal_op: ModeOperator, idler_op: ModeOperator):
-    """The cost of :func:`_model_cost` on the model of :func:`_pair_model`."""
-    return _model_cost(*_pair_model(measurements, base, pair_bins, signal_op, idler_op))
-
-
 def _phase_tree(signal_cols, idler_rows, offsets):
     """Order in which to read the pair phases off the lifted X = z z^H.
 
@@ -343,10 +337,12 @@ def retrieve_phases(measurements, base: BiphotonState, pair_bins,
     those entries leave a pair unconnected to pair 0 (a single grid
     always does), when a grid is not finite or sums to zero, or when the
     polished cost exceeds ``tol`` (or is not finite); raises
-    InvalidArgumentError when two pairs share both bins or the operator
-    windows do not match ``base``.
+    InvalidArgumentError when there are fewer than two pairs, when two
+    pairs share both bins or when the operator windows do not match ``base``.
     """
     pair_bins = list(pair_bins)
+    if len(pair_bins) < 2:
+        raise InvalidArgumentError("phase retrieval needs at least two pairs")
     model = _pair_model(measurements, base, pair_bins, signal_op, idler_op)
     signal_cols, idler_rows, _, offsets, targets = model
     cost = _model_cost(*model)

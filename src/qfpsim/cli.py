@@ -19,9 +19,7 @@ from .biphoton import (apply_joint, comb_envelope, comb_state, diagonal_weight, 
                        jsi_fidelity, retrieval_reference_offsets, retrieve_phases,
                        walk_operators, ws_idler_phases)
 from .calib import DitherConfig, align_scan, fit_phase_curve, simulate_phase_sweep
-from .errors import (DegenerateScanError, FitFailureError, InvalidArgumentError,
-                     NonFiniteResultError, OutOfRangeError, ReconstructionFailureError,
-                     RetrievalFailureError, UndefinedFidelityError)
+from .errors import InvalidArgumentError, NonFiniteResultError, PhysicsError
 from .eom import BESSEL_MAX_ARGUMENT
 from .lattice import SPEED_OF_LIGHT, make_lattice
 from .qfp import (beamsplitter_config, beamsplitter_spectra, compose_qfp, fidelity,
@@ -32,9 +30,7 @@ from .rings import WsUnitConfig, make_ring, ws_unit
 from .tomo import (bell_fringe, carve_bell_state, fit_visibility,
                    mle_reconstruct, purity, simulate_counts, state_fidelity)
 
-PHYSICS_ERRORS = (OutOfRangeError, FitFailureError, DegenerateScanError,
-                  ReconstructionFailureError, RetrievalFailureError, UndefinedFidelityError,
-                  NonFiniteResultError, np.linalg.LinAlgError)
+PHYSICS_ERRORS = (PhysicsError, np.linalg.LinAlgError)
 
 
 class ConfigError(Exception):

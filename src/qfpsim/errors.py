@@ -1,33 +1,38 @@
 """Exception types shared across the simulator."""
 
 
+class PhysicsError(Exception):
+    """Base of the failures of the physics itself (the CLI's exit 3), as
+    opposed to a bad argument or config."""
+
+
 class InvalidArgumentError(ValueError):
     """An argument violates a documented precondition."""
 
 
-class OutOfRangeError(ValueError):
+class OutOfRangeError(ValueError, PhysicsError):
     """A requested operating point is outside the achievable interval."""
 
 
-class FitFailureError(RuntimeError):
+class FitFailureError(RuntimeError, PhysicsError):
     """A least-squares fit did not converge; message carries diagnostics."""
 
 
-class DegenerateScanError(RuntimeError):
+class DegenerateScanError(RuntimeError, PhysicsError):
     """An alignment scan produced no usable signal (e.g. zero dither)."""
 
 
-class ReconstructionFailureError(RuntimeError):
+class ReconstructionFailureError(RuntimeError, PhysicsError):
     """Scattering-matrix reconstruction found inconsistent spectra."""
 
 
-class RetrievalFailureError(RuntimeError):
+class RetrievalFailureError(RuntimeError, PhysicsError):
     """Phase retrieval found no phases that fit the measured grids."""
 
 
-class UndefinedFidelityError(ArithmeticError):
+class UndefinedFidelityError(ArithmeticError, PhysicsError):
     """Fidelity is undefined because the success probability is zero."""
 
 
-class NonFiniteResultError(ArithmeticError):
+class NonFiniteResultError(ArithmeticError, PhysicsError):
     """A result is NaN or infinite and cannot be written as strict JSON."""

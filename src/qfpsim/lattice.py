@@ -54,8 +54,4 @@ class FrequencyLattice:
 
 def make_lattice(center_frequency: float, spacing: float, half_width: int) -> FrequencyLattice:
     """Lattice with window [-half_width, +half_width] and bin 0 at the center frequency."""
-    if spacing <= 0:
-        raise InvalidArgumentError("spacing must be positive")
-    if half_width < 1:
-        raise InvalidArgumentError("half_width must be at least 1")
     return FrequencyLattice(center_frequency, spacing, -int(half_width), int(half_width))

@@ -27,7 +27,6 @@ from .rings import ws_operator
 
 # relative phases of the four superposition probes: cos from 0 / pi, sin from pi/2 / 3pi/2
 QUADRATURE_GAMMAS = (0.0, np.pi, np.pi / 2.0, 3.0 * np.pi / 2.0)
-_PROBE_KEYS = ("bin0", "bin1") + tuple(f"gamma:{g:.17g}" for g in QUADRATURE_GAMMAS)
 # the paper's 99.9 % gate fidelity: alpha_for_theta clamps a theta beyond the
 # depth's reach to alpha = pi only while the clamped gate keeps it
 MIN_GATE_FIDELITY = 0.999
@@ -221,19 +220,25 @@ def synthesize_gate(theta: float, lam: float, mu: float, delta: float,
 
 def simulate_output_spectrum(config: ProcessorConfig, input_amplitudes: dict) -> np.ndarray:
     """Per-bin output powers |M a|^2 for a normalized {bin: amplitude} input."""
-    return _output_powers(compose_qfp(config), input_amplitudes)
-
-
-def _output_powers(op: ModeOperator, input_amplitudes: dict) -> np.ndarray:
-    """|M a|^2 of a composed processor for one probe (see simulate_output_spectrum)."""
-    lat = op.lattice
+    lat = config.lattice
     a = np.zeros(lat.size, dtype=complex)
     for b, amp in input_amplitudes.items():
         a[lat.index_of(b)] = amp
     norm = np.sum(np.abs(a) ** 2)
     if not np.isclose(norm, 1.0, atol=1e-9):
         raise InvalidArgumentError("input amplitudes must be normalized")
-    return np.abs(op.entries @ a) ** 2
+    return np.abs(compose_qfp(config).entries @ a) ** 2
+
+
+def _probe_table(gammas=QUADRATURE_GAMMAS) -> tuple:
+    """The probe inputs on the computational pair (b0, b1): their keys
+    'bin0', 'bin1' and 'gamma:<value>', and a K x 2 table whose rows are
+    the single-bin inputs and then the equal superpositions with relative
+    phase gamma."""
+    keys = ("bin0", "bin1") + tuple(f"gamma:{g:.17g}" for g in gammas)
+    s = 1.0 / np.sqrt(2.0)
+    table = np.array([[1.0, 0.0], [0.0, 1.0]] + [[s, s * np.exp(1j * g)] for g in gammas])
+    return keys, table
 
 
 def beamsplitter_spectra(config: ProcessorConfig, gammas=QUADRATURE_GAMMAS) -> dict:
@@ -242,16 +247,12 @@ def beamsplitter_spectra(config: ProcessorConfig, gammas=QUADRATURE_GAMMAS) -> d
     Keys: 'bin0', 'bin1' (single-bin inputs) and 'gamma:<value>' for
     equal superpositions with relative phase gamma.
     """
-    b0, b1 = config.computational_bins
-    op = compose_qfp(config)
-    spectra = {
-        "bin0": _output_powers(op, {b0: 1.0}),
-        "bin1": _output_powers(op, {b1: 1.0}),
-    }
-    for g in gammas:
-        amp = {b0: 1.0 / np.sqrt(2.0), b1: np.exp(1j * g) / np.sqrt(2.0)}
-        spectra[f"gamma:{g:.17g}"] = _output_powers(op, amp)
-    return spectra
+    lat = config.lattice
+    idx = [lat.index_of(b) for b in config.computational_bins]
+    keys, table = _probe_table(gammas)
+    # a probe excites only the pair, so only the pair's columns enter
+    powers = np.abs(table @ compose_qfp(config).entries[:, idx].T) ** 2
+    return dict(zip(keys, powers))
 
 
 def _gauge_fix_rows(v: np.ndarray) -> np.ndarray:
@@ -277,11 +278,12 @@ def _probe_rows(spectra: dict, lattice: FrequencyLattice,
 
     Raises ReconstructionFailureError naming any missing probe spectrum.
     """
-    missing = [k for k in _PROBE_KEYS if k not in spectra]
+    keys = _probe_table()[0]
+    missing = [k for k in keys if k not in spectra]
     if missing:
         raise ReconstructionFailureError(f"missing probe spectra: {', '.join(missing)}")
     idx = [lattice.index_of(b) for b in computational_bins]
-    return np.array([np.asarray(spectra[k])[idx] for k in _PROBE_KEYS])
+    return np.array([np.asarray(spectra[k])[idx] for k in keys])
 
 
 def reconstruct_submatrix(spectra: dict, lattice: FrequencyLattice,
@@ -320,9 +322,8 @@ def reconstruction_residual(v: np.ndarray, spectra: dict, lattice: FrequencyLatt
                             computational_bins: tuple) -> float:
     """RMS mismatch between the computational-bin rows of the six probe
     spectra and those regenerated from the reconstructed matrix."""
-    pred = [np.abs(v[:, 0]) ** 2, np.abs(v[:, 1]) ** 2]
-    pred += [0.5 * np.abs(v[:, 0] + np.exp(1j * g) * v[:, 1]) ** 2 for g in QUADRATURE_GAMMAS]
-    err = np.array(pred) - _probe_rows(spectra, lattice, computational_bins)
+    pred = np.abs(_probe_table()[1] @ v.T) ** 2
+    err = pred - _probe_rows(spectra, lattice, computational_bins)
     return float(np.sqrt(np.mean(np.square(err))))
 
 

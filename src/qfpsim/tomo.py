@@ -18,6 +18,9 @@ from .errors import FitFailureError, InvalidArgumentError
 from .eom import bessel_row
 
 DEFAULT_MEASUREMENT_DEPTH = 0.8169
+# random starts of the MLE after the linear-inversion seed, and their seed
+MLE_RESTARTS = 3
+MLE_SEED = 11
 
 
 @functools.cache
@@ -45,7 +48,7 @@ def _canonical_projectors() -> np.ndarray:
 
 def _rates(rho: np.ndarray, pis: np.ndarray) -> np.ndarray:
     """Tr(rho Pi_k), the fractional coincidence rate, for each projector of the stack."""
-    return np.real(np.trace(rho @ pis, axis1=1, axis2=2))
+    return np.real(np.einsum("kij,ji->k", pis, rho))
 
 
 def _check_density(rho: np.ndarray, tol: float = 1e-8) -> np.ndarray:
@@ -214,9 +217,7 @@ def _negloglike_and_grad(params, pis, counts, shots, accidentals):
     if trg <= 0:
         return 1e18, np.zeros(16)
     rho = g / trg
-    # the rates of _rates, in the order of summation this fit has always
-    # used: the two orders differ in the last bit, and the fitted rho with them
-    mu = np.maximum(shots * np.real(np.einsum("kij,ji->k", pis, rho)) + accidentals, 1e-12)
+    mu = np.maximum(shots * _rates(rho, pis) + accidentals, 1e-12)
     nll = float(np.sum(mu - counts * np.log(mu)))
     # d nll / d rho = sum_k (1 - counts/mu) * shots * Pi_k
     drho = np.einsum("k,kij->ij", (1.0 - counts / mu) * shots, pis)
@@ -225,7 +226,7 @@ def _negloglike_and_grad(params, pis, counts, shots, accidentals):
     return nll, _params_from_t(2.0 * (t @ drho - inner * t) / trg)
 
 
-def mle_reconstruct(records: list, restarts: int = 3, seed: int = 11) -> np.ndarray:
+def mle_reconstruct(records: list) -> np.ndarray:
     """Maximum-likelihood density matrix from coincidence records.
 
     rho = T^dag T / Tr(T^dag T) with T lower triangular (16 real
@@ -238,10 +239,10 @@ def mle_reconstruct(records: list, restarts: int = 3, seed: int = 11) -> np.ndar
     pis = np.array([r.projector for r in records])
     data = np.array([(r.counts, r.shots, r.accidental) for r in records]).T
     counts, shots, accidentals = data
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(MLE_SEED)
     starts = [_params_from_rho(_linear_inversion(
         pis, np.maximum(counts - accidentals, 0.0) / shots))]
-    starts += [rng.normal(scale=0.5, size=16) for _ in range(restarts)]
+    starts += [rng.normal(scale=0.5, size=16) for _ in range(MLE_RESTARTS)]
     best = min((minimize(_negloglike_and_grad, x0, args=(pis, *data), jac=True,
                          method="L-BFGS-B",
                          options={"maxiter": 2000, "ftol": 1e-14, "gtol": 1e-10})

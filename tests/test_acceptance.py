@@ -213,7 +213,7 @@ def test_mle_exact_on_expected_counts():
         psi /= np.linalg.norm(psi)
         rho = np.outer(psi, psi.conj())
         records = simulate_counts(rho, 1e5)
-        est = mle_reconstruct(records, restarts=0)
+        est = mle_reconstruct(records)
         assert state_fidelity(est, rho) == pytest.approx(1.0, abs=1e-6)
 
 
@@ -225,7 +225,7 @@ def test_mle_monte_carlo_median_fidelity():
         psi /= np.linalg.norm(psi)
         rho = np.outer(psi, psi.conj())
         records = simulate_counts(rho, 1e4, rng=rng)
-        est = mle_reconstruct(records, restarts=0)
+        est = mle_reconstruct(records)
         fids.append(state_fidelity(est, rho))
     assert float(np.median(fids)) >= 0.98
 

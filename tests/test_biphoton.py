@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from qfpsim import biphoton, defaults
 from qfpsim.biphoton import (
     BiphotonState,
-    _retrieval_cost,
+    _model_cost,
+    _pair_model,
     apply_joint,
     comb_envelope,
     comb_state,
@@ -200,6 +201,10 @@ def test_retrieval_failure_on_inconsistent_data():
         retrieve_phases([(zeros, bogus), (ref, bogus)], base, PAIRS, sig, idl)
     with pytest.raises(InvalidArgumentError):
         retrieve_phases([(np.zeros(2), bogus)], base, PAIRS, sig, idl)
+    # a single pair has no relative phase to retrieve
+    with pytest.raises(InvalidArgumentError, match="at least two pairs"):
+        retrieve_phases([(zeros[:1], bogus), (ref[:1], bogus)],
+                        comb_state(LAT, LAT, PAIRS[:1]), PAIRS[:1], sig, idl)
     # a pair without amplitude in the base has no phase to retrieve
     hole = comb_state(LAT, LAT, PAIRS, weights=np.where(np.arange(len(PAIRS)) == 2, 0.0, env))
     with pytest.raises(RetrievalFailureError, match=r"pairs \[2\] are not tied"):
@@ -235,7 +240,7 @@ def test_retrieval_cost_matches_joint_evolution(angles, stray, stray_phase):
             trial[LAT.index_of(bs), LAT.index_of(bi)] *= np.exp(1j * ph)
         pred = jsi(apply_joint(BiphotonState(LAT, LAT, trial), sig, idl), "integral")
         expected += np.sum((pred - grid / grid.sum()) ** 2)
-    cost = _retrieval_cost(measurements, base, PAIRS, sig, idl)
+    cost = _model_cost(*_pair_model(measurements, base, PAIRS, sig, idl))
     assert cost(phis) == pytest.approx(expected, abs=1e-12)
 
 

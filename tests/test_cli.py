@@ -14,7 +14,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import qfpsim
-from qfpsim import cli
+from qfpsim import cli, errors
 from qfpsim.cli import main
 from qfpsim.qfp import rt_closed_form
 
@@ -160,6 +160,19 @@ def test_non_finite_summary_is_physics_error(tmp_path, monkeypatch):
     out = tmp_path / "out"
     assert _run("tomography", cfg, out, "--expected-value") == 3
     assert not (out / "tomography_summary.json").exists()
+
+
+@pytest.mark.parametrize("error", [e for e in vars(errors).values()
+                                   if isinstance(e, type) and issubclass(e, Exception)],
+                         ids=lambda e: e.__name__)
+def test_every_error_type_exits_2_or_3(tmp_path, monkeypatch, error):
+    # a bad argument is a config error, and every other error type is physics
+    def fail(*args):
+        raise error("planted")
+
+    monkeypatch.setattr(cli, "load_config", fail)
+    code = 2 if issubclass(error, errors.InvalidArgumentError) else 3
+    assert _run("gate", "unused.json", tmp_path / "out") == code
 
 
 def test_unknown_field_rejected(tmp_path):

@@ -194,14 +194,19 @@ def test_simulate_output_spectrum_conserves_power():
         simulate_output_spectrum(cfg, {0: 2.0})
 
 
-def test_beamsplitter_spectra_match_single_probe_spectra():
-    cfg = synthesize_gate(0.9, 0.4, -1.1, DELTA, LAT, BINS)
-    spectra = beamsplitter_spectra(cfg, gammas=(0.0, np.pi, np.pi / 2))
+@settings(max_examples=60, deadline=None)
+@given(st.floats(0.0, 1.0), st.floats(-np.pi, np.pi), st.floats(-np.pi, np.pi),
+       st.floats(0.2, 3.0), st.lists(st.floats(0.0, 2 * np.pi), max_size=5, unique=True))
+def test_beamsplitter_spectra_match_single_probe_spectra(fraction, lam, mu, delta, gammas):
+    # any reachable gate: theta up to the largest splitting at this depth, and pi/2
+    theta = fraction * min(2.0 * np.arcsin(np.sqrt(splitting_at_pi(delta))), np.pi / 2.0)
+    cfg = synthesize_gate(theta, lam, mu, delta, LAT, BINS)
+    spectra = beamsplitter_spectra(cfg, gammas=tuple(gammas))
     s = 1.0 / np.sqrt(2.0)
     probes = {"bin0": {0: 1.0}, "bin1": {1: 1.0}}
-    for g in (0.0, np.pi, np.pi / 2):
+    for g in gammas:
         probes[f"gamma:{g:.17g}"] = {0: s, 1: np.exp(1j * g) * s}
-    assert spectra.keys() == probes.keys()
+    assert list(spectra) == list(probes)
     for key, amp in probes.items():
         single = simulate_output_spectrum(cfg, amp)
         assert np.abs(spectra[key] - single).max() <= 1e-15

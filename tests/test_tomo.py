@@ -173,14 +173,14 @@ def test_t_parameters_round_trip():
 def test_mle_exact_on_expected_counts():
     rho = carve_bell_state(13.5, bell_phase=0.25)
     records = simulate_counts(rho, 1e5)
-    est = mle_reconstruct(records, restarts=0)
+    est = mle_reconstruct(records)
     assert state_fidelity(est, rho) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_mle_monte_carlo_is_close():
     rho = carve_bell_state(13.5)
     records = simulate_counts(rho, 1e4, rng=np.random.default_rng(21))
-    est = mle_reconstruct(records, restarts=0)
+    est = mle_reconstruct(records)
     assert state_fidelity(est, rho) > 0.97
 
 

@@ -1,0 +1,152 @@
+#!/usr/bin/env python3
+"""Compare the qfpsim outputs of two source trees, case by case.
+
+Usage: python3 tools/compare_outputs.py PARENT_SRC CHANGE_SRC
+
+Each SRC is a directory that holds the ``qfpsim`` package, such as the
+``src`` of a checkout.  Every case runs once on each tree, in a fresh
+interpreter whose PYTHONPATH starts with that tree: the six commands on
+the config ``{}`` at ``--seed 0`` and at ``--seed 3``, and
+``tomography --expected-value``.  For each output file the report says
+"identical", or gives the largest absolute and relative difference of the
+numbers in it (CSV cells and JSON values).
+
+Exits 1 when, for some case, the exit codes, the stdout or stderr text,
+the set of output files, or anything in a file other than its numbers
+(CSV shape and text cells, JSON keys and strings) differ; else 0.
+Standard library only.
+"""
+
+import argparse
+import csv
+import io
+import json
+import math
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+COMMANDS = ("beamsplitter", "gate", "spectrum", "qwalk", "tomography", "calibrate")
+CASES = ([(command, "--seed", seed) for seed in ("0", "3") for command in COMMANDS]
+         + [("tomography", "--seed", "0", "--expected-value")])
+
+
+def run_case(src: Path, case: tuple, work: Path):
+    """(exit code, stdout, stderr, {file name: bytes}) of one case on one tree."""
+    config = work / "config.json"
+    config.write_text("{}")
+    out = work / "out"
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(src), path)))}
+    done = subprocess.run([sys.executable, "-m", "qfpsim.cli", case[0], "--config", str(config),
+                           "--out", str(out), *case[1:]],
+                          env=env, capture_output=True, text=True, timeout=900)
+    files = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.is_dir() else {}
+    return done.returncode, done.stdout, done.stderr, files
+
+
+def _cell(text: str):
+    """A CSV cell as a real or complex number, or as its text."""
+    for kind in (float, complex):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
+
+
+def _leaves(text: str, name: str) -> list:
+    """The values of a file in a fixed order: JSON leaves by path, CSV cells
+    by row and column; numbers parsed, everything else kept as text."""
+    if name.endswith(".json"):
+        out = []
+
+        def walk(value, path):
+            if isinstance(value, dict):
+                for key in sorted(value):
+                    walk(value[key], f"{path}/{key}")
+            elif isinstance(value, list):
+                for i, item in enumerate(value):
+                    walk(item, f"{path}/{i}")
+            elif isinstance(value, (int, float)) and not isinstance(value, bool):
+                out.append((path, value))
+            else:
+                out.append((path, json.dumps(value)))
+
+        walk(json.loads(text), "")
+        return out
+    return [((r, c), _cell(cell)) for r, row in enumerate(csv.reader(io.StringIO(text)))
+            for c, cell in enumerate(row)]
+
+
+def compare_file(name: str, old: bytes, new: bytes):
+    """(report line, ok): 'identical', the largest numeric differences and
+    where the largest relative one is, or why the files cannot be compared
+    number by number."""
+    if old == new:
+        return "identical", True
+    try:
+        a, b = _leaves(old.decode(), name), _leaves(new.decode(), name)
+    except ValueError as exc:
+        return f"differs and cannot be parsed ({exc})", False
+    if [key for key, _ in a] != [key for key, _ in b]:
+        return "differs in shape or keys", False
+    max_abs = max_rel = 0.0
+    where = None
+    for (key, x), (_, y) in zip(a, b):
+        if isinstance(x, str) or isinstance(y, str):
+            if x != y:
+                return f"differs in text at {key}: {x!r} -> {y!r}", False
+            continue
+        if x == y or (x != x and y != y):  # equal, or both NaN
+            continue
+        diff = abs(x - y)
+        if not math.isfinite(diff):  # NaN or infinity against a number
+            return f"differs at {key}: {x!r} -> {y!r}", False
+        max_abs = max(max_abs, diff)
+        if diff / max(abs(x), abs(y)) > max_rel:
+            max_rel, where = diff / max(abs(x), abs(y)), key
+    return f"max abs {max_abs:.3g}, max rel {max_rel:.3g} (at {where})", True
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent_src", type=Path)
+    parser.add_argument("change_src", type=Path)
+    args = parser.parse_args(argv)
+    srcs = [args.parent_src.resolve(), args.change_src.resolve()]
+    for src in srcs:
+        if not (src / "qfpsim" / "cli.py").is_file():
+            parser.error(f"{src} holds no qfpsim package")
+    ok = True
+    with tempfile.TemporaryDirectory(prefix="qfpsim-compare-") as tmp:
+        for n, case in enumerate(CASES):
+            runs = []
+            for side, src in enumerate(srcs):
+                work = Path(tmp) / f"{n}-{side}"
+                work.mkdir()
+                runs.append(run_case(src, case, work))
+            (code_a, out_a, err_a, files_a), (code_b, out_b, err_b, files_b) = runs
+            print(f"{' '.join(case)}: exit {code_a} -> {code_b}")
+            if code_a != code_b:
+                ok = False
+                print("  exit codes differ")
+            for stream, a, b in (("stdout", out_a, out_b), ("stderr", err_a, err_b)):
+                if a != b:
+                    ok = False
+                    print(f"  {stream} differs: {a.strip()!r} -> {b.strip()!r}")
+            if files_a.keys() != files_b.keys():
+                ok = False
+                print(f"  files differ: {sorted(files_a)} -> {sorted(files_b)}")
+            for name in sorted(files_a.keys() & files_b.keys()):
+                line, same_shape = compare_file(name, files_a[name], files_b[name])
+                ok = ok and same_shape
+                print(f"  {name}: {line}")
+    print("same exit codes, streams, files and shapes" if ok else "DIFFERENCES FOUND")
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
