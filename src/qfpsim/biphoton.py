@@ -172,6 +172,8 @@ LIFTED_MAX_SIZE = 2 ** 17
 # tells the seed nothing it needs: what it leaves out moves the seed by
 # about this much, and the polish on the full cost removes that.
 _FLOOR = np.sqrt(np.finfo(float).eps)
+# Largest polished cost ``retrieve_phases`` accepts.
+RETRIEVAL_TOL = 1e-4
 
 
 def _pair_model(measurements, base: BiphotonState, pair_bins,
@@ -311,8 +313,7 @@ def _lifted_seed(signal_cols, idler_rows, offsets, targets, entries, edges):
 
 
 def retrieve_phases(measurements, base: BiphotonState, pair_bins,
-                    signal_op: ModeOperator, idler_op: ModeOperator,
-                    tol: float = 1e-4) -> np.ndarray:
+                    signal_op: ModeOperator, idler_op: ModeOperator) -> np.ndarray:
     """Spectral phases on the comb pairs from post-mixing intensity grids.
 
     ``measurements`` is a list of (known_offset_phases, grid) pairs, each
@@ -336,7 +337,7 @@ def retrieve_phases(measurements, base: BiphotonState, pair_bins,
     of the first plus a multiple of pi.  Raises RetrievalFailureError when
     those entries leave a pair unconnected to pair 0 (a single grid
     always does), when a grid is not finite or sums to zero, or when the
-    polished cost exceeds ``tol`` (or is not finite); raises
+    polished cost exceeds RETRIEVAL_TOL (or is not finite); raises
     InvalidArgumentError when there are fewer than two pairs, when two
     pairs share both bins or when the operator windows do not match ``base``.
     """
@@ -353,7 +354,7 @@ def retrieve_phases(measurements, base: BiphotonState, pair_bins,
         x0 = seed
     best = minimize(cost, x0, method="Nelder-Mead",
                     options={"xatol": 1e-8, "fatol": 1e-14, "maxiter": 4000})
-    if not best.fun <= tol:
+    if not best.fun <= RETRIEVAL_TOL:
         raise RetrievalFailureError(
-            f"residual {best.fun:.3g} exceeds tolerance {tol:.3g}")
+            f"residual {best.fun:.3g} exceeds tolerance {RETRIEVAL_TOL:.3g}")
     return np.concatenate(([0.0], np.mod(best.x + np.pi, 2 * np.pi) - np.pi))

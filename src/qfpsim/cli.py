@@ -1,12 +1,15 @@
 """Reproduction command line: each subcommand reruns one experiment from a
-JSON config and writes plot-ready CSV tables plus a JSON summary.
+JSON config and returns plot-ready CSV tables plus a JSON summary, which
+``main`` renders and only then writes: a config or physics failure writes nothing.
 
-Exit codes: 0 success, 2 config error, 3 numerical/physics failure.
+Exit codes: 0 success, 2 config error (``InvalidArgumentError``, or an
+unwritable ``--out``), 3 numerical/physics failure (``PhysicsError``).
 Outputs are byte-identical across reruns with the same config and seed.
 """
 
 import argparse
 import csv
+import io
 import json
 import sys
 from pathlib import Path
@@ -20,7 +23,7 @@ from .biphoton import (apply_joint, comb_envelope, comb_state, diagonal_weight, 
                        walk_operators, ws_idler_phases)
 from .calib import DitherConfig, align_scan, fit_phase_curve, simulate_phase_sweep
 from .errors import InvalidArgumentError, NonFiniteResultError, PhysicsError
-from .eom import BESSEL_MAX_ARGUMENT
+from .eom import BESSEL_MAX_ARGUMENT, check_window_margin
 from .lattice import SPEED_OF_LIGHT, make_lattice
 from .qfp import (beamsplitter_config, beamsplitter_spectra, compose_qfp, fidelity,
                   gauge_distance, reconstruct_submatrix, rt_closed_form,
@@ -29,13 +32,6 @@ from .qfp import (beamsplitter_config, beamsplitter_spectra, compose_qfp, fideli
 from .rings import WsUnitConfig, make_ring, ws_unit
 from .tomo import (bell_fringe, carve_bell_state, fit_visibility,
                    mle_reconstruct, purity, simulate_counts, state_fidelity)
-
-PHYSICS_ERRORS = (PhysicsError, np.linalg.LinAlgError)
-
-
-class ConfigError(Exception):
-    """Raised for malformed or out-of-schema run configs."""
-
 
 class Field(NamedTuple):
     """A config field.  Its value, or each entry of a list, lies in the
@@ -53,15 +49,16 @@ def _number(name: str, field: Field, value):
     integer = field.kind.startswith("int")
     if (isinstance(value, bool) or not isinstance(value, (int, float))
             or integer and isinstance(value, float) and not value.is_integer()):
-        raise ConfigError(f"{name!r} = {value!r} is not {'an integer' if integer else 'a number'}")
+        raise InvalidArgumentError(
+            f"{name!r} = {value!r} is not {'an integer' if integer else 'a number'}")
     try:
         value = int(value) if integer else float(value)
     except OverflowError as exc:
-        raise ConfigError(f"{name!r}: {exc}") from exc
+        raise InvalidArgumentError(f"{name!r}: {exc}") from exc
     lo, hi = (float(x) for x in field.interval[1:-1].split(","))
     if not ((lo <= value if field.interval[0] == "[" else lo < value)
             and (value <= hi if field.interval[-1] == "]" else value < hi)):
-        raise ConfigError(f"{name!r} = {value!r} outside {field.interval}")
+        raise InvalidArgumentError(f"{name!r} = {value!r} outside {field.interval}")
     return value
 
 
@@ -69,7 +66,7 @@ def _resolve(fields: dict, raw: dict, what: str) -> dict:
     """Every one of ``fields``: its checked value from ``raw``, else its default."""
     unknown = set(raw) - set(fields)
     if unknown:
-        raise ConfigError(f"unknown {what}: {sorted(unknown)}")
+        raise InvalidArgumentError(f"unknown {what}: {sorted(unknown)}")
     out = {name: field.default for name, field in fields.items()}
     for name, value in raw.items():
         field = fields[name]
@@ -79,7 +76,7 @@ def _resolve(fields: dict, raw: dict, what: str) -> dict:
             out[name] = [_number(name, field, v) for v in value]
         else:
             size = f"{field.length} " if field.length else ""
-            raise ConfigError(f"{name!r} must be a list of {size}numbers")
+            raise InvalidArgumentError(f"{name!r} must be a list of {size}numbers")
     return out
 
 
@@ -89,40 +86,31 @@ def load_config(path: str, command: str) -> dict:
         with open(path) as fh:
             raw = json.load(fh)
     except (OSError, ValueError) as exc:  # ValueError: not JSON, or not UTF-8
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raise InvalidArgumentError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(raw, dict):
-        raise ConfigError("config root must be a JSON object")
+        raise InvalidArgumentError("config root must be a JSON object")
     constants = raw.pop("constants", {})
     if not isinstance(constants, dict):
-        raise ConfigError("'constants' must be an object")
+        raise InvalidArgumentError("'constants' must be an object")
     cfg = _resolve(COMMANDS[command].fields, raw, "config fields")
     cfg["constants"] = _resolve(CONSTANTS, constants, "constants")
     return cfg
 
 
-def _fmt(value) -> str:
-    """Stable text form: repr for floats so reruns are byte-identical."""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def write_csv(path: Path, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-
-
-def write_json(path: Path, payload: dict) -> None:
-    """Strict JSON: a NaN or infinity raises before the file is opened."""
+def _render(name: str, payload) -> str:
+    """The text of one output file: a (header, rows) table as CSV for a
+    ``.csv`` name, where csv writes each float as its shortest round-trip
+    repr, so reruns are byte-identical; else a summary as strict JSON,
+    where a NaN or infinity raises NonFiniteResultError."""
+    if name.endswith(".csv"):
+        header, rows = payload
+        text = io.StringIO()
+        csv.writer(text).writerows([header, *rows])
+        return text.getvalue()
     try:
-        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+        return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
     except ValueError as exc:
-        raise NonFiniteResultError(f"{path.name}: {exc}") from exc
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
+        raise NonFiniteResultError(f"{name}: {exc}") from exc
 
 
 def _lattice_from(constants: dict):
@@ -130,7 +118,7 @@ def _lattice_from(constants: dict):
                         constants["half_width"])
 
 
-def cmd_beamsplitter(cfg: dict, out: Path, rng) -> None:
+def cmd_beamsplitter(cfg: dict, rng) -> dict:
     lat = _lattice_from(cfg["constants"])
     bins = tuple(cfg["computational_bins"])
     delta = cfg["constants"]["depth"]
@@ -146,17 +134,18 @@ def cmd_beamsplitter(cfg: dict, out: Path, rng) -> None:
         min_p = min(min_p, p)
         rows.append([float(alpha), r, t,
                      float(abs(v[0, 0]) ** 2), float(abs(v[0, 1]) ** 2), p, f])
-    write_csv(out / "beamsplitter.csv",
-              ["alpha", "R_closed_form", "T_closed_form",
-               "R_matrix", "T_matrix", "success_probability", "fidelity"],
-              rows)
     r_pi, t_pi = rt_closed_form(np.pi, delta)
-    write_json(out / "beamsplitter_summary.json", {
-        "depth": delta, "R_at_pi": r_pi, "T_at_pi": t_pi,
-        "min_success_probability": float(min_p), "alpha_points": int(len(alphas))})
+    return {
+        "beamsplitter.csv": (["alpha", "R_closed_form", "T_closed_form",
+                              "R_matrix", "T_matrix", "success_probability", "fidelity"],
+                             rows),
+        "beamsplitter_summary.json": {
+            "depth": delta, "R_at_pi": r_pi, "T_at_pi": t_pi,
+            "min_success_probability": float(min_p), "alpha_points": int(len(alphas))},
+    }
 
 
-def cmd_gate(cfg: dict, out: Path, rng) -> None:
+def cmd_gate(cfg: dict, rng) -> dict:
     lat = _lattice_from(cfg["constants"])
     bins = tuple(cfg["computational_bins"])
     theta, lam, mu = cfg["theta"], cfg["lam"], cfg["mu"]
@@ -166,52 +155,54 @@ def cmd_gate(cfg: dict, out: Path, rng) -> None:
     target = target_unitary(theta, lam, mu)
     spectra = beamsplitter_spectra(config)
     v_rec = reconstruct_submatrix(spectra, lat, bins)
-    write_json(out / "gate.json", {
+    return {"gate.json": {
         "theta": theta, "lam": lam, "mu": mu, "depth": delta,
         "matrix_magnitude_squared": (np.abs(v) ** 2).tolist(),
         "matrix_phase": np.angle(v).tolist(),
         "success_probability": success_probability(v),
         "fidelity": fidelity(v, target),
         "reconstruction_gauge_error": gauge_distance(v_rec, v),
-    })
+    }}
 
 
-def cmd_spectrum(cfg: dict, out: Path, rng) -> None:
+def cmd_spectrum(cfg: dict, rng) -> dict:
     lat = _lattice_from(cfg["constants"])
     bins = tuple(cfg["computational_bins"])
     input_bin = bins[0] if cfg["input_bin"] is None else cfg["input_bin"]
     config = beamsplitter_config(cfg["alpha"], cfg["constants"]["depth"], lat, bins)
     powers = simulate_output_spectrum(config, {input_bin: 1.0})
-    write_csv(out / "spectrum.csv", ["bin", "power"],
-              [[int(b), float(p)] for b, p in zip(lat.bins, powers)])
-    write_json(out / "spectrum_summary.json", {
-        "alpha": cfg["alpha"], "input_bin": input_bin, "total_power": float(np.sum(powers))})
+    return {
+        "spectrum.csv": (["bin", "power"], list(zip(lat.bins.tolist(), powers.tolist()))),
+        "spectrum_summary.json": {"alpha": cfg["alpha"], "input_bin": input_bin,
+                                  "total_power": float(np.sum(powers))},
+    }
 
 
-def cmd_qwalk(cfg: dict, out: Path, rng) -> None:
+def cmd_qwalk(cfg: dict, rng) -> dict:
     consts = cfg["constants"]
     lat = _lattice_from(consts)
     num_pairs, depth = cfg["num_pairs"], cfg["walk_depth"]
     pairs = [(l, -l) for l in range(1, num_pairs + 1)]
     weights = comb_envelope(num_pairs, consts["pump_filter_fsr"], consts["bin_spacing"],
                             consts["pump_filter_extinction_db"])
+    # every pair bin keeps the walk's margin, so no amplitude walks off the window
+    check_window_margin(lat, [b for pair in pairs for b in pair], depth)
     initial = comb_state(lat, lat, pairs, weights=weights)
     sig, idl = walk_operators(depth, lat)
     anti_state = comb_state(lat, lat, pairs, weights=weights, phases=ws_idler_phases(pairs))
     corr_out = apply_joint(initial, sig, idl)
     anti_out = apply_joint(anti_state, sig, idl)
-
-    for name, state in (("initial", initial), ("correlated", corr_out),
-                        ("anticorrelated", anti_out)):
-        write_csv(out / f"jsi_{name}.csv", ["signal_bin"] + [str(b) for b in lat.bins],
-                  [[int(bs)] + [float(x) for x in row]
-                   for bs, row in zip(lat.bins, jsi(state, "max"))])
+    outputs = {f"jsi_{name}.csv": (["signal_bin"] + lat.bins.tolist(),
+                                   [[bs] + row for bs, row in
+                                    zip(lat.bins.tolist(), jsi(state, "max").tolist())])
+               for name, state in (("initial", initial), ("correlated", corr_out),
+                                   ("anticorrelated", anti_out))}
 
     planted = cfg["planted_phases"]
     if planted is None:
         planted = [0.0] + [float(p) for p in rng.uniform(-0.1, 0.1, num_pairs - 1)]
     if len(planted) != num_pairs:
-        raise ConfigError("planted_phases must have one entry per pair")
+        raise InvalidArgumentError("planted_phases must have one entry per pair")
     reference = retrieval_reference_offsets(num_pairs)
     measurements = []
     for offsets in (np.zeros(num_pairs), reference):
@@ -222,17 +213,18 @@ def cmd_qwalk(cfg: dict, out: Path, rng) -> None:
     rec_state = comb_state(lat, lat, pairs, weights=weights, phases=recovered)
     fid = jsi_fidelity(jsi(apply_joint(rec_state, sig, idl), "integral"),
                        measurements[0][1])
-    write_json(out / "qwalk_summary.json", {
+    outputs["qwalk_summary.json"] = {
         "walk_depth": depth, "num_pairs": num_pairs,
         "diagonal_weight_correlated": diagonal_weight(corr_out, pairs),
         "diagonal_weight_anticorrelated": diagonal_weight(anti_out, pairs),
         "planted_phases": planted,
         "recovered_phases": [float(p) for p in recovered],
         "reconstruction_jsi_fidelity": float(fid),
-    })
+    }
+    return outputs
 
 
-def cmd_tomography(cfg: dict, out: Path, rng, expected_value: bool) -> None:
+def cmd_tomography(cfg: dict, rng, expected_value: bool) -> dict:
     suppression, shots, bell_phase = cfg["suppression_db"], cfg["shots"], cfg["bell_phase"]
     car = cfg["constants"]["car"]
     rho_true = carve_bell_state(suppression, bell_phase)
@@ -254,12 +246,10 @@ def cmd_tomography(cfg: dict, out: Path, rng, expected_value: bool) -> None:
         fringe_counts = rng.poisson(fringe_counts).astype(float)
     fit = fit_visibility(phis, fringe_counts)
 
-    for part, rows in (("real", rho_hat.real), ("imag", rho_hat.imag)):
-        write_csv(out / f"rho_{part}.csv", ["r0", "r1", "r2", "r3"],
-                  [[float(x) for x in row] for row in rows])
-    write_csv(out / "fringe.csv", ["phase", "counts"],
-              [[float(p), float(c)] for p, c in zip(phis, fringe_counts)])
-    write_json(out / "tomography_summary.json", {
+    outputs = {f"rho_{part}.csv": (["r0", "r1", "r2", "r3"], rows.tolist())
+               for part, rows in (("real", rho_hat.real), ("imag", rho_hat.imag))}
+    outputs["fringe.csv"] = (["phase", "counts"], np.column_stack([phis, fringe_counts]).tolist())
+    outputs["tomography_summary.json"] = {
         "suppression_db": suppression, "shots": shots,
         "expected_value": bool(expected_value),
         "fidelity_to_true": state_fidelity(rho_hat, rho_true),
@@ -268,10 +258,11 @@ def cmd_tomography(cfg: dict, out: Path, rng, expected_value: bool) -> None:
         "visibility": fit.visibility,
         "visibility_sigma": fit.visibility_sigma,
         "violates_classical_bound": bool(fit.violates_classical_bound),
-    })
+    }
+    return outputs
 
 
-def cmd_calibrate(cfg: dict, out: Path, rng) -> None:
+def cmd_calibrate(cfg: dict, rng) -> dict:
     consts = cfg["constants"]
     ring = make_ring(SPEED_OF_LIGHT / consts["center_frequency"], consts["power_coupling"],
                      consts["loss_db_per_cm"], consts["ring_radius"],
@@ -284,10 +275,6 @@ def cmd_calibrate(cfg: dict, out: Path, rng) -> None:
     span = cfg["scan_span"] * lw
     grid = np.linspace(-span, span, cfg["scan_points"])
     scan = align_scan(unit, grid, grid, dither, probe)
-    write_csv(out / "scan_map.csv",
-              ["demux_offset"] + [_fmt(float(g)) for g in grid],
-              [[float(gd)] + [float(x) for x in row]
-               for gd, row in zip(grid, scan.scan_map)])
 
     aligned = ws_unit(ring, ring)
     p2pi, phi0 = cfg["power_2pi"], cfg["phase_offset"]
@@ -295,15 +282,19 @@ def cmd_calibrate(cfg: dict, out: Path, rng) -> None:
     traces = simulate_phase_sweep(aligned, powers, p2pi, phi0, dither, probe,
                                   noise_sigma=cfg["noise_sigma"], rng=rng)
     cal = fit_phase_curve(powers, traces, dither)
-    write_json(out / "calibration.json", {
-        "linewidth_fwhm": lw,
-        "planted_detunings_linewidths": planted,
-        "recovered_detuning_demux_linewidths": float(-scan.detuning_demux / lw),
-        "recovered_detuning_mux_linewidths": float(-scan.detuning_mux / lw),
-        "power_2pi_true": p2pi, "power_2pi_fit": cal.power_2pi,
-        "phase_offset_true": phi0, "phase_offset_fit": cal.phase_offset,
-        "fit_residual_rms": cal.residual_rms,
-    })
+    return {
+        "scan_map.csv": (["demux_offset"] + grid.tolist(),
+                         np.column_stack([grid, scan.scan_map]).tolist()),
+        "calibration.json": {
+            "linewidth_fwhm": lw,
+            "planted_detunings_linewidths": planted,
+            "recovered_detuning_demux_linewidths": float(-scan.detuning_demux / lw),
+            "recovered_detuning_mux_linewidths": float(-scan.detuning_mux / lw),
+            "power_2pi_true": p2pi, "power_2pi_fit": cal.power_2pi,
+            "phase_offset_true": phi0, "phase_offset_fit": cal.phase_offset,
+            "fit_residual_rms": cal.residual_rms,
+        },
+    }
 
 
 class Command(NamedTuple):
@@ -392,14 +383,21 @@ def main(argv=None) -> int:
     command = COMMANDS[args.command]
     try:
         cfg = load_config(args.config, args.command)
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
         flags = {f: getattr(args, f) for f in command.flags}
-        command.run(cfg, out, np.random.default_rng(args.seed), **flags)
-    except (ConfigError, InvalidArgumentError) as exc:
+        outputs = command.run(cfg, np.random.default_rng(args.seed), **flags)
+        # every file is rendered, and so checked, before the first is written
+        texts = {name: _render(name, payload) for name, payload in outputs.items()}
+        out = Path(args.out)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+            for name, text in texts.items():
+                (out / name).write_bytes(text.encode())
+        except OSError as exc:
+            raise InvalidArgumentError(f"cannot write --out {out}: {exc}") from exc
+    except InvalidArgumentError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except PHYSICS_ERRORS as exc:
+    except (PhysicsError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     return 0

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, OutOfRangeError
 from .lattice import FrequencyLattice
 
 BESSEL_MAX_ARGUMENT = 50.0
@@ -51,6 +51,17 @@ def truncation_order(depth: float) -> int:
             raise InvalidArgumentError("truncation order not found; depth too large")
         tail -= 2.0 * power[k]
     return k
+
+
+def check_window_margin(lattice: FrequencyLattice, bins, depth: float) -> None:
+    """The window rule: InvalidArgumentError for a bin outside the window,
+    OutOfRangeError for one nearer its edge than ``truncation_order(depth)``."""
+    margin, nearest = min((min(lattice.index_of(b), lattice.l_max - b), b) for b in bins)
+    needed = truncation_order(depth)
+    if margin < needed:
+        raise OutOfRangeError(
+            f"bin {nearest} lies {margin} bins from the window edge; depth "
+            f"{depth} needs {needed} (widen the window)")
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,8 @@ from scipy.optimize import brentq
 
 from .errors import (InvalidArgumentError, OutOfRangeError,
                      ReconstructionFailureError, UndefinedFidelityError)
-from .eom import ModeOperator, RfDrive, bessel_row, eom_operator, truncation_order
+from .eom import (ModeOperator, RfDrive, bessel_row, check_window_margin, eom_operator,
+                  truncation_order)
 from .lattice import FrequencyLattice
 from .rings import ws_operator
 
@@ -47,18 +48,10 @@ class ProcessorConfig:
         b0, b1 = self.computational_bins
         if b1 - b0 != 1:
             raise InvalidArgumentError("computational bins must be adjacent")
-        lat = self.lattice
-        if not (lat.contains(b0) and lat.contains(b1)):
-            raise InvalidArgumentError("computational bins must lie inside the window")
         # The block sums over intermediate bins within K of the pair, so a
         # margin of K bins to the window edge keeps it exact.
-        depth = max(self.in_drive.depth, self.out_drive.depth)
-        needed = truncation_order(depth)
-        margin = min(b0 - lat.l_min, lat.l_max - b1)
-        if margin < needed:
-            raise OutOfRangeError(
-                f"computational bins lie {margin} bins from the window edge; depth "
-                f"{depth} needs {needed} (widen the window)")
+        check_window_margin(self.lattice, self.computational_bins,
+                            max(self.in_drive.depth, self.out_drive.depth))
 
 
 def compose_qfp(config: ProcessorConfig) -> ModeOperator:
@@ -131,9 +124,6 @@ def rt_closed_form(alpha, delta: float) -> tuple:
 def submatrix(op: ModeOperator, bins: tuple) -> np.ndarray:
     """2x2 block of the operator on the computational bin pair."""
     idx = [op.lattice.index_of(b) for b in bins]
-    margin = min(idx[0], idx[1], op.lattice.size - 1 - idx[0], op.lattice.size - 1 - idx[1])
-    if margin < 1:
-        raise InvalidArgumentError("computational bins must lie inside the interior window")
     return op.entries[np.ix_(idx, idx)].copy()
 
 
@@ -219,7 +209,8 @@ def synthesize_gate(theta: float, lam: float, mu: float, delta: float,
 
 
 def simulate_output_spectrum(config: ProcessorConfig, input_amplitudes: dict) -> np.ndarray:
-    """Per-bin output powers |M a|^2 for a normalized {bin: amplitude} input."""
+    """Per-bin output powers |M a|^2 for a normalized {bin: amplitude} input.
+    Every excited bin keeps the window margin of the processor's depth."""
     lat = config.lattice
     a = np.zeros(lat.size, dtype=complex)
     for b, amp in input_amplitudes.items():
@@ -227,6 +218,8 @@ def simulate_output_spectrum(config: ProcessorConfig, input_amplitudes: dict) ->
     norm = np.sum(np.abs(a) ** 2)
     if not np.isclose(norm, 1.0, atol=1e-9):
         raise InvalidArgumentError("input amplitudes must be normalized")
+    check_window_margin(lat, [b for b, amp in input_amplitudes.items() if amp != 0],
+                        max(config.in_drive.depth, config.out_drive.depth))
     return np.abs(compose_qfp(config).entries @ a) ** 2
 
 
@@ -334,11 +327,7 @@ def single_pm_balanced_probability() -> tuple:
     balanced |J_0|^2 vs |J_1|^2 splitting, and reports (delta*, P).
     Documents the ~2/3 upper bound a single phase modulator can reach.
     """
-    best = None
-    for d in np.linspace(0.5, 2.5, 2001):
-        row = bessel_row(1, d)
-        j0sq, j1sq = row[0] ** 2, row[1] ** 2
-        imbalance = abs(j0sq - j1sq)
-        if best is None or imbalance < best[0]:
-            best = (imbalance, float(d), float(j0sq + j1sq))
-    return best[1], best[2]
+    deltas = np.linspace(0.5, 2.5, 2001)
+    power = np.array([bessel_row(1, d) for d in deltas]) ** 2
+    best = int(np.argmin(np.abs(power[:, 0] - power[:, 1])))
+    return float(deltas[best]), float(power[best, 0] + power[best, 1])

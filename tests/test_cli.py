@@ -150,16 +150,16 @@ def test_alpha_points_below_one_is_config_error(tmp_path):
     cfg = _write_cfg(tmp_path, {"alpha_points": 0})
     out = tmp_path / "out"
     assert _run("beamsplitter", cfg, out) == 2
-    assert not (out / "beamsplitter_summary.json").exists()
+    assert not out.exists()
 
 
 def test_non_finite_summary_is_physics_error(tmp_path, monkeypatch):
-    # strict JSON: the value is rejected before the summary file is opened
+    # strict JSON: the value is rejected before any output file is written
     monkeypatch.setattr(cli, "purity", lambda rho: float("nan"))
     cfg = _write_cfg(tmp_path, {})
     out = tmp_path / "out"
     assert _run("tomography", cfg, out, "--expected-value") == 3
-    assert not (out / "tomography_summary.json").exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("error", [e for e in vars(errors).values()
@@ -268,9 +268,25 @@ def test_flat_fringe_exits_3_without_a_warning(tmp_path):
     ("calibrate", {"noise_sigma": 1e200}, 3),
     # theta = pi/2 beyond depth 0.2's reach: the clamped gate has fidelity 0.694
     ("gate", {"constants": {"depth": 0.2}}, 3),
+    # a bin nearer the window edge than truncation_order(depth) loses power out
+    # of the window (total_power 0.728, 0.88 % and 1.5e-5 of the walked state)
+    ("spectrum", {"input_bin": 16}, 3),
+    ("qwalk", {"walk_depth": 10}, 3),
+    ("qwalk", {"num_pairs": 14}, 3),
 ])
 def test_config_exit_codes(tmp_path, command, config, code):
-    assert _run(command, _write_cfg(tmp_path, config), tmp_path / "out") == code
+    out = tmp_path / "out"
+    assert _run(command, _write_cfg(tmp_path, config), out) == code
+    assert code == 0 or not out.exists()  # a failed run writes nothing
+
+
+def test_out_naming_a_file_is_config_error(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert _run("gate", _write_cfg(tmp_path, {}), taken) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot write --out") and err.count("\n") == 1
+    assert taken.read_text() == ""
 
 
 def test_expected_value_only_on_tomography(tmp_path):
@@ -294,14 +310,16 @@ def _reject_constant(name):
 
 
 def _assert_exits_cleanly(command, config):
-    """The command exits 0, 2 or 3, and on success writes strict JSON."""
+    """The command exits 0, 2 or 3; on success it writes strict JSON, and
+    on failure nothing."""
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
         code = _run(command, _write_cfg(Path(tmp), config), out)
         assert code in (0, 2, 3)
-        if code == 0:
-            for path in out.glob("*.json"):
-                json.loads(path.read_text(), parse_constant=_reject_constant)
+        if code != 0:
+            assert not out.exists()
+        for path in out.glob("*.json"):
+            json.loads(path.read_text(), parse_constant=_reject_constant)
 
 
 # One field or constant of the default config replaced by a value of the

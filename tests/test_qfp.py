@@ -181,9 +181,8 @@ def test_closed_form_block_matches_the_composed_beamsplitter(delta, alpha, data)
 def test_computational_bins_must_be_adjacent_and_interior():
     with pytest.raises(InvalidArgumentError):
         beamsplitter_config(np.pi, DELTA, LAT, (0, 2))
-    op = compose_qfp(beamsplitter_config(np.pi, DELTA, LAT, BINS))
-    with pytest.raises(InvalidArgumentError):
-        submatrix(op, (LAT.l_min, LAT.l_min + 1))
+    with pytest.raises(OutOfRangeError):
+        beamsplitter_config(np.pi, DELTA, LAT, (LAT.l_min, LAT.l_min + 1))
 
 
 def test_simulate_output_spectrum_conserves_power():
@@ -192,6 +191,23 @@ def test_simulate_output_spectrum_conserves_power():
     assert np.sum(spec) == pytest.approx(1.0, abs=1e-10)
     with pytest.raises(InvalidArgumentError):
         simulate_output_spectrum(cfg, {0: 2.0})
+    # a bin with zero amplitude is not excited, so it may lie at the edge
+    spec = simulate_output_spectrum(cfg, {0: 1.0, LAT.l_max: 0.0})
+    assert np.sum(spec) == pytest.approx(1.0, abs=1e-10)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([DELTA, 2.0, 4.0]), st.floats(0.0, 2 * np.pi))
+def test_spectrum_input_keeps_the_window_margin(delta, alpha):
+    # an input bin truncation_order(delta) bins from the edge loses at most
+    # rounding out of the window; one bin nearer is refused
+    k = truncation_order(delta)
+    lat = make_lattice(193.7e12, 25e9, k + 1)
+    cfg = beamsplitter_config(alpha, delta, lat, BINS)
+    spec = simulate_output_spectrum(cfg, {lat.l_max - k: 1.0})
+    assert abs(np.sum(spec) - 1.0) < 1e-14
+    with pytest.raises(OutOfRangeError):
+        simulate_output_spectrum(cfg, {lat.l_max - k + 1: 1.0})
 
 
 @settings(max_examples=60, deadline=None)

@@ -4,12 +4,14 @@
 Usage: python3 tools/compare_outputs.py PARENT_SRC CHANGE_SRC
 
 Each SRC is a directory that holds the ``qfpsim`` package, such as the
-``src`` of a checkout.  Every case runs once on each tree, in a fresh
-interpreter whose PYTHONPATH starts with that tree: the six commands on
-the config ``{}`` at ``--seed 0`` and at ``--seed 3``, and
-``tomography --expected-value``.  For each output file the report says
-"identical", or gives the largest absolute and relative difference of the
-numbers in it (CSV cells and JSON values).
+``src`` of a checkout.  Every case is a command, its config and its
+flags, and runs once on each tree, in a fresh interpreter whose
+PYTHONPATH starts with that tree: the six commands on the config ``{}``
+at ``--seed 0`` and at ``--seed 3``, ``tomography --expected-value``, and
+two failing runs, ``gate`` with a mistyped ``theta`` (exit 2) and
+``calibrate`` with a phase-curve fit that fails (exit 3).  For each
+output file the report says "identical", or gives the largest absolute
+and relative difference of the numbers in it (CSV cells and JSON values).
 
 Exits 1 when, for some case, the exit codes, the stdout or stderr text,
 the set of output files, or anything in a file other than its numbers
@@ -29,19 +31,23 @@ import tempfile
 from pathlib import Path
 
 COMMANDS = ("beamsplitter", "gate", "spectrum", "qwalk", "tomography", "calibrate")
-CASES = ([(command, "--seed", seed) for seed in ("0", "3") for command in COMMANDS]
-         + [("tomography", "--seed", "0", "--expected-value")])
+# (command, config, flags)
+CASES = ([(command, "{}", ("--seed", seed)) for seed in ("0", "3") for command in COMMANDS]
+         + [("tomography", "{}", ("--seed", "0", "--expected-value")),
+            ("gate", '{"theta": "x"}', ("--seed", "0")),
+            ("calibrate", '{"power_2pi": 1e200}', ("--seed", "0"))])
 
 
 def run_case(src: Path, case: tuple, work: Path):
     """(exit code, stdout, stderr, {file name: bytes}) of one case on one tree."""
+    command, text, flags = case
     config = work / "config.json"
-    config.write_text("{}")
+    config.write_text(text)
     out = work / "out"
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(src), path)))}
-    done = subprocess.run([sys.executable, "-m", "qfpsim.cli", case[0], "--config", str(config),
-                           "--out", str(out), *case[1:]],
+    done = subprocess.run([sys.executable, "-m", "qfpsim.cli", command, "--config", str(config),
+                           "--out", str(out), *flags],
                           env=env, capture_output=True, text=True, timeout=900)
     files = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.is_dir() else {}
     return done.returncode, done.stdout, done.stderr, files
@@ -129,7 +135,8 @@ def main(argv=None) -> int:
                 work.mkdir()
                 runs.append(run_case(src, case, work))
             (code_a, out_a, err_a, files_a), (code_b, out_b, err_b, files_b) = runs
-            print(f"{' '.join(case)}: exit {code_a} -> {code_b}")
+            command, text, flags = case
+            print(f"{command} {text} {' '.join(flags)}: exit {code_a} -> {code_b}")
             if code_a != code_b:
                 ok = False
                 print("  exit codes differ")
