@@ -11,6 +11,7 @@ the (f_mux - f_demux) component traces a cosine of the applied phase,
 which maps heater power to phase.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -108,14 +109,18 @@ def align_scan(unit_template: WsUnitConfig, grid_demux, grid_mux,
     """Grid search maximizing |I~(2(f_D + f_M))| over ring detunings.
 
     ``grid_demux``/``grid_mux`` are wavelength offsets added on top of the
-    template's detunings; returns the argmax plus the full 2-D map.
+    template's detunings; returns the argmax plus the full 2-D map.  The
+    noiseless trace repeats with the common period 1/gcd(f_D, f_M) of the
+    tones (20 ms, 1024 of its samples), and the harmonic and mean of one
+    period equal those of the whole trace, so each cell uses one period.
     """
     grid_demux = np.asarray(grid_demux, dtype=float)
     grid_mux = np.asarray(grid_mux, dtype=float)
     if grid_demux.size == 0 or grid_mux.size == 0:
         raise InvalidArgumentError("alignment grid must be non-empty")
-    dd_t, dm_t = _dither_offsets(dither)
-    t = dither.times
+    period = round(dither.sample_rate / math.gcd(int(dither.f_demux), int(dither.f_mux)))
+    dd_t, dm_t = (offsets[:period] for offsets in _dither_offsets(dither))
+    t = dither.times[:period]
     f = dither.alignment_harmonic
     kernel = np.exp(-2j * np.pi * f * t) * (2.0 / len(t))
     det_d, det_m = unit_template.detunings

@@ -9,8 +9,10 @@ Outputs are byte-identical across reruns with the same config and seed.
 
 import argparse
 import csv
+import errno
 import io
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -378,6 +380,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_all(out: Path, texts: dict) -> None:
+    """Write every file into ``out`` or leave it as it was: each file goes to a
+    temporary name there first, and the temporaries replace their targets only
+    once all are written and no target is a directory."""
+    made = not out.exists()
+    out.mkdir(parents=True, exist_ok=True)
+    temps = []
+    try:
+        for name, text in texts.items():
+            target = out / name
+            if target.is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
+            temps.append(out / f".{name}.{os.getpid()}.tmp")
+            temps[-1].write_bytes(text.encode())
+        for temp, name in zip(temps, texts):
+            os.replace(temp, out / name)
+    except OSError:
+        for temp in temps:
+            temp.unlink(missing_ok=True)
+        if made:
+            out.rmdir()
+        raise
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     command = COMMANDS[args.command]
@@ -389,9 +415,7 @@ def main(argv=None) -> int:
         texts = {name: _render(name, payload) for name, payload in outputs.items()}
         out = Path(args.out)
         try:
-            out.mkdir(parents=True, exist_ok=True)
-            for name, text in texts.items():
-                (out / name).write_bytes(text.encode())
+            _write_all(out, texts)
         except OSError as exc:
             raise InvalidArgumentError(f"cannot write --out {out}: {exc}") from exc
     except InvalidArgumentError as exc:

@@ -289,6 +289,40 @@ def test_out_naming_a_file_is_config_error(tmp_path, capsys):
     assert taken.read_text() == ""
 
 
+def test_failed_write_leaves_out_as_it_was(tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "tomography_summary.json").mkdir(parents=True)
+    (out / "fringe.csv").write_text("earlier run")
+
+    def contents():
+        return {str(p.relative_to(out)): None if p.is_dir() else p.read_bytes()
+                for p in out.rglob("*")}
+
+    before = contents()
+    assert _run("tomography", _write_cfg(tmp_path, {}), out, "--expected-value") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot write --out") and err.count("\n") == 1
+    assert contents() == before
+
+
+def test_write_failing_part_way_leaves_no_output(tmp_path, capsys, monkeypatch):
+    # a full disk on the second file: the first one's temporary goes too, and
+    # so does the --out directory the run created
+    write_bytes, written = Path.write_bytes, []
+
+    def filling(path, data):
+        if written:
+            raise OSError(28, "No space left on device")
+        written.append(path)
+        return write_bytes(path, data)
+
+    monkeypatch.setattr(Path, "write_bytes", filling)
+    out = tmp_path / "out"
+    assert _run("tomography", _write_cfg(tmp_path, {}), out, "--expected-value") == 2
+    assert "No space left on device" in capsys.readouterr().err
+    assert written and not out.exists()
+
+
 def test_expected_value_only_on_tomography(tmp_path):
     cfg = _write_cfg(tmp_path, {})
     with pytest.raises(SystemExit) as exc:

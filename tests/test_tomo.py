@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from qfpsim import tomo
 from qfpsim.eom import bessel_row
 from qfpsim.errors import FitFailureError, InvalidArgumentError
 from qfpsim.tomo import (
+    MLE_GAP_TOL,
     bell_fringe,
     carve_bell_state,
     fit_visibility,
@@ -182,6 +184,102 @@ def test_mle_monte_carlo_is_close():
     records = simulate_counts(rho, 1e4, rng=np.random.default_rng(21))
     est = mle_reconstruct(records)
     assert state_fidelity(est, rho) > 0.97
+
+
+def _records(suppression_db, shots, car, bell_phase, seed):
+    """Records as ``qfpsim tomography`` simulates them: accidentals at 1/car
+    of the peak rate, Poisson sampled from ``seed`` (expected values for None)."""
+    rho = carve_bell_state(suppression_db, bell_phase)
+    peak = max(r.counts for r in simulate_counts(rho, shots)) / shots
+    return simulate_counts(rho, shots, accidental_fraction=peak / car,
+                           rng=None if seed is None else np.random.default_rng(seed))
+
+
+def _rho_of(params):
+    t = _t_from_params(params)
+    return t.conj().T @ t / np.trace(t.conj().T @ t).real
+
+
+def _nll_and_gap(params, records):
+    """Poisson NLL of the records at rho(T(params)) and its Frank-Wolfe gap
+    Tr(D rho) - lambda_min(D), built record by record."""
+    rho = _rho_of(params)
+    nll, drho = 0.0, np.zeros((4, 4), dtype=complex)
+    for r in records:
+        mu = max(r.shots * np.trace(rho @ r.projector).real + r.accidental, 1e-12)
+        nll += mu - r.counts * np.log(mu)
+        drho += (1.0 - r.counts / mu) * r.shots * r.projector
+    return nll, np.trace(drho @ rho).real - np.linalg.eigvalsh(drho)[0]
+
+
+def _mle_runs(records, gap_tol=MLE_GAP_TOL):
+    """mle_reconstruct's estimate with MLE_GAP_TOL at ``gap_tol``, and every
+    L-BFGS-B result it made on the way."""
+    runs = []
+    minimize = tomo.minimize
+
+    def recording(*args, **kwargs):
+        runs.append(minimize(*args, **kwargs))
+        return runs[-1]
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(tomo, "minimize", recording)
+        m.setattr(tomo, "MLE_GAP_TOL", gap_tol)
+        return mle_reconstruct(records), runs
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.floats(8.0, 25.0), st.floats(3.0, 5.0),
+       st.one_of(st.just(np.inf), st.floats(np.log10(5.0), 2.0).map(lambda x: 10.0**x)),
+       st.floats(0.0, 2.0 * np.pi), st.integers(0, 3), st.integers(0, 2**32 - 1))
+def test_mle_gap_certifies_the_estimate(suppression_db, log_shots, car, bell_phase,
+                                        mode, seed):
+    # a quarter of the draws in expected-value mode
+    expected_value = mode == 0
+    records = _records(suppression_db, 10.0**log_shots, car, bell_phase,
+                       None if expected_value else seed)
+    # every start run to completion: no gap ever certifies
+    _, runs = _mle_runs(records, gap_tol=-np.inf)
+    assert len(runs) == 1 + tomo.MLE_RESTARTS
+    nlls, gaps = np.array([_nll_and_gap(run.x, records) for run in runs]).T
+    best = nlls.min()
+    # the NLL is convex in rho, so each result's gap bounds its distance
+    # from the best of the four (up to rounding of NLLs near 1e6)
+    assert np.all(nlls - best <= gaps + 1e-6)
+    rho, gated = _mle_runs(records)
+    estimate = min(gated, key=lambda run: run.fun)
+    assert np.array_equal(rho, _rho_of(estimate.x))
+    assert _nll_and_gap(estimate.x, records)[0] - best <= MLE_GAP_TOL
+    if expected_value:
+        # the linear-inversion seed is exact, and its gap certifies it
+        assert len(gated) == 1
+
+
+def test_mle_certified_seed_makes_one_run():
+    # the command's expected-value config: exact counts, so an exact seed
+    records = _records(13.5, 1e4, 55.0, 0.0, None)
+    _, runs = _mle_runs(records)
+    assert len(runs) == 1
+    assert _nll_and_gap(runs[0].x, records)[1] < 1e-6
+
+
+# Two cases of a seeded sweep over 300 carved states (numpy seed 2026: dB
+# uniform in [8, 25], log10 shots in [3, 5], CAR log-uniform in [5, 100] or
+# infinite, a quarter in expected-value mode), 18 of whose seed runs stopped
+# more than 1e-4 NLL above the best of four.  In case 261 (as drawn) no start
+# certifies, so all four run; in case 112 (values rounded) the first restart
+# certifies and is also the best of the four.
+@pytest.mark.parametrize("case", [
+    (13.470311965152245, 83998.5329717803, 6.699524968327501, 6.272205100872229, 23920538),
+    (18.4, 36000.0, 47.3, 4.8, 1513394576)])
+def test_mle_stalled_seed_returns_the_best_of_all_starts(case):
+    records = _records(*case)
+    rho, runs = _mle_runs(records)
+    assert len(runs) > 1
+    assert runs[0].fun - min(run.fun for run in runs) > 1e-3
+    assert _nll_and_gap(runs[0].x, records)[1] > MLE_GAP_TOL
+    every, _ = _mle_runs(records, gap_tol=-np.inf)
+    assert np.array_equal(rho, every)
 
 
 def test_simulate_counts_modes_and_accidentals():
