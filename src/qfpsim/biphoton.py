@@ -174,6 +174,10 @@ LIFTED_MAX_SIZE = 2 ** 17
 _FLOOR = np.sqrt(np.finfo(float).eps)
 # Largest polished cost ``retrieve_phases`` accepts.
 RETRIEVAL_TOL = 1e-4
+# Iteration bound of the gradient polish, which ends a start that does not
+# converge (the zero start for phases far from zero).  At 64 pairs from the
+# zero start 200 iterations leave nearly twice the phase error of 1000.
+POLISH_MAXITER = 1000
 
 
 def _pair_model(measurements, base: BiphotonState, pair_bins,
@@ -219,15 +223,35 @@ def _pair_model(measurements, base: BiphotonState, pair_bins,
 
 def _model_cost(signal_cols, idler_rows, background, offsets, targets):
     """Squared mismatch between predicted and measured normalized grids,
-    summed over the settings, as a function of the phases of pairs 1..P-1."""
+    summed over the settings, and its gradient, as a function of the
+    phases of pairs 1..P-1.
+
+    With out = sum_p e^{i phi_p} s_p r_p^T + B, its sum S of |out|^2 and
+    diff = |out|^2 / S - target, the derivative of the cost with respect to
+    |out|^2 is w = 2 (diff - <diff, |out|^2 / S>) / S, so the gradient is
+    d/d phi_p = -2 Im(e^{i phi_p} s_p^T (w o conj(out)) r_p), summed over the
+    settings: one matmul per setting and a column sum.
+    """
 
     def cost(phis):
-        phases = np.concatenate(([0.0], phis)) + offsets
-        out = (signal_cols * np.exp(1j * phases)[:, None, :]) @ idler_rows + background
-        inten = np.abs(out) ** 2
-        total = inten.sum(axis=(1, 2), keepdims=True)
-        diff = (inten / np.where(total > 0, total, 1.0) - targets).ravel()
-        return float(diff @ diff)
+        rotation = np.exp(1j * (np.concatenate(([0.0], phis)) + offsets))[:, None, :]
+        out = (signal_cols * rotation) @ idler_rows + background
+        norm = np.abs(out) ** 2
+        total = norm.sum(axis=(1, 2), keepdims=True)
+        total = np.where(total > 0, total, 1.0)
+        norm /= total
+        diff = norm - targets
+        flat = diff.ravel()
+        value = float(flat @ flat)
+        # in place from here: a K x n_s x n_i array less at each step
+        norm *= diff
+        diff -= norm.sum(axis=(1, 2), keepdims=True)
+        diff *= 2.0 / total
+        np.conjugate(out, out=out)
+        out *= diff
+        reach = np.sum(signal_cols * (out @ idler_rows.T), axis=1)
+        grad = -2.0 * np.sum((rotation[:, 0, :] * reach).imag, axis=0)
+        return value, grad[1:]
 
     return cost
 
@@ -326,9 +350,11 @@ def retrieve_phases(measurements, base: BiphotonState, pair_bins,
     and the phases are read off its determined entries along a spanning
     tree from pair 0 (angular synchronisation: Singer, ACHA 30, 20, 2011).
     The lifted seed models the pairs only; amplitudes of ``base`` off the
-    pairs enter the cost but not the seed.  One Nelder-Mead run on the
-    squared mismatch between predicted and measured normalized grids then
-    polishes whichever of the seed and the zero vector costs less.  Above
+    pairs enter the cost but not the seed.  One L-BFGS-B run on the
+    squared mismatch between predicted and measured normalized grids, with
+    its analytic gradient, then polishes whichever of the seed and the zero
+    vector costs less; an exact seed ends it at the first evaluation, and
+    POLISH_MAXITER ends a start that does not converge.  Above
     LIFTED_MAX_SIZE the seed is skipped and the zero vector is polished.
 
     A single grid fixes each X_pq only up to its conjugate (the mixing
@@ -350,10 +376,10 @@ def retrieve_phases(measurements, base: BiphotonState, pair_bins,
     entries, edges = _phase_tree(signal_cols, idler_rows, offsets)
     x0 = np.zeros(len(pair_bins) - 1)
     seed = _lifted_seed(signal_cols, idler_rows, offsets, targets, entries, edges)
-    if seed is not None and cost(seed) < cost(x0):
+    if seed is not None and cost(seed)[0] < cost(x0)[0]:
         x0 = seed
-    best = minimize(cost, x0, method="Nelder-Mead",
-                    options={"xatol": 1e-8, "fatol": 1e-14, "maxiter": 4000})
+    best = minimize(cost, x0, jac=True, method="L-BFGS-B",
+                    options={"ftol": 1e-15, "gtol": 1e-12, "maxiter": POLISH_MAXITER})
     if not best.fun <= RETRIEVAL_TOL:
         raise RetrievalFailureError(
             f"residual {best.fun:.3g} exceeds tolerance {RETRIEVAL_TOL:.3g}")

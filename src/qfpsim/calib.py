@@ -113,6 +113,8 @@ def align_scan(unit_template: WsUnitConfig, grid_demux, grid_mux,
     noiseless trace repeats with the common period 1/gcd(f_D, f_M) of the
     tones (20 ms, 1024 of its samples), and the harmonic and mean of one
     period equal those of the whole trace, so each cell uses one period.
+    The mux ports are built once for the whole grid and each demux row
+    is evaluated in one call.
     """
     grid_demux = np.asarray(grid_demux, dtype=float)
     grid_mux = np.asarray(grid_mux, dtype=float)
@@ -125,29 +127,78 @@ def align_scan(unit_template: WsUnitConfig, grid_demux, grid_mux,
     kernel = np.exp(-2j * np.pi * f * t) * (2.0 / len(t))
     det_d, det_m = unit_template.detunings
     mode, phase = unit_template.mode, unit_template.channel_phase
-    # keep the mux ports of each grid line and make the demux ports once per
-    # row: a (grid x samples) array for every port would cost memory
-    mux_lines = [_ring_ports(probe_wavelength, unit_template.mux, det_m + (gm + dm_t))
-                 for gm in grid_mux]
+    mux_ports = _ring_ports(probe_wavelength, unit_template.mux,
+                            det_m + (grid_mux[:, None] + dm_t))
     scan = np.zeros((grid_demux.size, grid_mux.size))
     baseline = 0.0
     for i, gd in enumerate(grid_demux):
         demux_ports = _ring_ports(probe_wavelength, unit_template.demux, det_d + (gd + dd_t))
-        for j, mux_ports in enumerate(mux_lines):
-            intensity = np.abs(_ws_output(mode, phase, demux_ports, mux_ports)) ** 2
-            scan[i, j] = abs(np.sum(intensity * kernel))
-            baseline = max(baseline, float(np.mean(intensity)))
+        intensity = np.abs(_ws_output(mode, phase, demux_ports, mux_ports)) ** 2
+        harmonic = np.sum(intensity * kernel, axis=-1)
+        # hypot is what abs of one complex number computes; the vectorized
+        # complex abs can differ from it in the last bit
+        scan[i] = np.hypot(harmonic.real, harmonic.imag)
+        baseline = max(baseline, float(np.mean(intensity, axis=-1).max()))
     if scan.max() <= 1e-9 * max(baseline, np.finfo(float).tiny):
         raise DegenerateScanError("scan map is flat; dither amplitude too small")
     i, j = np.unravel_index(np.argmax(scan), scan.shape)
     return AlignScanResult(float(grid_demux[i]), float(grid_mux[j]), scan)
 
 
+# Grid values of the variable-projection search built at once, so a long
+# sweep's grid is never held whole.
+_GRID_CHUNK = 2 ** 14
+
+
+def _period_grid_search(powers, y, min_period: float, span: float):
+    """Start (I0, P_2pi, Phi_0) from the best point of a variable projection.
+
+    For a fixed P_2pi the model I0 cos(2 pi P / P_2pi + Phi_0) is linear in
+    (I0 cos Phi_0, -I0 sin Phi_0) (Golub and Pereyra, SIAM J. Numer. Anal.
+    10, 413, 1973), so each frequency 1/P_2pi of a uniform grid up to
+    1/min_period, spaced at most 1/(8 span), gets the residual of its
+    2-column least squares.  The columns are the real and imaginary parts
+    of e^{2 pi i nu P}, stepped from row to row of a chunk by one product.
+    Frequencies whose two columns are nearly parallel (Gram determinant
+    under 1e-9 n^2) are skipped.  Returns None when no point is finite.
+    """
+    scale = max(np.abs(y).max(), np.finfo(float).tiny)
+    y = y / scale
+    n = powers.size
+    count = math.ceil(8.0 * span / min_period)
+    dnu = 1.0 / (count * min_period)
+    step = np.exp(2j * np.pi * dnu * powers)
+    rows = max(1, _GRID_CHUNK // n)
+    best_fit, best = -np.inf, None
+    for first in range(1, count + 1, rows):
+        wave = np.empty((min(rows, count + 1 - first), n), dtype=complex)
+        wave[0] = np.exp(2j * np.pi * first * dnu * powers)
+        wave[1:] = step
+        wave = np.cumprod(wave, axis=0)
+        cos, sin = wave.real, wave.imag
+        cc, ss, cs = np.sum(cos * cos, 1), np.sum(sin * sin, 1), np.sum(cos * sin, 1)
+        cy, sy = cos @ y, sin @ y
+        det = cc * ss - cs * cs
+        ok = det > 1e-9 * n**2
+        det = np.where(ok, det, 1.0)
+        a, b = (ss * cy - cs * sy) / det, (cc * sy - cs * cy) / det
+        fitted = np.where(ok, a * cy + b * sy, -np.inf)  # = |y|^2 - residual^2
+        k = int(np.argmax(fitted))
+        if fitted[k] > best_fit:
+            best_fit = fitted[k]
+            best = (scale * float(np.hypot(a[k], b[k])), 1.0 / ((first + k) * dnu),
+                    float(np.arctan2(-b[k], a[k])))
+    return best
+
+
 def fit_phase_curve(powers, traces, dither: DitherConfig) -> PhaseCalibration:
     """Fit Re[I~(f_M - f_D)] vs heater power to I0 cos(2 pi P / P_2pi + Phi_0).
 
     ``traces`` holds one dither trace per power, recorded with the rings
-    aligned.  Requires at least 8 points spanning a full period.
+    aligned.  Requires at least 8 points spanning a full period.  A grid
+    search by variable projection over 1/P_2pi, above the two-step alias
+    floor, gives the start of one least-squares fit of all three
+    parameters, which also gives the covariance.
     """
     powers = np.asarray(powers, dtype=float)
     if powers.size < 8:
@@ -170,31 +221,27 @@ def fit_phase_curve(powers, traces, dither: DitherConfig) -> PhaseCalibration:
     span = powers.max() - powers.min()
     if span <= 0:
         raise InvalidArgumentError("powers must span a nonzero range")
-    best = None
-    i0_guess = max(np.abs(y).max(), 1e-30)
     # periods under two grid steps are sampling aliases, not physical fits
     min_period = 2.0 * float(np.median(np.diff(np.sort(powers))))
-    for p2pi_guess in (span, span / 2.0, 2.0 * span):
-        for phi0_guess in (0.0, np.pi / 2.0, np.pi, -np.pi / 2.0):
-            # a start that collapses to i0 = 0 has no covariance, and one that
-            # under- or overflows (powers or noise of extreme scale) has no
-            # finite residual: skip both
-            with warnings.catch_warnings(), np.errstate(all="ignore"):
-                warnings.simplefilter("error", OptimizeWarning)
-                try:
-                    popt, pcov = curve_fit(model, powers, y,
-                                           p0=(i0_guess, p2pi_guess, phi0_guess),
-                                           jac=jac, maxfev=20000)
-                except (RuntimeError, OptimizeWarning):
-                    continue
-                res = float(np.sqrt(np.mean((model(powers, *popt) - y) ** 2)))
-            if abs(popt[1]) < min_period or not np.isfinite(res):
-                continue
-            if best is None or res < best[2]:
-                best = (popt, pcov, res)
-    if best is None:
-        raise FitFailureError("phase-curve fit failed to converge from every start")
-    popt, pcov, res = best
+    # a fit that collapses to i0 = 0 has no covariance, and one that under-
+    # or overflows (powers or noise of extreme scale) has no finite
+    # residual: both fail
+    failed = FitFailureError("phase-curve fit failed to converge from every start")
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("error", OptimizeWarning)
+        # repeated powers leave no alias floor; the grid then stops at the
+        # smallest step's
+        start = _period_grid_search(
+            powers, y, min_period or 2.0 * np.diff(np.unique(powers)).min(), span)
+        if start is None:
+            raise failed
+        try:
+            popt, pcov = curve_fit(model, powers, y, p0=start, jac=jac, maxfev=20000)
+        except (RuntimeError, OptimizeWarning):
+            raise failed from None
+        res = float(np.sqrt(np.mean((model(powers, *popt) - y) ** 2)))
+    if abs(popt[1]) < min_period or not np.isfinite(res):
+        raise failed
     i0, p2pi, phi0 = popt
     if i0 < 0:  # fold the sign into the phase
         i0 = -i0

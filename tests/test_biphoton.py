@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize
 
 from qfpsim import biphoton, defaults
 from qfpsim.biphoton import (
     BiphotonState,
+    _lifted_seed,
     _model_cost,
     _pair_model,
+    _phase_tree,
     apply_joint,
     comb_envelope,
     comb_state,
@@ -241,7 +244,64 @@ def test_retrieval_cost_matches_joint_evolution(angles, stray, stray_phase):
         pred = jsi(apply_joint(BiphotonState(LAT, LAT, trial), sig, idl), "integral")
         expected += np.sum((pred - grid / grid.sum()) ** 2)
     cost = _model_cost(*_pair_model(measurements, base, PAIRS, sig, idl))
-    assert cost(phis) == pytest.approx(expected, abs=1e-12)
+    assert cost(phis)[0] == pytest.approx(expected, abs=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.floats(-np.pi, np.pi), min_size=3 * len(PAIRS) - 3,
+                max_size=3 * len(PAIRS) - 3),
+       st.floats(0.0, 0.5), st.floats(-np.pi, np.pi))
+def test_retrieval_gradient_matches_central_differences(angles, stray, stray_phase):
+    # grids from other phases than those evaluated, so the cost is far from
+    # its minimum, and a base with one amplitude off the pairs
+    sig, idl = walk_operators(defaults.WALK_DEPTH, LAT)
+    amps = comb_state(LAT, LAT, PAIRS, weights=_envelope()).amplitudes.copy()
+    amps[LAT.index_of(2), LAT.index_of(3)] = stray * np.exp(1j * stray_phase)
+    base = BiphotonState(LAT, LAT, amps)
+    num = len(PAIRS)
+    planted = np.concatenate(([0.0], angles[:num - 1]))
+    phis = np.asarray(angles[num - 1:2 * num - 2])
+    known = np.concatenate(([0.0], angles[2 * num - 2:]))
+    measurements = []
+    for offsets in (np.zeros(num), known):
+        target = comb_state(LAT, LAT, PAIRS, phases=planted + offsets)
+        measurements.append((offsets, jsi(apply_joint(target, sig, idl), "integral")))
+    cost = _model_cost(*_pair_model(measurements, base, PAIRS, sig, idl))
+    step = 1e-6
+    central = np.array([(cost(phis + step * e)[0] - cost(phis - step * e)[0]) / (2 * step)
+                        for e in np.eye(num - 1)])
+    # the difference quotient carries about 1e-16 / 1e-6 of rounding
+    assert np.abs(cost(phis)[1] - central).max() <= 1e-8
+
+
+def test_retrieval_polish_beats_nelder_mead_on_noisy_grids():
+    # 16 pairs with phases drawn as qwalk draws them (+-0.1), each grid cell
+    # scaled by 1 + 0.02 N(0, 1); the polish must end no higher than the
+    # former Nelder-Mead run from the same start (which ends 21 % above)
+    num = 16
+    lat = make_lattice(defaults.CENTER_FREQUENCY, defaults.BIN_SPACING, 24)
+    pairs = [(l, -l) for l in range(1, num + 1)]
+    env = comb_envelope(num, defaults.PUMP_FILTER_FSR, defaults.BIN_SPACING,
+                        defaults.PUMP_FILTER_EXTINCTION_DB)
+    sig, idl = walk_operators(defaults.WALK_DEPTH, lat)
+    base = comb_state(lat, lat, pairs, weights=env)
+    rng = np.random.default_rng(5)
+    planted = np.concatenate(([0.0], rng.uniform(-0.1, 0.1, num - 1)))
+    measurements = []
+    for offsets in (np.zeros(num), retrieval_reference_offsets(num)):
+        state = comb_state(lat, lat, pairs, weights=env, phases=planted + offsets)
+        grid = jsi(apply_joint(state, sig, idl), "integral")
+        measurements.append((offsets, grid * (1 + 0.02 * rng.standard_normal(grid.shape))))
+    model = _pair_model(measurements, base, pairs, sig, idl)
+    cost = _model_cost(*model)
+    signal_cols, idler_rows, _, offsets, targets = model
+    seed = _lifted_seed(signal_cols, idler_rows, offsets, targets,
+                        *_phase_tree(signal_cols, idler_rows, offsets))
+    x0 = seed if cost(seed)[0] < cost(np.zeros(num - 1))[0] else np.zeros(num - 1)
+    reference = minimize(lambda x: cost(x)[0], x0, method="Nelder-Mead",
+                         options={"xatol": 1e-8, "fatol": 1e-14, "maxiter": 4000})
+    rec = retrieve_phases(measurements, base, pairs, sig, idl)
+    assert cost(rec[1:])[0] <= reference.fun
 
 
 def test_retrieval_rejects_duplicate_pairs_and_foreign_windows():

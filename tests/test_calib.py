@@ -1,13 +1,19 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.constants import c
+from scipy.optimize import OptimizeWarning, curve_fit
 
 from qfpsim.calib import (DitherConfig, _add_noise, _dither_offsets, align_scan,
                           fit_phase_curve, harmonic_component, simulate_phase_sweep,
                           wrap_phase)
 from qfpsim.errors import (DegenerateScanError, InvalidArgumentError)
-from qfpsim.rings import (MODE_PASS, MODE_PHASE, MODE_STOP, WsUnitConfig, make_ring,
-                          ws_unit, ws_unit_response)
+from qfpsim.rings import (MODE_PASS, MODE_PHASE, MODE_STOP, WsUnitConfig, _ring_ports,
+                          _ws_output, make_ring, ws_unit, ws_unit_response)
 
 WAVELENGTH = c / 193.7e12
 
@@ -133,12 +139,50 @@ def test_align_scan_matches_per_cell_response(mode):
     assert np.abs(res.scan_map - ref).max() <= 1e-13
 
 
+def per_cell_scan(unit, grid_demux, grid_mux, dither, probe_wavelength):
+    """Reference map: one _ws_output call per cell over one dither period."""
+    period = round(dither.sample_rate / math.gcd(int(dither.f_demux), int(dither.f_mux)))
+    dd_t, dm_t = (offsets[:period] for offsets in _dither_offsets(dither))
+    t = dither.times[:period]
+    kernel = np.exp(-2j * np.pi * dither.alignment_harmonic * t) * (2.0 / len(t))
+    det_d, det_m = unit.detunings
+    scan = np.zeros((len(grid_demux), len(grid_mux)))
+    for i, gd in enumerate(grid_demux):
+        demux_ports = _ring_ports(probe_wavelength, unit.demux, det_d + (gd + dd_t))
+        for j, gm in enumerate(grid_mux):
+            mux_ports = _ring_ports(probe_wavelength, unit.mux, det_m + (gm + dm_t))
+            intensity = np.abs(_ws_output(unit.mode, unit.channel_phase,
+                                          demux_ports, mux_ports)) ** 2
+            scan[i, j] = abs(np.sum(intensity * kernel))
+    return scan
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.sampled_from([MODE_PHASE, MODE_STOP, MODE_PASS]), st.floats(0.0, 2 * np.pi),
+       st.floats(0.01, 0.05), st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)),
+       st.integers(1, 9), st.integers(1, 9), st.floats(0.01, 0.2))
+def test_align_scan_rows_equal_the_per_cell_map(mode, phase, coupling, detunings,
+                                                rows, cols, fraction):
+    ring = make_ring(WAVELENGTH, coupling, 1.2, 50e-6, 2.8)
+    lw = ring.linewidth_fwhm
+    unit = WsUnitConfig(ring, ring, channel_phase=phase, mode=mode,
+                        detunings=tuple(d * lw for d in detunings))
+    dither = small_dither(ring, fraction)
+    grid_d = np.linspace(-0.6, 0.5, rows) * lw
+    grid_m = np.linspace(-0.4, 0.7, cols) * lw
+    ref = per_cell_scan(unit, grid_d, grid_m, dither, WAVELENGTH)
+    if ref.max() <= 1e-9:  # far-detuned PASS grids can be flat
+        return
+    assert np.array_equal(align_scan(unit, grid_d, grid_m, dither, WAVELENGTH).scan_map, ref)
+
+
 def test_align_scan_zero_dither_is_degenerate():
     ring = paper_ring()
     unit = ws_unit(ring, ring)
-    grid = np.linspace(-0.3, 0.3, 5) * ring.linewidth_fwhm
-    with pytest.raises(DegenerateScanError):
-        align_scan(unit, grid, grid, DitherConfig(0.0), WAVELENGTH)
+    grid = np.linspace(-0.3, 0.3, 7) * ring.linewidth_fwhm
+    for rows, cols in ((5, 5), (3, 7), (1, 4)):
+        with pytest.raises(DegenerateScanError):
+            align_scan(unit, grid[:rows], grid[:cols], DitherConfig(0.0), WAVELENGTH)
 
 
 def test_fit_phase_curve_plant_and_recover():
@@ -170,6 +214,59 @@ def test_fit_phase_curve_exact_when_model_matches_generator():
         assert cal.power_2pi == pytest.approx(p2pi, rel=1e-9)
         assert abs(wrap_phase(cal.phase_offset - phi0)) < 1e-9
         assert cal.residual_rms < 1e-6 * cal.amplitude
+
+
+def twelve_start_residual(powers, y):
+    """Residual of the best of the twelve curve_fit starts of the former
+    phase-curve fit (three periods times four phases), or None."""
+
+    def model(p, i0, p2pi, phi0):
+        return i0 * np.cos(2.0 * np.pi * p / p2pi + phi0)
+
+    def jac(p, i0, p2pi, phi0):
+        u = 2.0 * np.pi * p / p2pi + phi0
+        return np.column_stack((np.cos(u), i0 * 2.0 * np.pi * p / p2pi**2 * np.sin(u),
+                                -i0 * np.sin(u)))
+
+    span = powers.max() - powers.min()
+    min_period = 2.0 * float(np.median(np.diff(np.sort(powers))))
+    best = None
+    for p2pi_guess in (span, span / 2.0, 2.0 * span):
+        for phi0_guess in (0.0, np.pi / 2.0, np.pi, -np.pi / 2.0):
+            with warnings.catch_warnings(), np.errstate(all="ignore"):
+                warnings.simplefilter("error", OptimizeWarning)
+                try:
+                    popt, _ = curve_fit(model, powers, y,
+                                        p0=(max(np.abs(y).max(), 1e-30), p2pi_guess,
+                                            phi0_guess), jac=jac, maxfev=20000)
+                except (RuntimeError, OptimizeWarning):
+                    continue
+                res = float(np.sqrt(np.mean((model(powers, *popt) - y) ** 2)))
+            if abs(popt[1]) >= min_period and np.isfinite(res):
+                best = res if best is None else min(best, res)
+    return best
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(8, 40), st.floats(0.0, 0.2), st.floats(0.5, 2.0),
+       st.floats(-np.pi, np.pi), st.floats(1.2, 3.0), st.integers(0, 2**32 - 1))
+def test_fit_phase_curve_reaches_the_best_of_the_former_starts(points, sigma, p2pi,
+                                                                phi0, periods, seed):
+    # the curve's values on the carrier of the phase harmonic, with noise of
+    # sigma times the amplitude on each point
+    dither = DitherConfig(1e-12)
+    carrier = np.cos(2 * np.pi * dither.phase_harmonic * dither.times)
+    powers = np.linspace(0.0, periods * p2pi, points)
+    y = np.cos(2 * np.pi * powers / p2pi + phi0)
+    y = y + sigma * np.random.default_rng(seed).standard_normal(points)
+    traces = y[:, None] * carrier
+    y = harmonic_component(traces, dither.phase_harmonic, dither.sample_rate).real
+    cal = fit_phase_curve(powers, traces, dither)
+    ref = twelve_start_residual(powers, y)
+    # both stop within curve_fit's ftol (1.5e-8 on the squared residual) of
+    # a minimum; on noiseless curves both reach rounding, about 1e-15 of the
+    # unit amplitude
+    assert ref is None or cal.residual_rms <= ref * (1 + 1e-7) + 1e-12
 
 
 def test_fit_phase_curve_needs_enough_points_and_span():

@@ -7,11 +7,13 @@ Each SRC is a directory that holds the ``qfpsim`` package, such as the
 ``src`` of a checkout.  Every case is a command, its config and its
 flags, and runs once on each tree, in a fresh interpreter whose
 PYTHONPATH starts with that tree: the six commands on the config ``{}``
-at ``--seed 0`` and at ``--seed 3``, ``tomography --expected-value``, and
+at ``--seed 0`` and at ``--seed 3``, ``tomography --expected-value``,
 two failing runs, ``gate`` with a mistyped ``theta`` (exit 2) and
-``calibrate`` with a phase-curve fit that fails (exit 3).  For each
-output file the report says "identical", or gives the largest absolute
-and relative difference of the numbers in it (CSV cells and JSON values).
+``calibrate`` with a phase-curve fit that fails (exit 3), and two runs
+with a noisy or a many-pair fit, ``calibrate`` with ``noise_sigma`` 0.01
+and ``qwalk`` with 16 pairs on a 49-bin window.  For each output file
+the report says "identical", or gives the largest absolute and relative
+difference of the numbers in it (CSV cells and JSON values).
 
 Exits 1 when, for some case, the exit codes, the stdout or stderr text,
 the set of output files, or anything in a file other than its numbers
@@ -35,7 +37,9 @@ COMMANDS = ("beamsplitter", "gate", "spectrum", "qwalk", "tomography", "calibrat
 CASES = ([(command, "{}", ("--seed", seed)) for seed in ("0", "3") for command in COMMANDS]
          + [("tomography", "{}", ("--seed", "0", "--expected-value")),
             ("gate", '{"theta": "x"}', ("--seed", "0")),
-            ("calibrate", '{"power_2pi": 1e200}', ("--seed", "0"))])
+            ("calibrate", '{"power_2pi": 1e200}', ("--seed", "0")),
+            ("calibrate", '{"noise_sigma": 0.01}', ("--seed", "0")),
+            ("qwalk", '{"num_pairs": 16, "constants": {"half_width": 24}}', ("--seed", "0"))])
 
 
 def run_case(src: Path, case: tuple, work: Path):
