@@ -184,6 +184,11 @@ def cmd_qwalk(cfg: dict, rng) -> dict:
     consts = cfg["constants"]
     lat = _lattice_from(consts)
     num_pairs, depth = cfg["num_pairs"], cfg["walk_depth"]
+    planted = cfg["planted_phases"]
+    if planted is None:
+        planted = [0.0] + [float(p) for p in rng.uniform(-0.1, 0.1, num_pairs - 1)]
+    if len(planted) != num_pairs:
+        raise InvalidArgumentError("planted_phases must have one entry per pair")
     pairs = [(l, -l) for l in range(1, num_pairs + 1)]
     weights = comb_envelope(num_pairs, consts["pump_filter_fsr"], consts["bin_spacing"],
                             consts["pump_filter_extinction_db"])
@@ -200,11 +205,6 @@ def cmd_qwalk(cfg: dict, rng) -> dict:
                for name, state in (("initial", initial), ("correlated", corr_out),
                                    ("anticorrelated", anti_out))}
 
-    planted = cfg["planted_phases"]
-    if planted is None:
-        planted = [0.0] + [float(p) for p in rng.uniform(-0.1, 0.1, num_pairs - 1)]
-    if len(planted) != num_pairs:
-        raise InvalidArgumentError("planted_phases must have one entry per pair")
     reference = retrieval_reference_offsets(num_pairs)
     measurements = []
     for offsets in (np.zeros(num_pairs), reference):
@@ -306,7 +306,8 @@ class Command(NamedTuple):
     flags: dict = {}  # on/off options of the command: argument name -> help
 
 
-# Size bounds keep a run within a few hundred MB (n x n operators, n = 2 half_width + 1).
+# Size bounds keep a run within a few hundred MB: n x n operators (n = 2 half_width + 1)
+# and the lifted design of qwalk's phase retrieval (about 500 MB peak at 249 pairs).
 COMMANDS = {
     "beamsplitter": Command(cmd_beamsplitter, "R/T sweep against the step phase alpha", {
         "alpha_min": Field("real", np.pi), "alpha_max": Field("real", 2 * np.pi),

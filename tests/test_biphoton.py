@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
-from qfpsim import biphoton, defaults
+from qfpsim import defaults
 from qfpsim.biphoton import (
     BiphotonState,
     _lifted_seed,
@@ -173,25 +173,6 @@ def test_two_grid_retrieval_recovers_any_phases(angles):
     planted = np.concatenate(([0.0], angles))
     rec = retrieve_phases(_two_grids(planted, env, sig, idl), base, PAIRS, sig, idl)
     assert np.abs(np.angle(np.exp(1j * (rec - planted)))).max() < 1e-6
-
-
-def test_retrieval_above_the_size_cap_polishes_the_zero_start(monkeypatch):
-    env = _envelope()
-    sig, idl = walk_operators(defaults.WALK_DEPTH, LAT)
-    base = comb_state(LAT, LAT, PAIRS, weights=env)
-    planted = np.array([0.0, 0.1, -0.1, 0.05, -0.05, 0.1])
-    starts = []
-    real_minimize = biphoton.minimize
-
-    def recording(fun, x0, **kwargs):
-        starts.append(np.array(x0))
-        return real_minimize(fun, x0, **kwargs)
-
-    monkeypatch.setattr(biphoton, "minimize", recording)
-    monkeypatch.setattr(biphoton, "LIFTED_MAX_SIZE", 1)
-    rec = retrieve_phases(_two_grids(planted, env, sig, idl), base, PAIRS, sig, idl)
-    assert len(starts) == 1 and not starts[0].any()
-    assert np.abs(rec - planted).max() < 1e-6
 
 
 def test_retrieval_failure_on_inconsistent_data():

@@ -105,10 +105,22 @@ def test_qwalk_command(tmp_path):
         assert (out / name).exists()
 
 
-def test_qwalk_recovers_phases_far_from_zero(tmp_path):
+def _far_draw(num_pairs):
+    return [0.0] + np.random.default_rng(4).uniform(-np.pi, np.pi, num_pairs - 1).tolist()
+
+
+@pytest.mark.parametrize("planted, half_width", [
     # a draw on which none of eight Nelder-Mead restarts found the minimum
-    planted = [0.0, -1.872969, 2.415567, 1.129788, 2.194315, 0.907519]
-    cfg = _write_cfg(tmp_path, {"planted_phases": planted})
+    ([0.0, -1.872969, 2.415567, 1.129788, 2.194315, 0.907519], None),
+    # lifted designs of 2.4 and 9.6 MB, past the former size cap of the seed
+    (_far_draw(32), 40),
+    (_far_draw(64), 71),
+], ids=["6-pairs", "32-pairs", "64-pairs"])
+def test_qwalk_recovers_phases_far_from_zero(tmp_path, planted, half_width):
+    payload = {"num_pairs": len(planted), "planted_phases": planted}
+    if half_width is not None:
+        payload["constants"] = {"half_width": half_width}
+    cfg = _write_cfg(tmp_path, payload)
     out = tmp_path / "out"
     assert _run("qwalk", cfg, out) == 0
     summary = json.loads((out / "qwalk_summary.json").read_text())
@@ -273,6 +285,8 @@ def test_flat_fringe_exits_3_without_a_warning(tmp_path):
     ("spectrum", {"input_bin": 16}, 3),
     ("qwalk", {"walk_depth": 10}, 3),
     ("qwalk", {"num_pairs": 14}, 3),
+    # a planted list of the wrong length is a bad config, whatever the window
+    ("qwalk", {"num_pairs": 14, "planted_phases": [0.0]}, 2),
 ])
 def test_config_exit_codes(tmp_path, command, config, code):
     out = tmp_path / "out"

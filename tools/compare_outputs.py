@@ -9,9 +9,11 @@ flags, and runs once on each tree, in a fresh interpreter whose
 PYTHONPATH starts with that tree: the six commands on the config ``{}``
 at ``--seed 0`` and at ``--seed 3``, ``tomography --expected-value``,
 two failing runs, ``gate`` with a mistyped ``theta`` (exit 2) and
-``calibrate`` with a phase-curve fit that fails (exit 3), and two runs
-with a noisy or a many-pair fit, ``calibrate`` with ``noise_sigma`` 0.01
-and ``qwalk`` with 16 pairs on a 49-bin window.  For each output file
+``calibrate`` with a phase-curve fit that fails (exit 3), and three runs
+with a noisy or a many-pair fit: ``calibrate`` with ``noise_sigma`` 0.01,
+``qwalk`` with 16 pairs on a 49-bin window, and ``qwalk`` with 32 pairs
+on an 81-bin window and planted phases drawn over +-pi, where the lifted
+design of the phase retrieval is large.  For each output file
 the report says "identical", or gives the largest absolute and relative
 difference of the numbers in it (CSV cells and JSON values).
 
@@ -27,11 +29,15 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
+# a fixed draw of 32 pair phases over +-pi (pair 0 is the reference)
+_DRAW = random.Random(4)
+_FAR_PHASES = [0.0] + [_DRAW.uniform(-math.pi, math.pi) for _ in range(31)]
 COMMANDS = ("beamsplitter", "gate", "spectrum", "qwalk", "tomography", "calibrate")
 # (command, config, flags)
 CASES = ([(command, "{}", ("--seed", seed)) for seed in ("0", "3") for command in COMMANDS]
@@ -39,7 +45,9 @@ CASES = ([(command, "{}", ("--seed", seed)) for seed in ("0", "3") for command i
             ("gate", '{"theta": "x"}', ("--seed", "0")),
             ("calibrate", '{"power_2pi": 1e200}', ("--seed", "0")),
             ("calibrate", '{"noise_sigma": 0.01}', ("--seed", "0")),
-            ("qwalk", '{"num_pairs": 16, "constants": {"half_width": 24}}', ("--seed", "0"))])
+            ("qwalk", '{"num_pairs": 16, "constants": {"half_width": 24}}', ("--seed", "0")),
+            ("qwalk", json.dumps({"num_pairs": 32, "constants": {"half_width": 40},
+                                  "planted_phases": _FAR_PHASES}), ("--seed", "0"))])
 
 
 def run_case(src: Path, case: tuple, work: Path):
