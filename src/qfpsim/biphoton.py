@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize
 
-from .errors import InvalidArgumentError, RetrievalFailureError
+from .errors import InvalidArgumentError, OutOfRangeError, RetrievalFailureError
 from .eom import ModeOperator, RfDrive, eom_operator
 from .lattice import FrequencyLattice
 from .rings import mzi_pump_filter
@@ -164,6 +164,10 @@ def retrieval_reference_offsets(num_pairs: int) -> np.ndarray:
     return np.arange(num_pairs) * np.pi / 4.0
 
 
+# Largest real design (rows x unknowns) of the lifted seed, 256 MiB: every window
+# fits at the default walk_depth, a qwalk run at the bound peaks below 800 MB, and
+# a deep walk over many pairs (25 GiB at walk_depth 50 and 184 pairs) is refused.
+LIFTED_MAX_SIZE = 2 ** 25
 # Relative size below which a cell, an entry of X or an offset spread
 # tells the seed nothing it needs: what it leaves out moves the seed by
 # about this much, and the polish on the full cost removes that.
@@ -298,15 +302,19 @@ def _lifted_seed(signal_cols, idler_rows, offsets, targets, entries, edges):
     Each normalized grid cell is linear in X: s_k t_k = sum_p |a_p|^2 |b_p|^2
     + sum_{p<q} 2 Re(e^{i(o_kp - o_kq)} X_pq a_p conj(a_q) b_p conj(b_q)),
     with the diagonal of X fixed to 1 and one unknown scale s_k per grid.
-    The system holds only the reached ``entries`` and the cells whose
-    diagonal term, which bounds the cell by Cauchy-Schwarz, is above
-    _FLOOR of its largest value, so its size does not grow with the
-    window.  Phases are read along ``edges`` from pair 0, since
-    arg X_pq = phi_p - phi_q.
+    The system holds only the reached ``entries`` and the cells whose diagonal
+    term, which bounds the cell by Cauchy-Schwarz, is above _FLOOR of its
+    largest value, so its size does not grow with the window; one above
+    LIFTED_MAX_SIZE doubles raises OutOfRangeError.  Phases are read along
+    ``edges`` from pair 0, since arg X_pq = phi_p - phi_q.
     """
     diagonal = np.abs(signal_cols) ** 2 @ np.abs(idler_rows) ** 2
     rows, cols = np.nonzero(diagonal >= _FLOOR * diagonal.max())
     num_grids, num_entries = len(targets), len(entries)
+    size = num_grids * len(rows) * (2 * num_entries + num_grids)
+    if size > LIFTED_MAX_SIZE:
+        raise OutOfRangeError(f"lifted design of {size / 2**17:.0f} MiB exceeds its bound of "
+                              f"{LIFTED_MAX_SIZE / 2**17:.0f} MiB; use fewer pairs or less depth")
     p, q = entries.T
     a, b = signal_cols[rows], idler_rows[:, cols].T
     kernel = 2.0 * a[:, p] * a[:, q].conj() * b[:, p] * b[:, q].conj()
@@ -356,6 +364,7 @@ def retrieve_phases(measurements, base: BiphotonState, pair_bins,
     those entries leave a pair unconnected to pair 0 (a single grid
     always does), when a grid is not finite or sums to zero, or when the
     polished cost exceeds RETRIEVAL_TOL (or is not finite); raises
+    OutOfRangeError when the lifted design exceeds LIFTED_MAX_SIZE, and
     InvalidArgumentError when there are fewer than two pairs, when two
     pairs share both bins or when the operator windows do not match ``base``.
     """

@@ -306,8 +306,8 @@ class Command(NamedTuple):
     flags: dict = {}  # on/off options of the command: argument name -> help
 
 
-# Size bounds keep a run within a few hundred MB: n x n operators (n = 2 half_width + 1)
-# and the lifted design of qwalk's phase retrieval (about 500 MB peak at 249 pairs).
+# Size bounds keep a run below 800 MB: n x n operators (n = 2 half_width + 1) and
+# biphoton.LIFTED_MAX_SIZE on qwalk's retrieval design, which grows with walk_depth.
 COMMANDS = {
     "beamsplitter": Command(cmd_beamsplitter, "R/T sweep against the step phase alpha", {
         "alpha_min": Field("real", np.pi), "alpha_max": Field("real", 2 * np.pi),

@@ -287,6 +287,8 @@ def test_flat_fringe_exits_3_without_a_warning(tmp_path):
     ("qwalk", {"num_pairs": 14}, 3),
     # a planted list of the wrong length is a bad config, whatever the window
     ("qwalk", {"num_pairs": 14, "planted_phases": [0.0]}, 2),
+    # a deep walk over many pairs: the lifted design would take 352 MiB
+    ("qwalk", {"num_pairs": 32, "walk_depth": 50, "constants": {"half_width": 104}}, 3),
 ])
 def test_config_exit_codes(tmp_path, command, config, code):
     out = tmp_path / "out"

@@ -29,15 +29,22 @@ import io
 import json
 import math
 import os
-import random
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
-# a fixed draw of 32 pair phases over +-pi (pair 0 is the reference)
-_DRAW = random.Random(4)
-_FAR_PHASES = [0.0] + [_DRAW.uniform(-math.pi, math.pi) for _ in range(31)]
+# 32 pair phases over +-pi, pair 0 the reference: the draw of the tests'
+# 32-pair qwalk case, [0] + numpy.random.default_rng(4).uniform(-pi, pi, 31)
+_FAR_PHASES = [
+    0.0, 2.7838036127885077, 0.07117311340949772, 2.9923274543394056,
+    -2.6336849359581276, 0.6745365862312105, -0.7760576782802868, 1.8969012279530073,
+    -2.045002043499493, 2.3350532944055393, 0.2760919636541015, 2.527191879197564,
+    -0.1435486433343276, -0.43670476656484203, 1.815505770232301, 3.0420230155941415,
+    -0.8185369855107263, 2.9463921145413323, 2.6956522960000155, -2.025117209535365,
+    0.6839348796204034, 1.287203159291475, 2.782217570669447, 1.0408562483045438,
+    -2.3034424028955938, -0.013398271980747278, -0.04008776554430504, 0.0014211895926803386,
+    2.8813574822144474, -0.9428711245939736, -1.73559707198218, 0.1387767277746108]
 COMMANDS = ("beamsplitter", "gate", "spectrum", "qwalk", "tomography", "calibrate")
 # (command, config, flags)
 CASES = ([(command, "{}", ("--seed", seed)) for seed in ("0", "3") for command in COMMANDS]
