@@ -73,7 +73,7 @@ def _dither_offsets(dither: DitherConfig) -> tuple:
 def _add_noise(trace: np.ndarray, noise_sigma: float, rng) -> np.ndarray:
     if noise_sigma > 0.0:
         if rng is None:
-            rng = np.random.default_rng()
+            raise InvalidArgumentError("noise needs a seeded generator (rng)")
         trace = trace + rng.normal(0.0, noise_sigma, trace.shape)
     return trace
 
@@ -274,7 +274,8 @@ def simulate_phase_sweep(unit_template: WsUnitConfig, powers, power_2pi: float,
     by plant-and-recover tests.  Each trace is the dithered intensity
     |ws_unit_response|^2 of ws_unit(demux, mux, mode, Phi(P)): the ring
     ports do not depend on the phase, so they are computed once for the
-    whole sweep.
+    whole sweep.  Gaussian noise of noise_sigma > 0 is drawn from ``rng``,
+    which must then be given, so a sweep reruns the same.
     """
     unit = ws_unit(unit_template.demux, unit_template.mux, unit_template.mode)
     ports = [_ring_ports(probe_wavelength, ring, det + offsets) for ring, det, offsets

@@ -175,29 +175,12 @@ def simulate_counts(rho: np.ndarray, shots: float, accidental_fraction: float = 
     return [MeasurementRecord(pi, float(n), shots, acc) for pi, n in zip(pis, counts)]
 
 
-_BELOW = np.tril_indices(4, -1)  # entries below the diagonal, row by row
-
-
-def _t_from_params(params: np.ndarray) -> np.ndarray:
-    """Lower-triangular T from 16 reals: the diagonal, then the real and
-    imaginary parts of each entry below it, row by row."""
-    t = np.diag(params[:4].astype(complex))
-    t[_BELOW] = params[4::2] + 1j * params[5::2]
-    return t
-
-
-def _params_from_t(t: np.ndarray) -> np.ndarray:
-    """The 16 reals of _t_from_params from a lower-triangular complex T."""
-    return np.concatenate((t.diagonal().real, t[_BELOW].view(float)))
-
-
-def _params_from_rho(rho: np.ndarray) -> np.ndarray:
-    """Parameters of a T with rho = T^dag T, via Cholesky of a regularized rho."""
-    w, u = np.linalg.eigh(rho)
-    reg = u @ np.diag(np.maximum(w, 1e-9)) @ u.conj().T
-    reg = reg / np.trace(reg).real
-    # Cholesky in the index-reversed basis gives the lower-triangular T
-    return _params_from_t(np.linalg.cholesky(reg[::-1, ::-1]).conj().T[::-1, ::-1])
+def _rho_of(params: np.ndarray) -> np.ndarray:
+    """rho = A^dag A / Tr(A^dag A), A the complex 4x4 matrix whose entries,
+    row by row, are the (Re, Im) pairs of the 32 parameters."""
+    a = params.view(complex).reshape(4, 4)
+    g = a.conj().T @ a
+    return g / np.trace(g).real
 
 
 def _linear_inversion(pis: np.ndarray, rates: np.ndarray) -> np.ndarray:
@@ -220,32 +203,34 @@ def _negloglike_and_drho(rho, pis, counts, shots, accidentals):
 
 
 def _negloglike_and_grad(params, pis, counts, shots, accidentals):
-    """Poisson negative log-likelihood of the records at rho(T(params)),
-    and its gradient in the 16 parameters."""
-    t = _t_from_params(params)
-    g = t.conj().T @ t
-    trg = np.trace(g).real
-    if trg <= 0:
-        return 1e18, np.zeros(16)
-    rho = g / trg
+    """Poisson negative log-likelihood of the records at rho(A(params)),
+    and its gradient in the 32 parameters."""
+    tra = params @ params  # Tr(A^dag A)
+    if tra <= 0:
+        return 1e18, np.zeros(32)
+    rho = _rho_of(params)
     nll, drho = _negloglike_and_drho(rho, pis, counts, shots, accidentals)
-    # rho = G/TrG; d/dT* : grad_T = 2 * (T drho - Tr(rho drho) T) / TrG
+    # rho = A^dag A/TrA; d/dA* : grad_A = 2 * (A drho - Tr(rho drho) A) / TrA
+    a = params.view(complex).reshape(4, 4)
     inner = np.trace(rho @ drho).real
-    return nll, _params_from_t(2.0 * (t @ drho - inner * t) / trg)
+    return nll, (2.0 * (a @ drho - inner * a) / tra).view(float).ravel()
 
 
 def mle_reconstruct(records: list) -> np.ndarray:
     """Maximum-likelihood density matrix from coincidence records.
 
-    rho = T^dag T / Tr(T^dag T) with T lower triangular (16 real
+    rho = A^dag A / Tr(A^dag A) with A a full complex 4x4 matrix (32 real
     parameters) guarantees physicality.  The Poisson log-likelihood is
-    maximized with L-BFGS-B using the analytic gradient, from a
-    linear-inversion seed and then MLE_RESTARTS random starts.  After each
-    start the best result so far is certified by its Frank-Wolfe gap
-    Tr(D rho) - lambda_min(D), D the NLL's gradient in rho: the NLL is
-    convex in rho, so the gap bounds the distance to the optimum (Jaggi,
-    ICML 2013), and the starts stop once it is at most MLE_GAP_TOL.  If
-    no start certifies, the best of all is returned.
+    maximized with L-BFGS-B using the analytic gradient, from the
+    linear-inversion seed U diag(w) U^dag as A = U diag(sqrt(w)) U^dag (w
+    floored at 1e-9, then scaled to unit sum) and then MLE_RESTARTS random
+    starts.  The floor keeps the seed's A full rank: the gradient is A
+    times a matrix, so u A = 0 gives u grad = 0 and A could never gain rank.
+    After each start the best result so far is certified by its
+    Frank-Wolfe gap Tr(D rho) - lambda_min(D), D the NLL's gradient in
+    rho: the NLL is convex in rho, so the gap bounds the distance to the
+    optimum (Jaggi, ICML 2013), and the starts stop once it is at most
+    MLE_GAP_TOL.  If no start certifies, the best of all is returned.
     """
     if len(records) < 16:
         raise InvalidArgumentError("tomography needs at least 16 settings")
@@ -253,9 +238,11 @@ def mle_reconstruct(records: list) -> np.ndarray:
     data = np.array([(r.counts, r.shots, r.accidental) for r in records]).T
     counts, shots, accidentals = data
     rng = np.random.default_rng(MLE_SEED)
-    starts = [_params_from_rho(_linear_inversion(
-        pis, np.maximum(counts - accidentals, 0.0) / shots))]
-    starts += [rng.normal(scale=0.5, size=16) for _ in range(MLE_RESTARTS)]
+    w, u = np.linalg.eigh(_linear_inversion(
+        pis, np.maximum(counts - accidentals, 0.0) / shots))
+    w = np.maximum(w, 1e-9)
+    starts = [((u * np.sqrt(w / w.sum())) @ u.conj().T).ravel().view(float)]
+    starts += [rng.normal(scale=0.5, size=32) for _ in range(MLE_RESTARTS)]
     best = None
     for x0 in starts:
         res = minimize(_negloglike_and_grad, x0, args=(pis, *data), jac=True,
@@ -263,9 +250,7 @@ def mle_reconstruct(records: list) -> np.ndarray:
                        options={"maxiter": 2000, "ftol": 1e-14, "gtol": 1e-10})
         if best is None or res.fun < best.fun:
             best = res
-            t = _t_from_params(best.x)
-            g = t.conj().T @ t
-            rho = g / np.trace(g).real
+            rho = _rho_of(best.x)
             _, drho = _negloglike_and_drho(rho, pis, *data)
             gap = np.trace(drho @ rho).real - np.linalg.eigvalsh(drho)[0]
         if gap <= MLE_GAP_TOL:

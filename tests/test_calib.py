@@ -305,6 +305,17 @@ def test_phase_sweep_matches_per_power_traces(template, noise_sigma):
         assert np.abs(trace - ref).max() <= 1e-12
 
 
+def test_noisy_phase_sweep_needs_a_generator():
+    # an unseeded draw would make the sweep differ from run to run
+    ring = paper_ring()
+    args = (ws_unit(ring, ring, MODE_PHASE), np.linspace(0.0, 2.0, 9), 1.1, 0.3,
+            small_dither(ring), WAVELENGTH)
+    with pytest.raises(InvalidArgumentError, match="seeded generator"):
+        simulate_phase_sweep(*args, noise_sigma=1e-3)
+    assert np.array_equal(simulate_phase_sweep(*args, noise_sigma=0.0),
+                          simulate_phase_sweep(*args))
+
+
 def test_wrap_phase_interval():
     assert wrap_phase(np.pi) == -np.pi
     assert wrap_phase(-np.pi) == -np.pi
