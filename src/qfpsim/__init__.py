@@ -6,16 +6,4 @@ surrounding experimental machinery: dither-tone calibration, biphoton
 quantum walks, coincidence tomography, and a reproduction CLI.
 """
 
-from .errors import (DegenerateScanError, FitFailureError,
-                     InvalidArgumentError, OutOfRangeError,
-                     ReconstructionFailureError, RetrievalFailureError,
-                     UndefinedFidelityError)
-from .lattice import FrequencyLattice, make_lattice
-
-__all__ = [
-    "DegenerateScanError", "FitFailureError", "InvalidArgumentError",
-    "OutOfRangeError", "ReconstructionFailureError", "RetrievalFailureError",
-    "UndefinedFidelityError", "FrequencyLattice", "make_lattice",
-]
-
 __version__ = "1.0.0"

@@ -45,7 +45,7 @@ class BiphotonState:
 
 
 def comb_envelope(num_pairs: int, filter_fsr: float, bin_spacing: float,
-                  extinction_db: float = 30.0) -> np.ndarray:
+                  extinction_db: float) -> np.ndarray:
     """|beta_l|^2 weights from the interferometric pump filter edge.
 
     Bin l sits at pi/2 + 0.25 + l * pi * bin_spacing / filter_fsr on the
@@ -83,12 +83,6 @@ def comb_state(signal_lattice: FrequencyLattice, idler_lattice: FrequencyLattice
     return BiphotonState(signal_lattice, idler_lattice, amps).normalized()
 
 
-def reversed_operator(op: ModeOperator) -> ModeOperator:
-    """Operator with both bin axes reversed; how a signal-side mode
-    transformation reads on the counter-propagating idler axis."""
-    return ModeOperator(op.lattice, op.entries[::-1, ::-1].copy())
-
-
 def _check_windows(state: BiphotonState, signal_op: ModeOperator,
                    idler_op: ModeOperator) -> None:
     if signal_op.lattice != state.signal_lattice or idler_op.lattice != state.idler_lattice:
@@ -113,7 +107,7 @@ def walk_operators(depth: float, lattice: FrequencyLattice) -> tuple:
     an alternating +/-pi/2 comb pattern stays confined.
     """
     op = eom_operator(RfDrive(depth, np.pi / 2), lattice)
-    return op, reversed_operator(op)
+    return op, ModeOperator(lattice, op.entries[::-1, ::-1].copy())
 
 
 def ws_idler_phases(pair_bins) -> tuple:

@@ -70,14 +70,6 @@ def _dither_offsets(dither: DitherConfig) -> tuple:
             dither.amplitude * np.sin(2.0 * np.pi * dither.f_mux * t))
 
 
-def _add_noise(trace: np.ndarray, noise_sigma: float, rng) -> np.ndarray:
-    if noise_sigma > 0.0:
-        if rng is None:
-            raise InvalidArgumentError("noise needs a seeded generator (rng)")
-        trace = trace + rng.normal(0.0, noise_sigma, trace.shape)
-    return trace
-
-
 def harmonic_component(traces, frequency: float, sample_rate: float):
     """Complex Fourier coefficient (2/N) * sum I(t_k) exp(-2 pi i f t_k).
 
@@ -277,6 +269,8 @@ def simulate_phase_sweep(unit_template: WsUnitConfig, powers, power_2pi: float,
     whole sweep.  Gaussian noise of noise_sigma > 0 is drawn from ``rng``,
     which must then be given, so a sweep reruns the same.
     """
+    if noise_sigma > 0.0 and rng is None:
+        raise InvalidArgumentError("noise needs a seeded generator (rng)")
     unit = ws_unit(unit_template.demux, unit_template.mux, unit_template.mode)
     ports = [_ring_ports(probe_wavelength, ring, det + offsets) for ring, det, offsets
              in zip((unit.demux, unit.mux), unit.detunings, _dither_offsets(dither))]
@@ -285,5 +279,7 @@ def simulate_phase_sweep(unit_template: WsUnitConfig, powers, power_2pi: float,
     for k, p in enumerate(powers):
         phi = phase_offset + 2.0 * np.pi * p / power_2pi
         trace = np.abs(_ws_output(unit.mode, phi, *ports)) ** 2
-        traces[k] = _add_noise(trace, noise_sigma, rng)
+        if noise_sigma > 0.0:
+            trace = trace + rng.normal(0.0, noise_sigma, trace.shape)
+        traces[k] = trace
     return traces

@@ -234,7 +234,7 @@ def cmd_tomography(cfg: dict, rng, expected_value: bool) -> dict:
     # coincidence-to-accidental ratio is measured
     exact = simulate_counts(rho_true, shots)
     peak_rate = max(r.counts for r in exact) / shots
-    accidental = peak_rate / car if np.isfinite(car) else 0.0
+    accidental = peak_rate / car
     records = simulate_counts(rho_true, shots, accidental_fraction=accidental,
                               rng=None if expected_value else rng)
     rho_hat = mle_reconstruct(records)
@@ -242,7 +242,7 @@ def cmd_tomography(cfg: dict, rng, expected_value: bool) -> dict:
 
     phis = np.linspace(0.0, 2 * np.pi, cfg["fringe_points"])
     fringe = bell_fringe(rho_true, phis)
-    fringe_acc = float(fringe.max()) / car if np.isfinite(car) else 0.0
+    fringe_acc = float(fringe.max()) / car
     fringe_counts = (fringe + fringe_acc) * cfg["fringe_shots"]
     if not expected_value:
         fringe_counts = rng.poisson(fringe_counts).astype(float)

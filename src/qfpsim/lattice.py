@@ -44,12 +44,9 @@ class FrequencyLattice:
 
     def index_of(self, l: int) -> int:
         """Position of bin ``l`` in the matrix ordering; raises if outside."""
-        if not self.contains(l):
+        if not self.l_min <= l <= self.l_max:
             raise InvalidArgumentError(f"bin {l} outside window [{self.l_min}, {self.l_max}]")
         return int(l) - self.l_min
-
-    def contains(self, l: int) -> bool:
-        return self.l_min <= l <= self.l_max
 
 
 def make_lattice(center_frequency: float, spacing: float, half_width: int) -> FrequencyLattice:

@@ -108,12 +108,6 @@ def _cosine_laws(alpha, j0: float, s: float) -> tuple:
     return j04 + ((1.0 - j04) / 2.0) * (1.0 + c), 2.0 * s * s * (1.0 - c)
 
 
-def _splitting(alpha, j0: float, s: float) -> float:
-    """T/(R+T) at step phase alpha."""
-    r, t = _cosine_laws(alpha, j0, s)
-    return t / (r + t)
-
-
 def rt_closed_form(alpha, delta: float) -> tuple:
     """(R, T) of the beamsplitter from the closed-form cosine laws: floats
     for one alpha, arrays for an array of them."""
@@ -161,7 +155,12 @@ def alpha_for_theta(theta: float, delta: float) -> float:
             f"theta = {theta} outside the achievable interval [0, pi/2] at depth {delta}")
     want = np.sin(theta / 2.0) ** 2
     coeffs = _bessel_sums(delta)
-    best = _splitting(np.pi, *coeffs)
+
+    def splitting(alpha):  # T/(R+T) at step phase alpha
+        r, t = _cosine_laws(alpha, *coeffs)
+        return t / (r + t)
+
+    best = splitting(np.pi)
     if want >= best:
         theta_max = 2.0 * np.arcsin(np.sqrt(best))
         if np.cos((theta - theta_max) / 2.0) ** 2 < MIN_GATE_FIDELITY:
@@ -170,10 +169,8 @@ def alpha_for_theta(theta: float, delta: float) -> float:
                 f"at depth {delta} by more than a gate fidelity of {MIN_GATE_FIDELITY} allows")
         return np.pi
 
-    def ratio(alpha):
-        return _splitting(alpha, *coeffs) - want
-
-    return float(brentq(ratio, np.pi, 2.0 * np.pi, xtol=1e-12))
+    return float(brentq(lambda alpha: splitting(alpha) - want, np.pi, 2.0 * np.pi,
+                         xtol=1e-12))
 
 
 def _beamsplitter_block(alpha: float, delta: float) -> np.ndarray:

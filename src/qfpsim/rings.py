@@ -97,7 +97,7 @@ def make_ring(resonance_wavelength: float, power_coupling: float, loss_db_per_cm
 def _ring_ports(probe_wavelength, ring: RingParams, detuning=0.0):
     """(through, drop) amplitudes with the resonance moved ``detuning`` off
     its nominal wavelength, from one round-trip phase, one exp and one
-    shared denominator."""
+    shared denominator; broadcasts over array inputs."""
     length = ring.circumference * ring.effective_index
     phi = 2.0 * np.pi * length * (1.0 / np.asarray(probe_wavelength)
                                   - 1.0 / (ring.resonance_wavelength + detuning))
@@ -108,16 +108,6 @@ def _ring_ports(probe_wavelength, ring: RingParams, detuning=0.0):
     denom = 1.0 - tc**2 * e
     return (tc * (1.0 - e) / denom,
             -ring.power_coupling * np.sqrt(a) * half / denom)
-
-
-def ring_through(probe_wavelength, ring: RingParams):
-    """Through-port amplitude t(lambda); broadcasts over array inputs."""
-    return _ring_ports(probe_wavelength, ring)[0]
-
-
-def ring_drop(probe_wavelength, ring: RingParams):
-    """Drop-port amplitude d(lambda); carries half a round trip of loss and phase."""
-    return _ring_ports(probe_wavelength, ring)[1]
 
 
 @dataclass(frozen=True)

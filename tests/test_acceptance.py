@@ -24,8 +24,8 @@ from qfpsim.qfp import (beamsplitter_config, beamsplitter_spectra,
                         reconstruct_submatrix, rt_closed_form,
                         single_pm_balanced_probability, submatrix,
                         success_probability, synthesize_gate, target_unitary)
-from qfpsim.rings import (MODE_PHASE, WsUnitConfig, make_ring, ring_drop,
-                          ring_through, ws_unit, ws_unit_response)
+from qfpsim.rings import (MODE_PHASE, WsUnitConfig, _ring_ports, make_ring, ws_unit,
+                          ws_unit_response)
 from qfpsim.tomo import (bell_fringe, carve_bell_state,
                          fit_visibility, mle_reconstruct, simulate_counts,
                          state_fidelity)
@@ -199,8 +199,7 @@ def test_lossless_ring_conserves_power():
                      0.0, defaults.RING_RADIUS, defaults.EFFECTIVE_INDEX)
     probes = ring.resonance_wavelength + np.linspace(-2, 2, 41) * ring.linewidth_fwhm
     for wl in probes:
-        t = ring_through(wl, ring)
-        d = ring_drop(wl, ring)
+        t, d = _ring_ports(wl, ring)
         assert abs(abs(t) ** 2 + abs(d) ** 2 - 1.0) < 1e-12
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.constants import c
 from scipy.optimize import OptimizeWarning, curve_fit
 
-from qfpsim.calib import (DitherConfig, _add_noise, _dither_offsets, align_scan,
+from qfpsim.calib import (DitherConfig, _dither_offsets, align_scan,
                           fit_phase_curve, harmonic_component, simulate_phase_sweep,
                           wrap_phase)
 from qfpsim.errors import (DegenerateScanError, InvalidArgumentError)
@@ -23,7 +23,8 @@ def simulate_dither_trace(unit: WsUnitConfig, dither: DitherConfig, probe_wavele
     """Reference trace: transmitted intensity |response(t)|^2 with both
     resonances dithered, one unit response at a time."""
     amp = ws_unit_response(probe_wavelength, unit, extra_detunings=_dither_offsets(dither))
-    return _add_noise(np.abs(amp) ** 2, noise_sigma, rng)
+    trace = np.abs(amp) ** 2
+    return trace + rng.normal(0.0, noise_sigma, trace.shape) if noise_sigma > 0.0 else trace
 
 
 def paper_ring():
@@ -312,6 +313,8 @@ def test_noisy_phase_sweep_needs_a_generator():
             small_dither(ring), WAVELENGTH)
     with pytest.raises(InvalidArgumentError, match="seeded generator"):
         simulate_phase_sweep(*args, noise_sigma=1e-3)
+    with pytest.raises(InvalidArgumentError, match="seeded generator"):  # before any trace
+        simulate_phase_sweep(args[0], [], *args[2:], noise_sigma=1e-3)
     assert np.array_equal(simulate_phase_sweep(*args, noise_sigma=0.0),
                           simulate_phase_sweep(*args))
 

@@ -17,7 +17,6 @@ def test_index_of_and_contains():
     assert lat.index_of(-5) == 0
     assert lat.index_of(0) == 5
     assert lat.index_of(5) == 10
-    assert lat.contains(3) and not lat.contains(6)
     with pytest.raises(InvalidArgumentError):
         lat.index_of(6)
 

@@ -9,7 +9,8 @@ flags, and runs once on each tree, in a fresh interpreter whose
 PYTHONPATH starts with that tree: the six commands on the config ``{}``
 at ``--seed 0`` and at ``--seed 3``, ``tomography --expected-value``,
 ``tomography`` at ``--seed 5`` (the first seed from 0 up at which the
-maximum-likelihood fit runs a random restart), two failing runs,
+maximum-likelihood fit runs a random restart), ``tomography`` with
+``car`` Infinity (no accidental coincidences), two failing runs,
 ``gate`` with a mistyped ``theta`` (exit 2) and ``calibrate`` with a
 phase-curve fit that fails (exit 3), and three runs with a noisy or a
 many-pair fit: ``calibrate`` with ``noise_sigma`` 0.01, ``qwalk`` with
@@ -52,6 +53,7 @@ COMMANDS = ("beamsplitter", "gate", "spectrum", "qwalk", "tomography", "calibrat
 CASES = ([(command, "{}", ("--seed", seed)) for seed in ("0", "3") for command in COMMANDS]
          + [("tomography", "{}", ("--seed", "0", "--expected-value")),
             ("tomography", "{}", ("--seed", "5")),
+            ("tomography", '{"constants": {"car": Infinity}}', ("--seed", "0")),
             ("gate", '{"theta": "x"}', ("--seed", "0")),
             ("calibrate", '{"power_2pi": 1e200}', ("--seed", "0")),
             ("calibrate", '{"noise_sigma": 0.01}', ("--seed", "0")),
