@@ -8,7 +8,7 @@ from qfpsim.errors import (InvalidArgumentError, OutOfRangeError,
                            ReconstructionFailureError, UndefinedFidelityError)
 from qfpsim.lattice import make_lattice
 from qfpsim.qfp import (MIN_GATE_FIDELITY, QUADRATURE_GAMMAS, ProcessorConfig,
-                        _beamsplitter_block, alpha_for_theta,
+                        _beamsplitter_block, _composed_columns, alpha_for_theta,
                         beamsplitter_config, beamsplitter_spectra, compose_qfp, fidelity,
                         gauge_distance, intrinsic_phases, jbar,
                         reconstruct_submatrix, reconstruction_residual,
@@ -309,3 +309,35 @@ def test_compose_order_is_out_ws_in(phases, depth_in, depth_out, rf_phase):
     m_out = eom_operator(cfg.out_drive, LAT).entries
     d = np.diag(np.exp(1j * np.array(phases)))
     assert np.abs(op.entries - m_out @ d @ m_in).max() < 1e-14
+
+
+WIDE = make_lattice(193.7e12, 25e9, 64)  # the widest window the benchmark composes
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.floats(-2 * np.pi, 2 * np.pi), min_size=WIDE.size, max_size=WIDE.size),
+       st.floats(0.0, 4.0), st.floats(0.0, 4.0),
+       st.floats(-np.pi, np.pi), st.floats(-np.pi, np.pi))
+def test_compose_keeps_the_rf_phases_exact_on_a_wide_window(phases, depth_in, depth_out,
+                                                             phase_in, phase_out):
+    # the RF phases enter as diagonal phasors exp(i k phase) out to |k| = 64,
+    # where rounding k * phase alone would miss the reference by 1e-14 or more
+    cfg = ProcessorConfig(RfDrive(depth_in, phase_in), RfDrive(depth_out, phase_out),
+                          tuple(phases), WIDE, BINS)
+    m_in = eom_operator(cfg.in_drive, WIDE).entries
+    m_out = eom_operator(cfg.out_drive, WIDE).entries
+    d = np.diag(np.exp(1j * np.array(phases)))
+    assert np.abs(compose_qfp(cfg).entries - m_out @ d @ m_in).max() < 1e-14
+
+
+@pytest.mark.parametrize("lat", [LAT, WIDE])
+def test_composed_columns_are_the_columns_of_the_composed_operator(lat):
+    rng = np.random.default_rng(7)
+    for depth_in, depth_out in ((DELTA, DELTA), (1.3, 3.1)):
+        phase_in, phase_out = rng.uniform(-np.pi, np.pi, 2)
+        cfg = ProcessorConfig(RfDrive(depth_in, phase_in), RfDrive(depth_out, phase_out),
+                              tuple(rng.uniform(-2 * np.pi, 2 * np.pi, lat.size)), lat, BINS)
+        full = compose_qfp(cfg).entries
+        pair = [lat.index_of(b) for b in BINS]
+        for idx in (pair, [lat.index_of(-3)]):
+            assert np.abs(_composed_columns(cfg, idx) - full[:, idx]).max() <= 1e-15

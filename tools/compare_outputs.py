@@ -16,7 +16,9 @@ phase-curve fit that fails (exit 3), and three runs with a noisy or a
 many-pair fit: ``calibrate`` with ``noise_sigma`` 0.01, ``qwalk`` with
 16 pairs on a 49-bin window, and ``qwalk`` with 32 pairs on an 81-bin
 window and planted phases drawn over +-pi, where the lifted design of
-the phase retrieval is large.  For each output file
+the phase retrieval is large; and ``gate`` and ``spectrum`` at depth 2 on
+the 129-bin window, where the composed processor is widest.  For each
+output file
 the report says "identical", or gives the largest absolute and relative
 difference of the numbers in it (CSV cells and JSON values).
 
@@ -59,7 +61,11 @@ CASES = ([(command, "{}", ("--seed", seed)) for seed in ("0", "3") for command i
             ("calibrate", '{"noise_sigma": 0.01}', ("--seed", "0")),
             ("qwalk", '{"num_pairs": 16, "constants": {"half_width": 24}}', ("--seed", "0")),
             ("qwalk", json.dumps({"num_pairs": 32, "constants": {"half_width": 40},
-                                  "planted_phases": _FAR_PHASES}), ("--seed", "0"))])
+                                  "planted_phases": _FAR_PHASES}), ("--seed", "0")),
+            ("gate", '{"theta": 0.9, "lam": 0.4, "mu": -1.1, '
+                     '"constants": {"half_width": 64, "depth": 2.0}}', ("--seed", "0")),
+            ("spectrum", '{"alpha": 4.0, "constants": {"half_width": 64, "depth": 2.0}}',
+             ("--seed", "0"))])
 
 
 def run_case(src: Path, case: tuple, work: Path):
