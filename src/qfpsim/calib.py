@@ -137,66 +137,65 @@ def align_scan(unit_template: WsUnitConfig, grid_demux, grid_mux,
     return AlignScanResult(float(grid_demux[i]), float(grid_mux[j]), scan)
 
 
-# Grid values of the variable-projection search built at once, so a long
-# sweep's grid is never held whole.
-_GRID_CHUNK = 2 ** 14
-
-
-def _period_grid_search(powers, y, min_period: float, span: float):
+def _period_grid_search(powers, y):
     """Start (I0, P_2pi, Phi_0) from the best point of a variable projection.
 
     For a fixed P_2pi the model I0 cos(2 pi P / P_2pi + Phi_0) is linear in
     (I0 cos Phi_0, -I0 sin Phi_0) (Golub and Pereyra, SIAM J. Numer. Anal.
-    10, 413, 1973), so each frequency 1/P_2pi of a uniform grid up to
-    1/min_period, spaced at most 1/(8 span), gets the residual of its
-    2-column least squares.  The columns are the real and imaginary parts
-    of e^{2 pi i nu P}, stepped from row to row of a chunk by one product.
-    Frequencies whose two columns are nearly parallel (Gram determinant
-    under 1e-9 n^2) are skipped.  Returns None when no point is finite.
+    10, 413, 1973), so each frequency 1/P_2pi of a grid gets the residual
+    of its 2-column least squares.  ``powers`` is a sorted uniform sweep
+    P_j = P_0 + j h of n points; the grid is nu_k = k / (2 h L), k = 1..L
+    with L = 4(n - 1), spaced 1/(8 span) up to the alias floor 1/(2 h).
+    On it the projections sum_j y_j e^{2 pi i nu_k P_j} are e^{2 pi i nu_k
+    P_0} times the conjugate of one zero-padded FFT of y of length 2L, and
+    the Gram sums come from the sum g_k of e^{4 pi i nu_k P_j}, read from
+    the FFT of ones at 2k.  Frequencies whose two columns are nearly
+    parallel (Gram determinant under 1e-9 n^2) are skipped.  Returns None
+    when no point is finite.
     """
     scale = max(np.abs(y).max(), np.finfo(float).tiny)
     y = y / scale
     n = powers.size
-    count = math.ceil(8.0 * span / min_period)
-    dnu = 1.0 / (count * min_period)
-    step = np.exp(2j * np.pi * dnu * powers)
-    rows = max(1, _GRID_CHUNK // n)
-    best_fit, best = -np.inf, None
-    for first in range(1, count + 1, rows):
-        wave = np.empty((min(rows, count + 1 - first), n), dtype=complex)
-        wave[0] = np.exp(2j * np.pi * first * dnu * powers)
-        wave[1:] = step
-        wave = np.cumprod(wave, axis=0)
-        cos, sin = wave.real, wave.imag
-        cc, ss, cs = np.sum(cos * cos, 1), np.sum(sin * sin, 1), np.sum(cos * sin, 1)
-        cy, sy = cos @ y, sin @ y
-        det = cc * ss - cs * cs
-        ok = det > 1e-9 * n**2
-        det = np.where(ok, det, 1.0)
-        a, b = (ss * cy - cs * sy) / det, (cc * sy - cs * cy) / det
-        fitted = np.where(ok, a * cy + b * sy, -np.inf)  # = |y|^2 - residual^2
-        k = int(np.argmax(fitted))
-        if fitted[k] > best_fit:
-            best_fit = fitted[k]
-            best = (scale * float(np.hypot(a[k], b[k])), 1.0 / ((first + k) * dnu),
-                    float(np.arctan2(-b[k], a[k])))
-    return best
+    size = 8 * (n - 1)  # 2L
+    k = np.arange(1, size // 2 + 1)
+    nu = k / (size * (powers[-1] - powers[0]) / (n - 1))
+    shift = np.exp(2j * np.pi * nu * powers[0])
+    proj = shift * np.conj(np.fft.fft(y, size)[k])
+    gram = shift**2 * np.conj(np.fft.fft(np.ones(n), size)[2 * k % size])
+    cc, ss, cs = (n + gram.real) / 2, (n - gram.real) / 2, gram.imag / 2
+    cy, sy = proj.real, proj.imag
+    det = cc * ss - cs * cs
+    ok = det > 1e-9 * n**2
+    det = np.where(ok, det, 1.0)
+    a, b = (ss * cy - cs * sy) / det, (cc * sy - cs * cy) / det
+    fitted = np.where(ok, a * cy + b * sy, -np.inf)  # = |y|^2 - residual^2
+    i = int(np.argmax(fitted))
+    if not fitted[i] > -np.inf:
+        return None
+    return scale * float(np.hypot(a[i], b[i])), 1.0 / nu[i], float(np.arctan2(-b[i], a[i]))
 
 
 def fit_phase_curve(powers, traces, dither: DitherConfig) -> PhaseCalibration:
     """Fit Re[I~(f_M - f_D)] vs heater power to I0 cos(2 pi P / P_2pi + Phi_0).
 
     ``traces`` holds one dither trace per power, recorded with the rings
-    aligned.  Requires at least 8 points spanning a full period.  A grid
-    search by variable projection over 1/P_2pi, above the two-step alias
-    floor, gives the start of one least-squares fit of all three
-    parameters, which also gives the covariance.
+    aligned.  Requires at least 8 points spanning a full period, at
+    equal steps in some order; other sweeps are refused.  A grid search
+    by variable projection over 1/P_2pi, one FFT of the sorted sweep up to
+    the two-step alias floor, gives the start of one least-squares fit of
+    all three parameters, which also gives the covariance.
     """
     powers = np.asarray(powers, dtype=float)
     if powers.size < 8:
         raise InvalidArgumentError("need at least 8 power points")
     if len(traces) != powers.size:
         raise InvalidArgumentError("one trace per power point required")
+    order = np.argsort(powers)
+    span = powers[order[-1]] - powers[order[0]]
+    step = span / (powers.size - 1)
+    # linspace steps differ by ulps; a zero or non-finite step fails too
+    if not (np.isfinite(span) and np.ptp(np.diff(powers[order])) < 1e-9 * step):
+        raise InvalidArgumentError("powers must be a sweep of equal nonzero steps")
     y = harmonic_component(traces, dither.phase_harmonic, dither.sample_rate).real
 
     def model(p, i0, p2pi, phi0):
@@ -210,21 +209,13 @@ def fit_phase_curve(powers, traces, dither: DitherConfig) -> PhaseCalibration:
         return np.column_stack((np.cos(u), i0 * 2.0 * np.pi * p / p2pi**2 * sin_u,
                                 -i0 * sin_u))
 
-    span = powers.max() - powers.min()
-    if span <= 0:
-        raise InvalidArgumentError("powers must span a nonzero range")
-    # periods under two grid steps are sampling aliases, not physical fits
-    min_period = 2.0 * float(np.median(np.diff(np.sort(powers))))
     # a fit that collapses to i0 = 0 has no covariance, and one that under-
     # or overflows (powers or noise of extreme scale) has no finite
     # residual: both fail
     failed = FitFailureError("phase-curve fit failed to converge from every start")
     with warnings.catch_warnings(), np.errstate(all="ignore"):
         warnings.simplefilter("error", OptimizeWarning)
-        # repeated powers leave no alias floor; the grid then stops at the
-        # smallest step's
-        start = _period_grid_search(
-            powers, y, min_period or 2.0 * np.diff(np.unique(powers)).min(), span)
+        start = _period_grid_search(powers[order], y[order])
         if start is None:
             raise failed
         try:
@@ -232,7 +223,8 @@ def fit_phase_curve(powers, traces, dither: DitherConfig) -> PhaseCalibration:
         except (RuntimeError, OptimizeWarning):
             raise failed from None
         res = float(np.sqrt(np.mean((model(powers, *popt) - y) ** 2)))
-    if abs(popt[1]) < min_period or not np.isfinite(res):
+    # periods under two steps are sampling aliases, not physical fits
+    if abs(popt[1]) < 2.0 * step or not np.isfinite(res):
         raise failed
     i0, p2pi, phi0 = popt
     if i0 < 0:  # fold the sign into the phase

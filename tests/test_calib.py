@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.constants import c
 from scipy.optimize import OptimizeWarning, curve_fit
 
-from qfpsim.calib import (DitherConfig, _dither_offsets, align_scan,
+from qfpsim.calib import (DitherConfig, _dither_offsets, _period_grid_search, align_scan,
                           fit_phase_curve, harmonic_component, simulate_phase_sweep,
                           wrap_phase)
 from qfpsim.errors import (DegenerateScanError, InvalidArgumentError)
@@ -282,6 +282,45 @@ def test_fit_phase_curve_needs_enough_points_and_span():
     traces = simulate_phase_sweep(unit, powers, 1.0, 0.0, dither, WAVELENGTH)
     with pytest.raises(InvalidArgumentError):
         fit_phase_curve(powers, traces, dither)
+    # the grid search takes a uniform sweep in any order, and nothing else
+    carrier = np.cos(2 * np.pi * dither.phase_harmonic * dither.times)
+    for powers in (np.sort(np.random.default_rng(7).uniform(0.0, 2.2, 24)),
+                   np.repeat(np.linspace(0.0, 2.2, 12), 2)):
+        traces = np.cos(2 * np.pi * powers + 0.4)[:, None] * carrier
+        with pytest.raises(InvalidArgumentError, match="equal nonzero steps"):
+            fit_phase_curve(powers, traces, dither)
+    powers = np.linspace(2.2, 0.0, 24)
+    traces = np.cos(2 * np.pi * powers + 0.4)[:, None] * carrier
+    assert fit_phase_curve(powers, traces, dither).power_2pi == pytest.approx(1.0, rel=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(8, 400), st.floats(-5.0, 5.0), st.floats(-3.0, 1.0), st.floats(0.0, 0.3),
+       st.floats(1.2, 3.0), st.floats(-np.pi, np.pi), st.integers(0, 2**32 - 1))
+def test_period_grid_search_equals_a_per_frequency_projection(points, p0, log_step, sigma,
+                                                              periods, phi0, seed):
+    # a sweep off zero, so the FFT's shift to the first power counts; the
+    # reference solves each frequency's 2-column least squares directly
+    powers = p0 + 10.0**log_step * np.arange(points)
+    span = powers[-1] - powers[0]
+    y = np.cos(2 * np.pi * (powers - p0) * periods / span + phi0)
+    y = y + sigma * np.random.default_rng(seed).standard_normal(points)
+    size = 8 * (points - 1)
+    best_fit, ref = -np.inf, None
+    for k in range(1, size // 2 + 1):
+        nu = k / (size * span / (points - 1))
+        cols = np.column_stack((np.cos(2 * np.pi * nu * powers), np.sin(2 * np.pi * nu * powers)))
+        gram = cols.T @ cols
+        if np.linalg.det(gram) <= 1e-9 * points**2:
+            continue
+        a, b = np.linalg.solve(gram, cols.T @ y)
+        fitted = a * (cols[:, 0] @ y) + b * (cols[:, 1] @ y)
+        if fitted > best_fit:
+            best_fit, ref = fitted, (np.hypot(a, b), 1.0 / nu, np.arctan2(-b, a))
+    i0, p2pi, phase = _period_grid_search(powers, y)
+    assert i0 == pytest.approx(ref[0], rel=1e-8)
+    assert p2pi == pytest.approx(ref[1], rel=1e-8)
+    assert abs(wrap_phase(phase - ref[2])) < 1e-8
 
 
 @pytest.mark.parametrize("template", [

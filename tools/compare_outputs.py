@@ -12,14 +12,15 @@ at ``--seed 0`` and at ``--seed 3``, ``tomography --expected-value``,
 maximum-likelihood fit runs a random restart), ``tomography`` with
 ``car`` Infinity (no accidental coincidences), two failing runs,
 ``gate`` with a mistyped ``theta`` (exit 2) and ``calibrate`` with a
-phase-curve fit that fails (exit 3), and three runs with a noisy or a
-many-pair fit: ``calibrate`` with ``noise_sigma`` 0.01, ``qwalk`` with
-16 pairs on a 49-bin window, and ``qwalk`` with 32 pairs on an 81-bin
-window and planted phases drawn over +-pi, where the lifted design of
-the phase retrieval is large; and ``gate`` and ``spectrum`` at depth 2 on
-the 129-bin window, where the composed processor is widest.  For each
-output file
-the report says "identical", or gives the largest absolute and relative
+phase-curve fit that fails (exit 3), and four runs with a noisy, long
+or many-pair fit: ``calibrate`` with ``noise_sigma`` 0.01, on the
+default sweep and on 1000 points, where the phase-curve grid search is
+largest, ``qwalk`` with 16 pairs on a 49-bin window, and ``qwalk`` with
+32 pairs on an 81-bin window and planted phases drawn over +-pi, where
+the lifted design of the phase retrieval is large; and ``gate`` and
+``spectrum`` at depth 2 on the 129-bin window, where the composed
+processor is widest.  For each output file the report says
+"identical", or gives the largest absolute and relative
 difference of the numbers in it (CSV cells and JSON values).
 
 Exits 1 when, for some case, the exit codes, the stdout or stderr text,
@@ -59,6 +60,7 @@ CASES = ([(command, "{}", ("--seed", seed)) for seed in ("0", "3") for command i
             ("gate", '{"theta": "x"}', ("--seed", "0")),
             ("calibrate", '{"power_2pi": 1e200}', ("--seed", "0")),
             ("calibrate", '{"noise_sigma": 0.01}', ("--seed", "0")),
+            ("calibrate", '{"sweep_points": 1000, "noise_sigma": 0.01}', ("--seed", "0")),
             ("qwalk", '{"num_pairs": 16, "constants": {"half_width": 24}}', ("--seed", "0")),
             ("qwalk", json.dumps({"num_pairs": 32, "constants": {"half_width": 40},
                                   "planted_phases": _FAR_PHASES}), ("--seed", "0")),
