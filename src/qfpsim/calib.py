@@ -19,7 +19,7 @@ import numpy as np
 from scipy.optimize import OptimizeWarning, curve_fit
 
 from .errors import DegenerateScanError, FitFailureError, InvalidArgumentError
-from .rings import WsUnitConfig, _ring_ports, _ws_output, ws_unit
+from .rings import WsUnitConfig, _ring_ports, _ws_power_factors, ws_unit
 
 
 @dataclass(frozen=True)
@@ -63,9 +63,15 @@ class PhaseCalibration:
     residual_rms: float
 
 
+def _dither_period(dither: DitherConfig) -> int:
+    """Samples in the common period 1/gcd(f_D, f_M) of the tones (20 ms,
+    1024 samples), over which a noiseless trace repeats."""
+    return round(dither.sample_rate / math.gcd(int(dither.f_demux), int(dither.f_mux)))
+
+
 def _dither_offsets(dither: DitherConfig) -> tuple:
-    """(demux, mux) resonance offsets over the trace's sample times."""
-    t = dither.times
+    """(demux, mux) resonance offsets over one common period of the tones."""
+    t = dither.times[:_dither_period(dither)]
     return (dither.amplitude * np.sin(2.0 * np.pi * dither.f_demux * t),
             dither.amplitude * np.sin(2.0 * np.pi * dither.f_mux * t))
 
@@ -75,17 +81,21 @@ def harmonic_component(traces, frequency: float, sample_rate: float):
 
     ``traces`` is one trace or a stack of them along the last axis; the
     result has one coefficient per trace.  The frequency must fall on an
-    exact DFT bin of the trace.  The tone is built once and each trace's
-    product is summed on its own, so memory stays at one trace's worth.
+    exact DFT bin of the trace.  The tone is built once as cos and -sin
+    arrays, and each trace's coefficient is its two dot products with
+    them, taken one trace at a time so that a stack gives each of its
+    traces' coefficients bit for bit.
     """
     traces = np.asarray(traces)
     n = traces.shape[-1]
     cycles = frequency * n / sample_rate
     if not np.isclose(cycles, round(cycles), atol=1e-6):
         raise InvalidArgumentError(f"{frequency} Hz is not an exact DFT bin of the trace")
-    tone = np.exp(-2j * np.pi * frequency * (np.arange(n) / sample_rate))
+    angle = 2.0 * np.pi * frequency * (np.arange(n) / sample_rate)
+    cos, minus_sin = np.cos(angle), -np.sin(angle)
     rows = traces.reshape(-1, n)
-    sums = np.fromiter((np.sum(row * tone) for row in rows), complex, len(rows))
+    sums = np.fromiter((complex(row @ cos, row @ minus_sin) for row in rows), complex,
+                       len(rows))
     return 2.0 / n * sums.reshape(traces.shape[:-1])
 
 
@@ -105,32 +115,30 @@ def align_scan(unit_template: WsUnitConfig, grid_demux, grid_mux,
     noiseless trace repeats with the common period 1/gcd(f_D, f_M) of the
     tones (20 ms, 1024 of its samples), and the harmonic and mean of one
     period equal those of the whole trace, so each cell uses one period.
-    The mux ports are built once for the whole grid and each demux row
-    is evaluated in one call.
+    A cell's intensity is a sum of demux-only times mux-only factors, so
+    the ports of all demux rows and of all mux columns are built in one
+    call each, and the grid's harmonics and means are a few (rows x
+    period) @ (period x columns) products.
     """
     grid_demux = np.asarray(grid_demux, dtype=float)
     grid_mux = np.asarray(grid_mux, dtype=float)
     if grid_demux.size == 0 or grid_mux.size == 0:
         raise InvalidArgumentError("alignment grid must be non-empty")
-    period = round(dither.sample_rate / math.gcd(int(dither.f_demux), int(dither.f_mux)))
-    dd_t, dm_t = (offsets[:period] for offsets in _dither_offsets(dither))
-    t = dither.times[:period]
-    f = dither.alignment_harmonic
-    kernel = np.exp(-2j * np.pi * f * t) * (2.0 / len(t))
+    dd_t, dm_t = _dither_offsets(dither)
+    t = dither.times[:dd_t.size]
+    kernel = np.exp(-2j * np.pi * dither.alignment_harmonic * t) * (2.0 / t.size)
     det_d, det_m = unit_template.detunings
-    mode, phase = unit_template.mode, unit_template.channel_phase
+    demux_ports = _ring_ports(probe_wavelength, unit_template.demux,
+                              det_d + (grid_demux[:, None] + dd_t))
     mux_ports = _ring_ports(probe_wavelength, unit_template.mux,
                             det_m + (grid_mux[:, None] + dm_t))
-    scan = np.zeros((grid_demux.size, grid_mux.size))
-    baseline = 0.0
-    for i, gd in enumerate(grid_demux):
-        demux_ports = _ring_ports(probe_wavelength, unit_template.demux, det_d + (gd + dd_t))
-        intensity = np.abs(_ws_output(mode, phase, demux_ports, mux_ports)) ** 2
-        harmonic = np.sum(intensity * kernel, axis=-1)
-        # hypot is what abs of one complex number computes; the vectorized
-        # complex abs can differ from it in the last bit
-        scan[i] = np.hypot(harmonic.real, harmonic.imag)
-        baseline = max(baseline, float(np.mean(intensity, axis=-1).max()))
+    factors = list(zip(*_ws_power_factors(unit_template.mode, unit_template.channel_phase,
+                                          demux_ports, mux_ports)))
+    harmonic = sum((d * kernel) @ m.T for d, m in factors)
+    # hypot is what abs of one complex number computes; the vectorized
+    # complex abs can differ from it in the last bit
+    scan = np.hypot(harmonic.real, harmonic.imag)
+    baseline = float(np.real(sum(d @ m.T for d, m in factors)).max()) / t.size
     if scan.max() <= 1e-9 * max(baseline, np.finfo(float).tiny):
         raise DegenerateScanError("scan map is flat; dither amplitude too small")
     i, j = np.unravel_index(np.argmax(scan), scan.shape)
@@ -256,10 +264,13 @@ def simulate_phase_sweep(unit_template: WsUnitConfig, powers, power_2pi: float,
 
     Plants Phi(P) = phase_offset + 2 pi P / power_2pi; used by the CLI and
     by plant-and-recover tests.  Each trace is the dithered intensity
-    |ws_unit_response|^2 of ws_unit(demux, mux, mode, Phi(P)): the ring
-    ports do not depend on the phase, so they are computed once for the
-    whole sweep.  Gaussian noise of noise_sigma > 0 is drawn from ``rng``,
-    which must then be given, so a sweep reruns the same.
+    |ws_unit_response|^2 of ws_unit(demux, mux, mode, Phi(P)).  The ring
+    ports do not depend on the phase and the noiseless trace repeats every
+    common period of the tones, so one period is built for the whole sweep
+    (e^{i Phi(P)} enters as an outer product) and tiled over the trace.
+    Gaussian noise of noise_sigma > 0 is drawn from ``rng``, which must
+    then be given, so a sweep reruns the same; one draw fills the traces
+    row by row.
     """
     if noise_sigma > 0.0 and rng is None:
         raise InvalidArgumentError("noise needs a seeded generator (rng)")
@@ -267,11 +278,14 @@ def simulate_phase_sweep(unit_template: WsUnitConfig, powers, power_2pi: float,
     ports = [_ring_ports(probe_wavelength, ring, det + offsets) for ring, det, offsets
              in zip((unit.demux, unit.mux), unit.detunings, _dither_offsets(dither))]
     powers = np.asarray(powers, dtype=float)
-    traces = np.empty((powers.size, dither.times.size))
-    for k, p in enumerate(powers):
-        phi = phase_offset + 2.0 * np.pi * p / power_2pi
-        trace = np.abs(_ws_output(unit.mode, phi, *ports)) ** 2
-        if noise_sigma > 0.0:
-            trace = trace + rng.normal(0.0, noise_sigma, trace.shape)
-        traces[k] = trace
-    return traces
+    phis = phase_offset + 2.0 * np.pi * powers[:, None] / power_2pi
+    # summed as real parts, so no complex array of the sweep's size outlives the sum
+    one_period = sum(np.real(d * m) for d, m in zip(*_ws_power_factors(unit.mode, phis, *ports)))
+    period, n = _dither_period(dither), dither.times.size
+    tiles = np.broadcast_to(one_period[..., None, :], (powers.size, n // period, period))
+    if noise_sigma > 0.0:
+        traces = rng.normal(0.0, noise_sigma, tiles.shape)
+        traces += tiles
+    else:
+        traces = tiles.copy()
+    return traces.reshape(powers.size, n)

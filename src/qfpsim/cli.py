@@ -265,6 +265,9 @@ def cmd_tomography(cfg: dict, rng, expected_value: bool) -> dict:
 
 
 def cmd_calibrate(cfg: dict, rng) -> dict:
+    p2pi, phi0 = cfg["power_2pi"], cfg["phase_offset"]
+    if not np.isfinite(2.2 * p2pi):  # the heater sweep runs to 2.2 power_2pi
+        raise InvalidArgumentError(f"'power_2pi' = {p2pi!r} overflows the power sweep")
     consts = cfg["constants"]
     ring = make_ring(SPEED_OF_LIGHT / consts["center_frequency"], consts["power_coupling"],
                      consts["loss_db_per_cm"], consts["ring_radius"],
@@ -279,7 +282,6 @@ def cmd_calibrate(cfg: dict, rng) -> dict:
     scan = align_scan(unit, grid, grid, dither, probe)
 
     aligned = ws_unit(ring, ring)
-    p2pi, phi0 = cfg["power_2pi"], cfg["phase_offset"]
     powers = np.linspace(0.0, 2.2 * p2pi, cfg["sweep_points"])
     traces = simulate_phase_sweep(aligned, powers, p2pi, phi0, dither, probe,
                                   noise_sigma=cfg["noise_sigma"], rng=rng)

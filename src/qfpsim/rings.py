@@ -153,6 +153,22 @@ def _ws_output(mode: str, channel_phase: float, demux_ports, mux_ports):
     return t_m * t_d + d_m * np.exp(1j * channel_phase) * d_d
 
 
+def _ws_power_factors(mode: str, channel_phase, demux_ports, mux_ports):
+    """(demux, mux) factor tuples whose products sum to |_ws_output|^2:
+    (|t_D|^2, |d_D|^2, e^{i Phi} conj(t_D) d_D, its conjugate) against
+    (|t_M|^2, |d_M|^2, conj(t_M) d_M, its conjugate); in STOP mode only
+    the through pair.  Each factor depends on one ring's ports alone, so
+    products over a grid of both rings separate into per-ring arrays; an
+    array of phases broadcasts against the demux ports."""
+    (t_d, d_d), (t_m, d_m) = demux_ports, mux_ports
+    if mode == MODE_STOP:
+        return (np.abs(t_d) ** 2,), (np.abs(t_m) ** 2,)
+    cross_d = np.exp(1j * channel_phase) * (np.conj(t_d) * d_d)
+    cross_m = np.conj(t_m) * d_m
+    return ((np.abs(t_d) ** 2, np.abs(d_d) ** 2, cross_d, np.conj(cross_d)),
+            (np.abs(t_m) ** 2, np.abs(d_m) ** 2, cross_m, np.conj(cross_m)))
+
+
 def ws_unit_response(probe_wavelength, unit: WsUnitConfig, extra_detunings=(0.0, 0.0)):
     """Bus-output amplitude of a WS unit; broadcasts over wavelength arrays.
 

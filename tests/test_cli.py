@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -289,10 +290,16 @@ def test_flat_fringe_exits_3_without_a_warning(tmp_path):
     ("qwalk", {"num_pairs": 14, "planted_phases": [0.0]}, 2),
     # a deep walk over many pairs: the lifted design would take 352 MiB
     ("qwalk", {"num_pairs": 32, "walk_depth": 50, "constants": {"half_width": 104}}, 3),
+    # the sweep to 2.2 power_2pi overflows (it used to warn of NaN traces)
+    ("calibrate", {"power_2pi": 1e308}, 2),
 ])
 def test_config_exit_codes(tmp_path, command, config, code):
     out = tmp_path / "out"
-    assert _run(command, _write_cfg(tmp_path, config), out) == code
+    # no run, refused or not, leaves a warning on the user's stderr
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert _run(command, _write_cfg(tmp_path, config), out) == code
+    assert not caught, [f"{w.category.__name__}: {w.message}" for w in caught]
     assert code == 0 or not out.exists()  # a failed run writes nothing
 
 

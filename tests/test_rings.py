@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.constants import c
 
 from qfpsim.errors import InvalidArgumentError
 from qfpsim.lattice import make_lattice
 from qfpsim.rings import (MODE_PASS, MODE_PHASE, MODE_STOP, RingParams, _ring_ports,
-                          make_ring, mzi_pump_filter, ws_operator, ws_unit,
-                          ws_unit_response)
+                          _ws_output, _ws_power_factors, make_ring, mzi_pump_filter,
+                          ws_operator, ws_unit, ws_unit_response)
 
 WAVELENGTH = c / 193.7e12
 
@@ -88,6 +90,32 @@ def test_phase_mode_phase_error_with_loss_is_bounded():
     unit = ws_unit(ring, ring, MODE_PHASE, channel_phase=np.pi / 2)
     resp = ws_unit_response(WAVELENGTH, unit)
     assert abs(np.angle(resp * np.exp(-1j * np.pi / 2))) < 0.2
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([MODE_PHASE, MODE_PASS, MODE_STOP]), st.floats(0.0, 2 * np.pi),
+       st.floats(0.01, 0.05), st.floats(0.01, 0.05), st.integers(1, 6), st.integers(1, 6),
+       st.integers(1, 64), st.integers(0, 2**32 - 1))
+def test_power_factors_sum_to_the_unit_power(mode, phase, kappa_d, kappa_m, rows, cols,
+                                             samples, seed):
+    # rows x N demux ports against columns x N mux ports, broadcast as an
+    # alignment grid does; detunings within +-2 linewidths of each ring
+    demux, mux = (make_ring(WAVELENGTH, kappa, 1.2, 50e-6, 2.8) for kappa in (kappa_d, kappa_m))
+    rng = np.random.default_rng(seed)
+    demux_ports = _ring_ports(WAVELENGTH, demux,
+                              rng.uniform(-2, 2, (rows, samples)) * demux.linewidth_fwhm)
+    mux_ports = _ring_ports(WAVELENGTH, mux,
+                            rng.uniform(-2, 2, (cols, samples)) * mux.linewidth_fwhm)
+    factors = _ws_power_factors(mode, phase, demux_ports, mux_ports)
+    total = sum(d[:, None] * m[None] for d, m in zip(*factors))
+    power = np.abs(_ws_output(mode, phase, [p[:, None] for p in demux_ports],
+                              [p[None] for p in mux_ports])) ** 2
+    assert len(factors[0]) == len(factors[1]) == (1 if mode == MODE_STOP else 4)
+    assert np.all(np.imag(total) == 0.0)
+    # both sides are powers of at most 1 reached by different routes of about
+    # a dozen roundings each (the factor sum up to ~10 eps, |a + b|^2 up to
+    # ~4 eps), so they agree to a few ulps of 1, not to the last bit
+    assert np.abs(np.real(total) - power).max() <= 16 * np.finfo(float).eps
 
 
 def test_ws_operator_ideal_is_diagonal_phases():
