@@ -52,9 +52,9 @@ def comb_envelope(num_pairs: int, filter_fsr: float, bin_spacing: float,
     filter's sinusoidal transmission, just past its peak, producing the
     slow monotonic roll-off across the comb lines.
     """
-    ls = np.arange(num_pairs)
-    t = mzi_pump_filter(ls * bin_spacing, filter_fsr, extinction_db,
-                        phase_offset=np.pi / 2 + 0.25)
+    with np.errstate(over="ignore"):  # the filter refuses a phase that overflows
+        offsets = np.arange(num_pairs) * bin_spacing
+    t = mzi_pump_filter(offsets, filter_fsr, extinction_db, phase_offset=np.pi / 2 + 0.25)
     return np.asarray(t, dtype=float)
 
 

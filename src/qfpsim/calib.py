@@ -19,7 +19,7 @@ import numpy as np
 from scipy.optimize import OptimizeWarning, curve_fit
 
 from .errors import DegenerateScanError, FitFailureError, InvalidArgumentError
-from .rings import WsUnitConfig, _ring_ports, _ws_power_factors, ws_unit
+from .rings import WsUnitConfig, _ring_ports, _ws_power_factors, reduce_phase, ws_unit
 
 
 @dataclass(frozen=True)
@@ -204,7 +204,6 @@ def fit_phase_curve(powers, traces, dither: DitherConfig) -> PhaseCalibration:
     # linspace steps differ by ulps; a zero or non-finite step fails too
     if not (np.isfinite(span) and np.ptp(np.diff(powers[order])) < 1e-9 * step):
         raise InvalidArgumentError("powers must be a sweep of equal nonzero steps")
-    y = harmonic_component(traces, dither.phase_harmonic, dither.sample_rate).real
 
     def model(p, i0, p2pi, phi0):
         return i0 * np.cos(2.0 * np.pi * p / p2pi + phi0)
@@ -218,11 +217,12 @@ def fit_phase_curve(powers, traces, dither: DitherConfig) -> PhaseCalibration:
                                 -i0 * sin_u))
 
     # a fit that collapses to i0 = 0 has no covariance, and one that under-
-    # or overflows (powers or noise of extreme scale) has no finite
-    # residual: both fail
+    # or overflows (powers or noise of extreme scale, from the harmonics
+    # on) has no finite residual: both fail
     failed = FitFailureError("phase-curve fit failed to converge from every start")
     with warnings.catch_warnings(), np.errstate(all="ignore"):
         warnings.simplefilter("error", OptimizeWarning)
+        y = harmonic_component(traces, dither.phase_harmonic, dither.sample_rate).real
         start = _period_grid_search(powers[order], y[order])
         if start is None:
             raise failed
@@ -252,8 +252,8 @@ def fit_phase_curve(powers, traces, dither: DitherConfig) -> PhaseCalibration:
 
 def wrap_phase(phi: float) -> float:
     """Wrap an angle to [-pi, pi)."""
-    out = float(np.angle(np.exp(1j * phi)))
-    return -np.pi if out >= np.pi else out
+    out = reduce_phase(phi)
+    return -math.pi if out >= math.pi else out
 
 
 def simulate_phase_sweep(unit_template: WsUnitConfig, powers, power_2pi: float,
@@ -278,7 +278,8 @@ def simulate_phase_sweep(unit_template: WsUnitConfig, powers, power_2pi: float,
     ports = [_ring_ports(probe_wavelength, ring, det + offsets) for ring, det, offsets
              in zip((unit.demux, unit.mux), unit.detunings, _dither_offsets(dither))]
     powers = np.asarray(powers, dtype=float)
-    phis = phase_offset + 2.0 * np.pi * powers[:, None] / power_2pi
+    # reduced first: an offset of 1e17 would swamp the phase the powers add
+    phis = reduce_phase(phase_offset) + 2.0 * np.pi * powers[:, None] / power_2pi
     # summed as real parts, so no complex array of the sweep's size outlives the sum
     one_period = sum(np.real(d * m) for d, m in zip(*_ws_power_factors(unit.mode, phis, *ports)))
     period, n = _dither_period(dither), dither.times.size

@@ -27,10 +27,10 @@ from .calib import DitherConfig, align_scan, fit_phase_curve, simulate_phase_swe
 from .errors import InvalidArgumentError, NonFiniteResultError, PhysicsError
 from .eom import BESSEL_MAX_ARGUMENT, check_window_margin
 from .lattice import SPEED_OF_LIGHT, make_lattice
-from .qfp import (beamsplitter_config, beamsplitter_spectra, compose_qfp, fidelity,
-                  gauge_distance, reconstruct_submatrix, rt_closed_form,
-                  simulate_output_spectrum, submatrix, success_probability,
-                  synthesize_gate, target_unitary)
+from .qfp import (beamsplitter_config, beamsplitter_spectra, fidelity, gauge_distance,
+                  pair_block, reconstruct_submatrix, rt_closed_form,
+                  simulate_output_spectrum, success_probability, synthesize_gate,
+                  target_unitary)
 from .rings import WsUnitConfig, make_ring, ws_unit
 from .tomo import (bell_fringe, carve_bell_state, fit_visibility,
                    mle_reconstruct, purity, simulate_counts, state_fidelity)
@@ -128,7 +128,7 @@ def cmd_beamsplitter(cfg: dict, rng) -> dict:
     rows, min_p = [], np.inf
     r_cf, t_cf = rt_closed_form(alphas, delta)
     for alpha, r, t in zip(alphas, r_cf.tolist(), t_cf.tolist()):
-        v = submatrix(compose_qfp(beamsplitter_config(alpha, delta, lat, bins)), bins)
+        v = pair_block(beamsplitter_config(alpha, delta, lat, bins))
         p = success_probability(v)
         denom = abs(v[0, 0]) ** 2 + abs(v[0, 1]) ** 2
         tgt_theta = 2 * np.arcsin(np.sqrt(abs(v[0, 1]) ** 2 / denom))
@@ -153,7 +153,7 @@ def cmd_gate(cfg: dict, rng) -> dict:
     theta, lam, mu = cfg["theta"], cfg["lam"], cfg["mu"]
     delta = cfg["constants"]["depth"]
     config = synthesize_gate(theta, lam, mu, delta, lat, bins)
-    v = submatrix(compose_qfp(config), bins)
+    v = pair_block(config)
     target = target_unitary(theta, lam, mu)
     spectra = beamsplitter_spectra(config)
     v_rec = reconstruct_submatrix(spectra, lat, bins)
@@ -266,7 +266,9 @@ def cmd_tomography(cfg: dict, rng, expected_value: bool) -> dict:
 
 def cmd_calibrate(cfg: dict, rng) -> dict:
     p2pi, phi0 = cfg["power_2pi"], cfg["phase_offset"]
-    if not np.isfinite(2.2 * p2pi):  # the heater sweep runs to 2.2 power_2pi
+    # the heater sweep runs to 2.2 power_2pi, and the planted phase of its
+    # last power is 2 pi times that over power_2pi
+    if not np.isfinite(2.0 * np.pi * (2.2 * p2pi)):
         raise InvalidArgumentError(f"'power_2pi' = {p2pi!r} overflows the power sweep")
     consts = cfg["constants"]
     ring = make_ring(SPEED_OF_LIGHT / consts["center_frequency"], consts["power_coupling"],

@@ -24,7 +24,7 @@ from .errors import (InvalidArgumentError, OutOfRangeError,
 from .eom import (ModeOperator, RfDrive, bessel_row, check_window_margin, eom_operator,
                   truncation_order)
 from .lattice import FrequencyLattice
-from .rings import ws_operator
+from .rings import reduce_phase, ws_operator
 
 # relative phases of the four superposition probes: cos from 0 / pi, sin from pi/2 / 3pi/2
 QUADRATURE_GAMMAS = (0.0, np.pi, np.pi / 2.0, 3.0 * np.pi / 2.0)
@@ -92,6 +92,18 @@ def _composed_columns(config: ProcessorConfig, cols) -> np.ndarray:
 def compose_qfp(config: ProcessorConfig) -> ModeOperator:
     """Out-PM * WS * in-PM matrix product (input modulator acts first)."""
     return ModeOperator(config.lattice, _composed_columns(config, slice(None)))
+
+
+def _pair_columns(config: ProcessorConfig) -> tuple:
+    """(indices, columns of M) of the computational pair."""
+    idx = [config.lattice.index_of(b) for b in config.computational_bins]
+    return idx, _composed_columns(config, idx)
+
+
+def pair_block(config: ProcessorConfig) -> np.ndarray:
+    """2x2 block of M on the computational pair, from the pair's two columns."""
+    idx, cols = _pair_columns(config)
+    return cols[idx]
 
 
 def _shifted_beamsplitter(alpha: float, delta: float, lattice: FrequencyLattice,
@@ -166,6 +178,7 @@ def fidelity(v: np.ndarray, target: np.ndarray) -> float:
 
 def target_unitary(theta: float, lam: float, mu: float) -> np.ndarray:
     """General single-qubit unitary with Euler angles (theta, lam, mu)."""
+    lam, mu = reduce_phase(lam), reduce_phase(mu)  # so that lam + mu cannot overflow
     c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
     return np.array([[c, np.exp(1j * lam) * s],
                      [np.exp(1j * mu) * s, -np.exp(1j * (lam + mu)) * c]])
@@ -228,11 +241,12 @@ def synthesize_gate(theta: float, lam: float, mu: float, delta: float,
 
     Starts from the beamsplitter at alpha(theta), subtracts its intrinsic
     Euler phases, and applies RF phase shifts (in: -lam', out: +mu') plus
-    the linear spectral ramp bin * (lam' + mu')."""
+    the linear spectral ramp bin * (lam' + mu').  lam and mu are reduced to
+    [-pi, pi] first, or the ramp would lose them to rounding."""
     alpha = alpha_for_theta(theta, delta)
     lam0, mu0 = intrinsic_phases(alpha, delta)
     return _shifted_beamsplitter(alpha, delta, lattice, computational_bins,
-                                 lam - lam0, mu - mu0)
+                                 reduce_phase(lam) - lam0, reduce_phase(mu) - mu0)
 
 
 def simulate_output_spectrum(config: ProcessorConfig, input_amplitudes: dict) -> np.ndarray:
@@ -268,11 +282,9 @@ def beamsplitter_spectra(config: ProcessorConfig, gammas=QUADRATURE_GAMMAS) -> d
     Keys: 'bin0', 'bin1' (single-bin inputs) and 'gamma:<value>' for
     equal superpositions with relative phase gamma.
     """
-    lat = config.lattice
-    idx = [lat.index_of(b) for b in config.computational_bins]
     keys, table = _probe_table(gammas)
     # a probe excites only the pair, so only the pair's columns are composed
-    powers = np.abs(table @ _composed_columns(config, idx).T) ** 2
+    powers = np.abs(table @ _pair_columns(config)[1].T) ** 2
     return dict(zip(keys, powers))
 
 

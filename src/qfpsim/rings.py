@@ -10,6 +10,8 @@ the drop-phase-add path.  The processor's waveshaper is one spectral phase
 per bin (``ws_operator``); PASS and STOP belong to the unit model alone.
 """
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -180,6 +182,15 @@ def ws_unit_response(probe_wavelength, unit: WsUnitConfig, extra_detunings=(0.0,
     return _ws_output(unit.mode, unit.channel_phase, *ports)
 
 
+def reduce_phase(phase: float) -> float:
+    """The angle of exp(i phase) in [-pi, pi], with the exact argument
+    reduction of the scalar cos and sin: at 1e16 rad a remainder by 2 pi
+    is 0.4 rad off.  An angle already in [-pi, pi] is returned as it is."""
+    if -math.pi <= phase <= math.pi:
+        return float(phase)
+    return cmath.phase(cmath.exp(1j * phase))
+
+
 def ws_operator(phases, lattice: FrequencyLattice) -> np.ndarray:
     """Diagonal exp(i Phi) of the processor's waveshaper, one spectral phase
     per window bin (a bin at phase 0 passes unchanged)."""
@@ -199,5 +210,5 @@ def mzi_pump_filter(probe_frequency, fsr: float, extinction: float, phase_offset
     with np.errstate(over="ignore"):
         arg = np.pi * np.asarray(probe_frequency) / fsr + phase_offset
     if not np.all(np.isfinite(arg)):
-        raise InvalidArgumentError("pump-filter phase overflows: FSR too small")
+        raise InvalidArgumentError("pump-filter phase overflows: frequency too large for the FSR")
     return floor + (1.0 - floor) * np.sin(arg) ** 2

@@ -16,6 +16,7 @@ from scipy.optimize import OptimizeWarning, curve_fit, minimize
 
 from .errors import FitFailureError, InvalidArgumentError
 from .eom import bessel_row
+from .rings import reduce_phase
 
 DEFAULT_MEASUREMENT_DEPTH = 0.8169
 # random starts of the MLE after the linear-inversion seed, and their seed
@@ -145,7 +146,7 @@ def fit_visibility(phis, counts) -> VisibilityFit:
         b, v = -b, -v
     if v < 0:
         v, chi = -v, chi + np.pi
-    chi = float(np.angle(np.exp(1j * chi)))
+    chi = reduce_phase(chi)
     return VisibilityFit(float(b), float(v), chi, float(np.sqrt(pcov[1, 1])))
 
 

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 import qfpsim
 from qfpsim import cli, errors
 from qfpsim.cli import main
-from qfpsim.qfp import rt_closed_form
+from qfpsim.qfp import MIN_GATE_FIDELITY, rt_closed_form
 
 
 def _write_cfg(tmp_path, payload, name="cfg.json"):
@@ -292,6 +293,16 @@ def test_flat_fringe_exits_3_without_a_warning(tmp_path):
     ("qwalk", {"num_pairs": 32, "walk_depth": 50, "constants": {"half_width": 104}}, 3),
     # the sweep to 2.2 power_2pi overflows (it used to warn of NaN traces)
     ("calibrate", {"power_2pi": 1e308}, 2),
+    # Euler phases whose sum overflows are reduced first (they used to warn
+    # and exit 3 on NaN); so is a phase offset that swamped the sweep's
+    # phase (it used to exit 2 blaming the sweep)
+    ("gate", {"lam": 1e308, "mu": 1e308}, 0),
+    ("calibrate", {"phase_offset": 1e17}, 0),
+    # the sweep fits in a float, but 2 pi times its last power does not
+    ("calibrate", {"power_2pi": 1.3005079480713765e307}, 2),
+    # the comb's pump-filter offsets overflow; noise whose harmonics overflow
+    ("qwalk", {"constants": {"bin_spacing": 3.595386269724632e307}}, 2),
+    ("calibrate", {"noise_sigma": 1.0749609013314589e306}, 3),
 ])
 def test_config_exit_codes(tmp_path, command, config, code):
     out = tmp_path / "out"
@@ -366,17 +377,21 @@ def _reject_constant(name):
     raise AssertionError(f"non-strict JSON constant {name}")
 
 
-def _assert_exits_cleanly(command, config):
-    """The command exits 0, 2 or 3; on success it writes strict JSON, and
-    on failure nothing."""
+def _assert_exits_cleanly(command, config) -> tuple:
+    """The command exits 0, 2 or 3 and leaves no warning; on success it
+    writes strict JSON, and on failure nothing.  Returns the exit code and
+    the written JSON files as {name: value}."""
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
-        code = _run(command, _write_cfg(Path(tmp), config), out)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = _run(command, _write_cfg(Path(tmp), config), out)
+        assert not caught, [f"{w.category.__name__}: {w.message}" for w in caught]
         assert code in (0, 2, 3)
         if code != 0:
             assert not out.exists()
-        for path in out.glob("*.json"):
-            json.loads(path.read_text(), parse_constant=_reject_constant)
+        return code, {path.name: json.loads(path.read_text(), parse_constant=_reject_constant)
+                      for path in out.glob("*.json")}
 
 
 # One field or constant of the default config replaced by a value of the
@@ -425,3 +440,58 @@ def test_fuzzed_config_of_several_fields_exits_cleanly(command, data):
     for name, constant in chosen:
         (config["constants"] if constant else config)[name] = data.draw(_EXTREME)
     _assert_exits_cleanly(command, config)
+
+
+# Integer sizes (window half-width, point and pair counts) are drawn no
+# larger than this, so a window has at most 41 bins.
+_SIZE_CAP = 20
+
+
+def _table_number(data, kind: str, default, interval: str):
+    """A number for a field of ``kind``: in seven draws of ten near the
+    default, else an end of the field's interval (an integer's top end
+    capped at _SIZE_CAP), +-1e-300, 5e-324 or a magnitude in [1e300, 1e308]."""
+    integer = kind.startswith("int")
+    base = default or 0
+    if data.draw(st.integers(0, 9)) < 7:
+        if integer:
+            return base + data.draw(st.integers(-2, 2))
+        return base + data.draw(st.floats(-0.5, 0.5)) * (abs(base) or 1.0)
+    lo, hi = (float(x) for x in interval[1:-1].split(","))
+    ends = [lo, min(hi, _SIZE_CAP) if integer else hi]
+    ends = [int(e) if integer and math.isfinite(e) else e for e in ends]
+    big = st.builds(lambda sign, x: sign * x, st.sampled_from([1.0, -1.0]),
+                    st.floats(1e300, 1e308))
+    return data.draw(st.sampled_from(ends + [1e-300, -1e-300, 5e-324]) | big)
+
+
+def _table_value(data, field: cli.Field):
+    """A value for ``field``; a list with a default keeps its entries'
+    spacing and moves them all by one drawn offset."""
+    if field.kind in ("real", "int"):
+        return _table_number(data, field.kind, field.default, field.interval)
+    kind = field.kind[:-1]
+    if field.default is None:
+        size = field.length or data.draw(st.integers(0, 8))
+        return [_table_number(data, kind, None, field.interval) for _ in range(size)]
+    offset = _table_number(data, kind, 0, field.interval)
+    return [entry + offset for entry in field.default]
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+@seed(21)
+@settings(max_examples=50, deadline=None, database=None)
+@given(data=st.data())
+def test_configs_drawn_from_the_tables_keep_the_exit_code_contract(command, data):
+    # up to three fields and constants of the command, each drawn from its
+    # own kind, default and interval, so a new field is covered unedited
+    fields = {**{(name, False): f for name, f in cli.COMMANDS[command].fields.items()},
+              **{(name, True): f for name, f in cli.CONSTANTS.items()}}
+    chosen = data.draw(st.lists(st.sampled_from(sorted(fields)), max_size=3, unique=True))
+    config = {"constants": {}}
+    for name, constant in chosen:
+        (config["constants"] if constant else config)[name] = _table_value(
+            data, fields[name, constant])
+    code, summaries = _assert_exits_cleanly(command, config)
+    if command == "gate" and code == 0:
+        assert summaries["gate.json"]["fidelity"] >= MIN_GATE_FIDELITY

@@ -10,7 +10,7 @@ from qfpsim.lattice import make_lattice
 from qfpsim.qfp import (MIN_GATE_FIDELITY, QUADRATURE_GAMMAS, ProcessorConfig,
                         _beamsplitter_block, _composed_columns, alpha_for_theta,
                         beamsplitter_config, beamsplitter_spectra, compose_qfp, fidelity,
-                        gauge_distance, intrinsic_phases, jbar,
+                        gauge_distance, intrinsic_phases, jbar, pair_block,
                         reconstruct_submatrix, reconstruction_residual,
                         rt_closed_form, simulate_output_spectrum,
                         single_pm_balanced_probability, submatrix,
@@ -138,6 +138,20 @@ def test_synthesize_gate_hits_random_targets():
         cfg = synthesize_gate(theta, lam, mu, delta, LAT, bins)
         v = submatrix(compose_qfp(cfg), bins)
         assert fidelity(v, target_unitary(theta, lam, mu)) > 1 - 1e-10
+
+
+def test_synthesize_gate_reduces_huge_euler_phases():
+    # the gate depends on lam and mu only through exp(i lam) and exp(i mu);
+    # unreduced, 1e17 * bin on the WS ramp kept nothing of them (fidelity 7.6e-34)
+    theta, huge = 0.9, 1e17
+    lam = mu = float(np.angle(np.exp(1j * huge)))
+    assert abs(lam) <= np.pi and lam != huge
+    want = fidelity(pair_block(synthesize_gate(theta, lam, mu, DELTA, LAT, BINS)),
+                    target_unitary(theta, lam, mu))
+    got = fidelity(pair_block(synthesize_gate(theta, huge, huge, DELTA, LAT, BINS)),
+                   target_unitary(theta, huge, huge))
+    assert want > 1 - 1e-10
+    assert got == pytest.approx(want, abs=1e-12)
 
 
 def test_identity_gate_block():
@@ -341,3 +355,4 @@ def test_composed_columns_are_the_columns_of_the_composed_operator(lat):
         pair = [lat.index_of(b) for b in BINS]
         for idx in (pair, [lat.index_of(-3)]):
             assert np.abs(_composed_columns(cfg, idx) - full[:, idx]).max() <= 1e-15
+        assert np.abs(pair_block(cfg) - submatrix(compose_qfp(cfg), BINS)).max() <= 1e-15

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,7 @@ from qfpsim.errors import InvalidArgumentError
 from qfpsim.lattice import make_lattice
 from qfpsim.rings import (MODE_PASS, MODE_PHASE, MODE_STOP, RingParams, _ring_ports,
                           _ws_output, _ws_power_factors, make_ring, mzi_pump_filter,
-                          ws_operator, ws_unit, ws_unit_response)
+                          reduce_phase, ws_operator, ws_unit, ws_unit_response)
 
 WAVELENGTH = c / 193.7e12
 
@@ -136,6 +138,18 @@ def test_ws_operator_rejects_a_phase_vector_of_the_wrong_length(size):
     lat = make_lattice(193.7e12, 25e9, 4)
     with pytest.raises(InvalidArgumentError):
         ws_operator(np.zeros(size), lat)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_reduce_phase_keeps_the_phasor(phase):
+    reduced = reduce_phase(phase)
+    assert type(reduced) is float and -math.pi <= reduced <= math.pi
+    if abs(phase) <= math.pi:
+        assert reduced == phase  # untouched, bit for bit
+    else:  # math.cos and math.sin reduce their argument exactly
+        assert abs(math.cos(reduced) - math.cos(phase)) <= 4e-16
+        assert abs(math.sin(reduced) - math.sin(phase)) <= 4e-16
 
 
 def test_mzi_pump_filter_extremes():

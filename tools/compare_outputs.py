@@ -19,7 +19,10 @@ largest, ``qwalk`` with 16 pairs on a 49-bin window, and ``qwalk`` with
 32 pairs on an 81-bin window and planted phases drawn over +-pi, where
 the lifted design of the phase retrieval is large; and ``gate`` and
 ``spectrum`` at depth 2 on the 129-bin window, where the composed
-processor is widest.  For each output file the report says
+processor is widest, and ``beamsplitter`` with 8 points on that window;
+and two runs with huge phases that are reduced before use, ``gate``
+with ``mu`` 1e17 and ``calibrate`` with ``phase_offset`` 1e17: 26
+cases.  For each output file the report says
 "identical", or gives the largest absolute and relative
 difference of the numbers in it (CSV cells and JSON values).
 
@@ -67,7 +70,11 @@ CASES = ([(command, "{}", ("--seed", seed)) for seed in ("0", "3") for command i
             ("gate", '{"theta": 0.9, "lam": 0.4, "mu": -1.1, '
                      '"constants": {"half_width": 64, "depth": 2.0}}', ("--seed", "0")),
             ("spectrum", '{"alpha": 4.0, "constants": {"half_width": 64, "depth": 2.0}}',
-             ("--seed", "0"))])
+             ("--seed", "0")),
+            ("beamsplitter", '{"alpha_points": 8, "constants": {"half_width": 64, "depth": 2.0}}',
+             ("--seed", "0")),
+            ("gate", '{"mu": 1e17}', ("--seed", "0")),
+            ("calibrate", '{"phase_offset": 1e17}', ("--seed", "0"))])
 
 
 def run_case(src: Path, case: tuple, work: Path):
