@@ -21,6 +21,9 @@ from scipy.optimize import OptimizeWarning, curve_fit
 from .errors import DegenerateScanError, FitFailureError, InvalidArgumentError
 from .rings import WsUnitConfig, _ring_ports, _ws_power_factors, reduce_phase, ws_unit
 
+# powers per block of simulate_phase_sweep's one-period intensity
+_SWEEP_BLOCK = 64
+
 
 @dataclass(frozen=True)
 class DitherConfig:
@@ -268,9 +271,10 @@ def simulate_phase_sweep(unit_template: WsUnitConfig, powers, power_2pi: float,
     ports do not depend on the phase and the noiseless trace repeats every
     common period of the tones, so one period is built for the whole sweep
     (e^{i Phi(P)} enters as an outer product) and tiled over the trace.
-    Gaussian noise of noise_sigma > 0 is drawn from ``rng``, which must
-    then be given, so a sweep reruns the same; one draw fills the traces
-    row by row.
+    The period is built for _SWEEP_BLOCK powers at a time, so the complex
+    factors stay that small on any sweep.  Gaussian noise of noise_sigma >
+    0 is drawn from ``rng``, which must then be given, so a sweep reruns
+    the same; one draw fills the traces row by row.
     """
     if noise_sigma > 0.0 and rng is None:
         raise InvalidArgumentError("noise needs a seeded generator (rng)")
@@ -280,9 +284,12 @@ def simulate_phase_sweep(unit_template: WsUnitConfig, powers, power_2pi: float,
     powers = np.asarray(powers, dtype=float)
     # reduced first: an offset of 1e17 would swamp the phase the powers add
     phis = reduce_phase(phase_offset) + 2.0 * np.pi * powers[:, None] / power_2pi
-    # summed as real parts, so no complex array of the sweep's size outlives the sum
-    one_period = sum(np.real(d * m) for d, m in zip(*_ws_power_factors(unit.mode, phis, *ports)))
     period, n = _dither_period(dither), dither.times.size
+    one_period = np.empty((powers.size, period))
+    for start in range(0, powers.size, _SWEEP_BLOCK):
+        block = phis[start:start + _SWEEP_BLOCK]
+        one_period[start:start + _SWEEP_BLOCK] = sum(
+            np.real(d * m) for d, m in zip(*_ws_power_factors(unit.mode, block, *ports)))
     tiles = np.broadcast_to(one_period[..., None, :], (powers.size, n // period, period))
     if noise_sigma > 0.0:
         traces = rng.normal(0.0, noise_sigma, tiles.shape)

@@ -5,8 +5,19 @@ scatters bin n to bin m with amplitude J_{m-n}(depth) * exp(i (m-n) phase),
 so an upshift by one bin carries exp(i*phase).  Bessel functions come
 from ``scipy.special.jv``, imported on first use so that importing this
 module loads only numpy.
+
+The processor runs at one working depth while its phases change, so what
+depends on the depth alone is computed once per depth, in bounded
+``functools.lru_cache``s: ``truncation_order`` keyed on the depth, and the
+real Toeplitz matrix J_{m-n}(depth) keyed on (depth, window size), at
+most two of them (the in and out modulators of one setting).  A cached
+matrix is handed to every caller, so it is read-only and an RF phase
+multiplies it into a new array.  The depths -0.0 and 0.0 are one key to
+a cache, so both must give one value: the truncation order is 0 at
+either, and the matrix is built at depth + 0.0.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +43,7 @@ def bessel_row(max_order: int, argument: float) -> np.ndarray:
     return jv(np.arange(max_order + 1), argument)
 
 
+@functools.lru_cache(maxsize=64)
 def truncation_order(depth: float) -> int:
     """Smallest K with sum_{|j|>K} J_j(depth)^2 < TRUNCATION_POWER_TOL.
 
@@ -94,6 +106,25 @@ class ModeOperator:
             raise InvalidArgumentError("operator dimensions must match the lattice window")
 
 
+def _toeplitz_index(n: int) -> np.ndarray:
+    """m - k + n - 1 at each cell (m, k) of an n x n matrix: where the cell
+    reads a band of 2n - 1 entries whose entry j holds offset j - (n - 1)."""
+    index = np.arange(n)
+    return index[:, None] - index[None, :] + (n - 1)
+
+
+@functools.lru_cache(maxsize=2)
+def _toeplitz(depth: float, n: int) -> np.ndarray:
+    """The read-only n x n real Toeplitz matrix T[m, k] = J_{m-k}(depth),
+    with J_{-j} = (-1)^j J_j: the modulator at RF phase 0."""
+    diff = np.arange(1 - n, n)
+    row = bessel_row(n - 1, depth + 0.0)
+    sign = np.where((diff < 0) & (np.abs(diff) % 2 == 1), -1.0, 1.0)
+    out = (row[np.abs(diff)] * sign)[_toeplitz_index(n)]
+    out.setflags(write=False)
+    return out
+
+
 def eom_operator(drive: RfDrive, lattice: FrequencyLattice) -> ModeOperator:
     """Mode-mixing operator of a sinusoidally driven phase modulator.
 
@@ -103,15 +134,8 @@ def eom_operator(drive: RfDrive, lattice: FrequencyLattice) -> ModeOperator:
     below 1e-10.
     """
     n = lattice.size
-    # the Toeplitz band: entry k holds the coefficient of offset m - n = k - (n - 1)
-    diff = np.arange(1 - n, n)
-    row = bessel_row(n - 1, drive.depth)
-    mag = row[np.abs(diff)]
-    sign = np.where((diff < 0) & (np.abs(diff) % 2 == 1), -1.0, 1.0)
-    band = mag * sign * np.exp(1j * diff * drive.phase)
-    index = np.arange(n)
-    entries = band[index[:, None] - index[None, :] + (n - 1)]
-    return ModeOperator(lattice, entries)
+    phase_band = np.exp(1j * np.arange(1 - n, n) * drive.phase)
+    return ModeOperator(lattice, _toeplitz(drive.depth, n) * phase_band[_toeplitz_index(n)])
 
 
 def unitarity_deficit(op: ModeOperator, interior_margin: int) -> float:

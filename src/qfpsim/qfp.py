@@ -14,6 +14,7 @@ ProcessorConfig enforces.  R = |V_00|^2 and T = |V_01|^2 give the cosine
 laws, and at alpha = pi the block is [[sqrt(R), sqrt(T)], [sqrt(T), -sqrt(R)]].
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +22,7 @@ from scipy.optimize import brentq
 
 from .errors import (InvalidArgumentError, OutOfRangeError,
                      ReconstructionFailureError, UndefinedFidelityError)
-from .eom import (ModeOperator, RfDrive, bessel_row, check_window_margin, eom_operator,
+from .eom import (ModeOperator, RfDrive, _toeplitz, bessel_row, check_window_margin,
                   truncation_order)
 from .lattice import FrequencyLattice
 from .rings import reduce_phase, ws_operator
@@ -72,15 +73,14 @@ def _composed_columns(config: ProcessorConfig, cols) -> np.ndarray:
     at phase 0 and D = diag(exp(i k p)) over the bins k.  So
     M = D_out T_out diag(c) T_in D_in^dag with c = W D_in D_out^dag, and the
     one n^3 step is a real matrix times a complex one, taken as a single
-    real product over the interleaved real and imaginary parts.
+    real product over the interleaved real and imaginary parts.  Both T
+    come from the per-depth cache of ``eom._toeplitz``.
     """
     lat = config.lattice
     d_in = _phasors(lat.bins, config.in_drive.phase)
     d_out = _phasors(lat.bins, config.out_drive.phase)
-    # at phase 0 the entries are exactly real
-    t_out = np.ascontiguousarray(eom_operator(RfDrive(config.out_drive.depth), lat).entries.real)
-    t_in = (t_out if config.in_drive.depth == config.out_drive.depth
-            else eom_operator(RfDrive(config.in_drive.depth), lat).entries.real)
+    t_out = _toeplitz(config.out_drive.depth, lat.size)
+    t_in = _toeplitz(config.in_drive.depth, lat.size)
     c = ws_operator(config.ws_phases, lat) * d_in * d_out.conj()
     x = np.multiply(c[:, None], t_in[:, cols], order="C")  # C order, to view as real
     y = (t_out @ x.view(np.float64)).view(np.complex128)
@@ -123,10 +123,14 @@ def beamsplitter_config(alpha: float, delta: float, lattice: FrequencyLattice,
     return _shifted_beamsplitter(alpha, delta, lattice, computational_bins, 0.0, 0.0)
 
 
+@functools.lru_cache(maxsize=64)
 def _bessel_sums(delta: float) -> tuple:
-    """(J_0, s = sum_{k>=1} J_k J_{k-1}) at depth delta from one Bessel row."""
+    """(J_0, s = sum_{k>=1} J_k J_{k-1}) at depth delta from one Bessel row,
+    computed once per depth (at delta + 0.0, so -0.0 and 0.0, one key to
+    the cache, give one value)."""
     if delta < 0:
         raise InvalidArgumentError("depth must be non-negative")
+    delta += 0.0
     row = bessel_row(truncation_order(delta) + 5, delta)
     return row[0], float(np.sum(row[1:] * row[:-1]))
 

@@ -358,6 +358,19 @@ def test_phase_sweep_matches_per_power_traces(template, noise_sigma):
         assert np.abs(trace - ref).max() <= 1e-12
 
 
+def test_phase_sweep_blocks_give_single_power_sweeps_bit_for_bit():
+    # the one-period intensity is built a block of powers at a time; 130
+    # powers cross two block edges
+    ring = paper_ring()
+    unit = ws_unit(ring, ring, MODE_PHASE)
+    dither = small_dither(ring)
+    powers = np.linspace(0.0, 2.2, 130)
+    traces = simulate_phase_sweep(unit, powers, 1.1, 0.3, dither, WAVELENGTH)
+    for p, trace in zip(powers, traces):
+        single = simulate_phase_sweep(unit, [p], 1.1, 0.3, dither, WAVELENGTH)
+        assert single[0].tobytes() == trace.tobytes()
+
+
 def test_noisy_phase_sweep_needs_a_generator():
     # an unseeded draw would make the sweep differ from run to run
     ring = paper_ring()

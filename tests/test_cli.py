@@ -51,13 +51,15 @@ def test_beamsplitter_outputs_and_anchor_row(tmp_path):
 
 
 def test_beamsplitter_sweep_takes_one_bessel_row_per_closed_form(tmp_path, monkeypatch):
-    # one closed-form call for the whole alpha column and one for the summary
+    # the closed form's Bessel sums are computed once per depth: one row
+    # serves the whole alpha column and the summary
     calls = []
     bessel_row = qfpsim.qfp.bessel_row
     monkeypatch.setattr(qfpsim.qfp, "bessel_row",
                         lambda *args: calls.append(args) or bessel_row(*args))
+    qfpsim.qfp._bessel_sums.cache_clear()
     assert _run("beamsplitter", _write_cfg(tmp_path, {}), tmp_path / "out") == 0
-    assert len(calls) <= 2
+    assert len(calls) == 1
 
 
 def test_gate_command(tmp_path):

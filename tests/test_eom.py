@@ -4,10 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import jv
 
-from qfpsim.eom import (BESSEL_MAX_ARGUMENT, RfDrive, bessel_row,
+from qfpsim.eom import (BESSEL_MAX_ARGUMENT, RfDrive, _toeplitz, bessel_row,
                         eom_operator, truncation_order, unitarity_deficit)
 from qfpsim.errors import InvalidArgumentError
 from qfpsim.lattice import make_lattice
+from qfpsim.qfp import _bessel_sums
 
 
 @settings(max_examples=60, deadline=None)
@@ -93,3 +94,49 @@ def test_disabled_drive_gives_identity():
     lat = make_lattice(193.7e12, 25e9, 6)
     op = eom_operator(RfDrive(0.0), lat)
     assert np.abs(op.entries - np.eye(lat.size)).max() < 1e-15
+
+
+def _reference_eom_entries(depth, phase, n):
+    """The operator as one complex band gathered into the matrix, with a
+    Bessel row of its own."""
+    diff = np.arange(1 - n, n)
+    row = bessel_row(n - 1, depth)
+    mag = row[np.abs(diff)]
+    sign = np.where((diff < 0) & (np.abs(diff) % 2 == 1), -1.0, 1.0)
+    band = mag * sign * np.exp(1j * diff * phase)
+    index = np.arange(n)
+    return band[index[:, None] - index[None, :] + (n - 1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.just(0.0), st.just(-0.0), st.floats(0.0, BESSEL_MAX_ARGUMENT)),
+       st.integers(1, 64), st.floats(-2.0 * np.pi, 2.0 * np.pi))
+def test_depth_caches_match_fresh_evaluations(depth, half_width, phase):
+    lat = make_lattice(193.7e12, 25e9, half_width)  # 3 to 129 bins
+    n = lat.size
+    cached = _toeplitz(depth, n)
+    _toeplitz.cache_clear()
+    at_phase_0 = eom_operator(RfDrive(depth), lat).entries
+    # at phase 0 the real part of T times the unit band is T, except that
+    # a -0.0 of T (J_{-j} = -J_j of an odd j at which J_j is 0) comes out 0.0
+    assert (cached + 0.0).tobytes() == at_phase_0.real.tobytes()
+    assert not at_phase_0.imag.any()
+    # any phase multiplies the cached matrix as the full band did, bit for bit
+    entries = eom_operator(RfDrive(depth, phase), lat).entries
+    assert entries.tobytes() == _reference_eom_entries(depth, phase, n).tobytes()
+    # the per-depth values do not depend on the cache, nor on the sign of
+    # a zero depth (repr and bytes tell -0.0 from 0.0)
+    values = {truncation_order: lambda d: repr(truncation_order(d)),
+              _bessel_sums: lambda d: repr(_bessel_sums(d)),
+              _toeplitz: lambda d: _toeplitz(d, n).tobytes()}
+    for fn, value in values.items():
+        before = value(depth)
+        fresh = []
+        for d in (depth, -0.0, 0.0):
+            fn.cache_clear()
+            fresh.append(value(d))
+        assert fresh[0] == before and fresh[1] == fresh[2]
+    # a cached matrix is shared, so it must not be writable
+    with pytest.raises(ValueError):
+        _toeplitz(depth, n)[0, 0] = 1.0
+    assert _toeplitz.cache_info().currsize <= _toeplitz.cache_info().maxsize == 2

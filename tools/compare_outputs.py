@@ -18,10 +18,12 @@ default sweep and on 1000 points, where the phase-curve grid search is
 largest, ``qwalk`` with 16 pairs on a 49-bin window, and ``qwalk`` with
 32 pairs on an 81-bin window and planted phases drawn over +-pi, where
 the lifted design of the phase retrieval is large; and ``gate`` and
-``spectrum`` at depth 2 on the 129-bin window, where the composed
-processor is widest, and ``beamsplitter`` with 8 points on that window;
-and two runs with huge phases that are reduced before use, ``gate``
-with ``mu`` 1e17 and ``calibrate`` with ``phase_offset`` 1e17: 26
+``spectrum`` at depth 2 on a 129-bin window, where the composed
+processor is large, and ``beamsplitter`` with 8 points on that window;
+two runs with huge phases that are reduced before use, ``gate`` with
+``mu`` 1e17 and ``calibrate`` with ``phase_offset`` 1e17; and
+``beamsplitter`` with 200 points on a 513-bin window, where every point
+after the first reads the per-depth caches of the widest operator: 27
 cases.  For each output file the report says
 "identical", or gives the largest absolute and relative
 difference of the numbers in it (CSV cells and JSON values).
@@ -74,7 +76,9 @@ CASES = ([(command, "{}", ("--seed", seed)) for seed in ("0", "3") for command i
             ("beamsplitter", '{"alpha_points": 8, "constants": {"half_width": 64, "depth": 2.0}}',
              ("--seed", "0")),
             ("gate", '{"mu": 1e17}', ("--seed", "0")),
-            ("calibrate", '{"phase_offset": 1e17}', ("--seed", "0"))])
+            ("calibrate", '{"phase_offset": 1e17}', ("--seed", "0")),
+            ("beamsplitter", '{"alpha_points": 200, "constants": {"half_width": 256}}',
+             ("--seed", "0"))])
 
 
 def run_case(src: Path, case: tuple, work: Path):
