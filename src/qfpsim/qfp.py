@@ -269,14 +269,18 @@ def simulate_output_spectrum(config: ProcessorConfig, input_amplitudes: dict) ->
     return np.abs(_composed_columns(config, excited) @ a[excited]) ** 2
 
 
-def _probe_table(gammas=QUADRATURE_GAMMAS) -> tuple:
+@functools.lru_cache(maxsize=8)
+def _probe_table(gammas: tuple) -> tuple:
     """The probe inputs on the computational pair (b0, b1): their keys
     'bin0', 'bin1' and 'gamma:<value>', and a K x 2 table whose rows are
     the single-bin inputs and then the equal superpositions with relative
-    phase gamma."""
+    phase gamma.  Cached per gamma tuple, so the table is read-only; a
+    gamma of -0.0 is read as 0.0, the same cache key."""
+    gammas = tuple(g + 0.0 for g in gammas)
     keys = ("bin0", "bin1") + tuple(f"gamma:{g:.17g}" for g in gammas)
     s = 1.0 / np.sqrt(2.0)
     table = np.array([[1.0, 0.0], [0.0, 1.0]] + [[s, s * np.exp(1j * g)] for g in gammas])
+    table.setflags(write=False)
     return keys, table
 
 
@@ -286,7 +290,7 @@ def beamsplitter_spectra(config: ProcessorConfig, gammas=QUADRATURE_GAMMAS) -> d
     Keys: 'bin0', 'bin1' (single-bin inputs) and 'gamma:<value>' for
     equal superpositions with relative phase gamma.
     """
-    keys, table = _probe_table(gammas)
+    keys, table = _probe_table(tuple(gammas))
     # a probe excites only the pair, so only the pair's columns are composed
     powers = np.abs(table @ _pair_columns(config)[1].T) ** 2
     return dict(zip(keys, powers))
@@ -315,7 +319,7 @@ def _probe_rows(spectra: dict, lattice: FrequencyLattice,
 
     Raises ReconstructionFailureError naming any missing probe spectrum.
     """
-    keys = _probe_table()[0]
+    keys = _probe_table(QUADRATURE_GAMMAS)[0]
     missing = [k for k in keys if k not in spectra]
     if missing:
         raise ReconstructionFailureError(f"missing probe spectra: {', '.join(missing)}")
@@ -359,7 +363,7 @@ def reconstruction_residual(v: np.ndarray, spectra: dict, lattice: FrequencyLatt
                             computational_bins: tuple) -> float:
     """RMS mismatch between the computational-bin rows of the six probe
     spectra and those regenerated from the reconstructed matrix."""
-    pred = np.abs(_probe_table()[1] @ v.T) ** 2
+    pred = np.abs(_probe_table(QUADRATURE_GAMMAS)[1] @ v.T) ** 2
     err = pred - _probe_rows(spectra, lattice, computational_bins)
     return float(np.sqrt(np.mean(np.square(err))))
 

@@ -34,20 +34,26 @@ def superposition_efficiency() -> float:
     return float(2.0 * row[0] * row[1])
 
 
-def _superposition(phi: float) -> np.ndarray:
+def _superposition(phi) -> np.ndarray:
     """Superposition analyzer POVM element eta |v><v|, with
-    |v> = (|0> + e^{i phi} |1>)/sqrt(2) and eta = (2 J0 J1)^2 <= 1."""
-    v = np.array([1.0, np.exp(1j * phi)]) / np.sqrt(2.0)
+    |v> = (|0> + e^{i phi} |1>)/sqrt(2) and eta = (2 J0 J1)^2 <= 1; for an
+    array of phases, the stack of their elements."""
+    e = np.exp(1j * np.asarray(phi, dtype=float))
+    v = np.stack(np.broadcast_arrays(1.0, e), axis=-1) / np.sqrt(2.0)
     eta = superposition_efficiency() ** 2
-    return eta * np.outer(v, v.conj())
+    return eta * (v[..., :, None] * v.conj()[..., None, :])
 
 
+@functools.cache
 def _canonical_projectors() -> np.ndarray:
     """The 16 joint POVM elements: each photon analyzed in bin 0, in bin 1
-    (ideal projectors) or in the superpositions at phi = 0 and pi/2."""
+    (ideal projectors) or in the superpositions at phi = 0 and pi/2.
+    Read-only: every caller, and every record, shares the one stack."""
     singles = np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0]),
                         _superposition(0.0), _superposition(np.pi / 2.0)])
-    return np.kron(singles[:, None], singles[None, :]).reshape(16, 4, 4)
+    pis = np.kron(singles[:, None], singles[None, :]).reshape(16, 4, 4)
+    pis.setflags(write=False)
+    return pis
 
 
 def _rates(rho: np.ndarray, pis: np.ndarray) -> np.ndarray:
@@ -88,7 +94,7 @@ def carve_bell_state(suppression_db: float, bell_phase: float = 0.0) -> np.ndarr
 def bell_fringe(rho: np.ndarray, phis) -> np.ndarray:
     """Coincidence fringe vs the signal analyzer phase, idler phase at 0."""
     rho = _check_density(rho)
-    signal = np.array([_superposition(float(phi)) for phi in np.atleast_1d(phis)])
+    signal = _superposition(np.atleast_1d(phis))
     return _rates(rho, np.kron(signal, _superposition(0.0)))
 
 
@@ -195,38 +201,67 @@ def _linear_inversion(pis: np.ndarray, rates: np.ndarray) -> np.ndarray:
     return rho / tr if abs(tr) > 1e-12 else np.eye(4) / 4.0
 
 
+def _quadratic_forms(pis: np.ndarray) -> np.ndarray:
+    """Real 32 x 32 forms Q_k, stacked as a (32 K) x 32 array, with
+    p Q_k p = Tr(A Pi_k A^dag) for p = A.ravel().view(float).
+
+    Row i of A enters only its own diagonal block, and in it Re Pi_k acts
+    on each (Re, Im) pair as Re Pi_k I_2 and Im Pi_k as J = [[0, 1], [-1, 0]]:
+    Q_k = I_4 (x) (Re Pi_k (x) I_2 + Im Pi_k (x) J), symmetric for Hermitian Pi_k.
+    """
+    block = np.empty((len(pis), 4, 2, 4, 2))  # Re Pi_k (x) I_2 + Im Pi_k (x) J
+    block[:, :, 0, :, 0] = block[:, :, 1, :, 1] = pis.real
+    block[:, :, 0, :, 1] = pis.imag
+    block[:, :, 1, :, 0] = -pis.imag
+    block = block.reshape(-1, 8, 8)
+    forms = np.zeros((len(pis), 4, 8, 4, 8))  # I_4 (x) block
+    for i in range(4):
+        forms[:, i, :, i, :] = block
+    return forms.reshape(-1, 32)
+
+
+def _poisson_nll(rates, counts, shots, accidentals):
+    """Poisson negative log-likelihood of the records at the fractional
+    rates, and its derivative in each rate, (1 - counts_k/mu_k) * shots_k."""
+    mu = np.maximum(shots * rates + accidentals, 1e-12)
+    return float(np.sum(mu - counts * np.log(mu))), (1.0 - counts / mu) * shots
+
+
 def _negloglike_and_drho(rho, pis, counts, shots, accidentals):
     """Poisson negative log-likelihood of the records at rho, and its
     gradient in rho, sum_k (1 - counts_k/mu_k) * shots * Pi_k."""
-    mu = np.maximum(shots * _rates(rho, pis) + accidentals, 1e-12)
-    nll = float(np.sum(mu - counts * np.log(mu)))
-    return nll, np.einsum("k,kij->ij", (1.0 - counts / mu) * shots, pis)
+    nll, w = _poisson_nll(_rates(rho, pis), counts, shots, accidentals)
+    return nll, np.einsum("k,kij->ij", w, pis)
 
 
-def _negloglike_and_grad(params, pis, counts, shots, accidentals):
+def _negloglike_and_grad(params, forms, counts, shots, accidentals):
     """Poisson negative log-likelihood of the records at rho(A(params)),
-    and its gradient in the 32 parameters."""
+    and its gradient in the 32 parameters, from the records'
+    _quadratic_forms: rate_k = p Q_k p / p p."""
     tra = params @ params  # Tr(A^dag A)
     if tra <= 0:
         return 1e18, np.zeros(32)
-    rho = _rho_of(params)
-    nll, drho = _negloglike_and_drho(rho, pis, counts, shots, accidentals)
-    # rho = A^dag A/TrA; d/dA* : grad_A = 2 * (A drho - Tr(rho drho) A) / TrA
-    a = params.view(complex).reshape(4, 4)
-    inner = np.trace(rho @ drho).real
-    return nll, (2.0 * (a @ drho - inner * a) / tra).view(float).ravel()
+    qp = (forms @ params).reshape(-1, 32)
+    rates = qp @ params / tra
+    nll, w = _poisson_nll(rates, counts, shots, accidentals)
+    # d rate_k / dp = 2 (Q_k p - rate_k p) / p p
+    return nll, 2.0 * (w @ qp - (w @ rates) * params) / tra
 
 
 def mle_reconstruct(records: list) -> np.ndarray:
     """Maximum-likelihood density matrix from coincidence records.
 
     rho = A^dag A / Tr(A^dag A) with A a full complex 4x4 matrix (32 real
-    parameters) guarantees physicality.  The Poisson log-likelihood is
-    maximized with L-BFGS-B using the analytic gradient, from the
-    linear-inversion seed U diag(w) U^dag as A = U diag(sqrt(w)) U^dag (w
-    floored at 1e-9, then scaled to unit sum) and then MLE_RESTARTS random
-    starts.  The floor keeps the seed's A full rank: the gradient is A
-    times a matrix, so u A = 0 gives u grad = 0 and A could never gain rank.
+    parameters p = A.ravel().view(float)) guarantees physicality.  Each
+    record's rate Tr(rho Pi_k) is then a ratio of real quadratic forms,
+    p Q_k p / p p, built once per call (_quadratic_forms), so an evaluation
+    of the likelihood and its gradient is one real product.  The Poisson
+    log-likelihood is maximized with L-BFGS-B using the analytic gradient,
+    from the linear-inversion seed U diag(w) U^dag as A = U diag(sqrt(w))
+    U^dag (w floored at 1e-9, then scaled to unit sum) and then
+    MLE_RESTARTS random starts.  The floor keeps the seed's A full rank:
+    the gradient is A times a matrix, so u A = 0 gives u grad = 0 and A
+    could never gain rank.
     After each start the best result so far is certified by its
     Frank-Wolfe gap Tr(D rho) - lambda_min(D), D the NLL's gradient in
     rho: the NLL is convex in rho, so the gap bounds the distance to the
@@ -238,6 +273,7 @@ def mle_reconstruct(records: list) -> np.ndarray:
     pis = np.array([r.projector for r in records])
     data = np.array([(r.counts, r.shots, r.accidental) for r in records]).T
     counts, shots, accidentals = data
+    forms = _quadratic_forms(pis)
     rng = np.random.default_rng(MLE_SEED)
     w, u = np.linalg.eigh(_linear_inversion(
         pis, np.maximum(counts - accidentals, 0.0) / shots))
@@ -246,7 +282,7 @@ def mle_reconstruct(records: list) -> np.ndarray:
     starts += [rng.normal(scale=0.5, size=32) for _ in range(MLE_RESTARTS)]
     best = None
     for x0 in starts:
-        res = minimize(_negloglike_and_grad, x0, args=(pis, *data), jac=True,
+        res = minimize(_negloglike_and_grad, x0, args=(forms, *data), jac=True,
                        method="L-BFGS-B",
                        options={"maxiter": 2000, "ftol": 1e-14, "gtol": 1e-10})
         if best is None or res.fun < best.fun:

@@ -8,7 +8,8 @@ from qfpsim.errors import (InvalidArgumentError, OutOfRangeError,
                            ReconstructionFailureError, UndefinedFidelityError)
 from qfpsim.lattice import make_lattice
 from qfpsim.qfp import (MIN_GATE_FIDELITY, QUADRATURE_GAMMAS, ProcessorConfig,
-                        _beamsplitter_block, _composed_columns, alpha_for_theta,
+                        _beamsplitter_block, _composed_columns, _probe_table,
+                        alpha_for_theta,
                         beamsplitter_config, beamsplitter_spectra, compose_qfp, fidelity,
                         gauge_distance, intrinsic_phases, jbar, pair_block,
                         reconstruct_submatrix, reconstruction_residual,
@@ -240,6 +241,30 @@ def test_beamsplitter_spectra_match_single_probe_spectra(fraction, lam, mu, delt
     for key, amp in probes.items():
         single = simulate_output_spectrum(cfg, amp)
         assert np.abs(spectra[key] - single).max() <= 1e-15
+
+
+def test_probe_table_is_built_once_and_read_only():
+    keys, table = _probe_table(QUADRATURE_GAMMAS)
+    assert _probe_table(QUADRATURE_GAMMAS)[1] is table
+    with pytest.raises(ValueError):
+        table[0, 0] = 0.0
+    # the table from its definition, bit for bit
+    s = 1.0 / np.sqrt(2.0)
+    ref = np.array([[1.0, 0.0], [0.0, 1.0]]
+                   + [[s, s * np.exp(1j * g)] for g in QUADRATURE_GAMMAS])
+    assert keys == ("bin0", "bin1") + tuple(f"gamma:{g:.17g}" for g in QUADRATURE_GAMMAS)
+    assert table.tobytes() == ref.tobytes()
+    # a list of gammas is one more cache key, with the same spectra
+    cfg = beamsplitter_config(4.2, DELTA, LAT, BINS)
+    spectra = beamsplitter_spectra(cfg)
+    listed = beamsplitter_spectra(cfg, gammas=list(QUADRATURE_GAMMAS))
+    assert list(listed) == list(spectra)
+    assert all(listed[k].tobytes() == spectra[k].tobytes() for k in spectra)
+    # -0.0 and 0.0 share a key, and the table does not depend on which came first
+    for first in (-0.0, 0.0):
+        _probe_table.cache_clear()
+        assert _probe_table((first,))[0] == ("bin0", "bin1", "gamma:0")
+        assert _probe_table((-first,))[0] == ("bin0", "bin1", "gamma:0")
 
 
 def test_reconstruct_with_quadrature_probes_is_exact():

@@ -148,7 +148,7 @@ def test_fit_visibility_sigma_is_finite_on_noiseless_fringe_at_zero_phase():
 def test_mle_gradient_matches_finite_differences():
     rho = carve_bell_state(13.5, 0.4)
     records = simulate_counts(rho, 1e4, accidental_fraction=1e-3)
-    args = (np.array([r.projector for r in records]),
+    args = (tomo._quadratic_forms(np.array([r.projector for r in records])),
             np.array([r.counts for r in records]),
             np.array([r.shots for r in records]),
             np.array([r.accidental for r in records]))
@@ -159,6 +159,55 @@ def test_mle_gradient_matches_finite_differences():
                      - _negloglike_and_grad(x - eps * e, *args)[0]) / (2 * eps)
                     for e in np.eye(32)])
     assert np.abs(grad - num).max() < 1e-4 * max(1.0, np.abs(num).max())
+
+
+@st.composite
+def _likelihood_inputs(draw):
+    """A random A (as its 32 parameters), K random POVM-like elements X X^dag,
+    K random Hermitian matrices Y + Y^dag, and K records."""
+    k = draw(st.integers(1, 24))
+    unit = st.floats(-1.0, 1.0)
+    a = draw(arrays(np.float64, (4, 4, 2), elements=unit).filter(
+        lambda p: np.abs(p).sum() > 1e-2))
+    x, y = (draw(arrays(np.complex128, (k, 4, 4), elements=st.complex_numbers(
+        max_magnitude=1.0, allow_nan=False, allow_infinity=False))) for _ in range(2))
+    psd = x @ np.swapaxes(x, 1, 2).conj()
+    herm = y + np.swapaxes(y, 1, 2).conj()
+    counts = draw(arrays(np.float64, k, elements=st.integers(0, 10**5).map(float)))
+    shots = draw(arrays(np.float64, k, elements=st.floats(1.0, 1e5)))
+    accidentals = draw(arrays(np.float64, k, elements=st.floats(1e-3, 1e2)))
+    return a.ravel(), psd, herm, counts, shots, accidentals
+
+
+@settings(max_examples=150, deadline=None)
+@given(_likelihood_inputs())
+def test_quadratic_forms_give_the_rho_space_likelihood(inputs):
+    params, psd, herm, counts, shots, accidentals = inputs
+    a = params.view(complex).reshape(4, 4)
+    # p Q_k p = Tr(A Pi_k A^dag) for any Hermitian Pi_k, within the rounding
+    # bound of a sum of 64 products on each side, 64 eps of the sum of the
+    # terms' absolute values (3000 random draws reached 3.4 eps of it, equal
+    # terms 8 eps), plus an absolute floor for products that underflow
+    tiny = 1e-300
+    for pis in (psd, herm):
+        qp = (tomo._quadratic_forms(pis) @ params).reshape(len(pis), 32)
+        ref = np.einsum("ij,kjl,il->k", a, pis, a.conj())
+        scale = np.einsum("ij,kjl,il->k", np.abs(a), np.abs(pis), np.abs(a))
+        assert np.all(np.abs(qp @ params - ref.real)
+                      <= 64 * np.finfo(float).eps * scale + tiny)
+    # the NLL and its gradient against the rho-space NLL and the chain rule
+    # through rho = A^dag A / Tr(A^dag A)
+    data = (counts, shots, accidentals)
+    nll, grad = _negloglike_and_grad(params, tomo._quadratic_forms(psd), *data)
+    rho = tomo._rho_of(params)
+    nll_ref, drho = tomo._negloglike_and_drho(rho, psd, *data)
+    tra = params @ params
+    inner = np.trace(rho @ drho).real
+    grad_ref = (2.0 * (a @ drho - inner * a) / tra).view(float).ravel()
+    mu = shots * tomo._rates(rho, psd) + accidentals
+    assert abs(nll - nll_ref) <= 1e-12 * np.sum(mu + counts * np.abs(np.log(mu)))
+    grad_scale = 2.0 * np.abs(a).max() * (np.abs(drho).sum() + abs(inner)) / tra
+    assert np.abs(grad - grad_ref).max() <= 1e-12 * grad_scale + tiny
 
 
 def test_mle_exact_on_expected_counts():
@@ -299,6 +348,10 @@ def test_simulate_counts_modes_and_accidentals():
     exact = simulate_counts(rho, 1e4, accidental_fraction=1e-3)
     assert all(r.accidental == pytest.approx(10.0) for r in exact)
     assert np.array_equal([r.projector for r in exact], _canonical_projectors())
+    # one shared stack, so no record can change another's projector
+    assert _canonical_projectors() is _canonical_projectors()
+    with pytest.raises(ValueError):
+        exact[0].projector[0, 0] = 0.0
     a = simulate_counts(rho, 1e4, rng=np.random.default_rng(2))
     b = simulate_counts(rho, 1e4, rng=np.random.default_rng(2))
     assert [r.counts for r in a] == [r.counts for r in b]

@@ -10,7 +10,9 @@ PYTHONPATH starts with that tree: the six commands on the config ``{}``
 at ``--seed 0`` and at ``--seed 3``, ``tomography --expected-value``,
 ``tomography`` at ``--seed 5`` (the first seed from 0 up at which the
 maximum-likelihood fit runs a random restart), ``tomography`` with
-``car`` Infinity (no accidental coincidences), two failing runs,
+``car`` Infinity (no accidental coincidences), with 1000 shots, and
+with 1e5 shots at 20 dB suppression (a purer state, ten times the
+default shots), two failing runs,
 ``gate`` with a mistyped ``theta`` (exit 2) and ``calibrate`` with a
 phase-curve fit that fails (exit 3), and four runs with a noisy, long
 or many-pair fit: ``calibrate`` with ``noise_sigma`` 0.01, on the
@@ -23,7 +25,7 @@ processor is large, and ``beamsplitter`` with 8 points on that window;
 two runs with huge phases that are reduced before use, ``gate`` with
 ``mu`` 1e17 and ``calibrate`` with ``phase_offset`` 1e17; and
 ``beamsplitter`` with 200 points on a 513-bin window, where every point
-after the first reads the per-depth caches of the widest operator: 27
+after the first reads the per-depth caches of the widest operator: 29
 cases.  For each output file the report says
 "identical", or gives the largest absolute and relative
 difference of the numbers in it (CSV cells and JSON values).
@@ -62,6 +64,8 @@ CASES = ([(command, "{}", ("--seed", seed)) for seed in ("0", "3") for command i
          + [("tomography", "{}", ("--seed", "0", "--expected-value")),
             ("tomography", "{}", ("--seed", "5")),
             ("tomography", '{"constants": {"car": Infinity}}', ("--seed", "0")),
+            ("tomography", '{"shots": 1000}', ("--seed", "0")),
+            ("tomography", '{"shots": 100000, "suppression_db": 20}', ("--seed", "0")),
             ("gate", '{"theta": "x"}', ("--seed", "0")),
             ("calibrate", '{"power_2pi": 1e200}', ("--seed", "0")),
             ("calibrate", '{"noise_sigma": 0.01}', ("--seed", "0")),
