@@ -15,18 +15,30 @@ matrix is handed to every caller, so it is read-only and an RF phase
 multiplies it into a new array.  The depths -0.0 and 0.0 are one key to
 a cache, so both must give one value: the truncation order is 0 at
 either, and the matrix is built at depth + 0.0.
+
+The matrix stores each J_k(depth) below sqrt(tiny) ~ 1.5e-154, tiny the
+smallest normal double, as 0: the far tail of the band on a wide window.
+The product of two such entries is subnormal, and a matrix product that
+meets subnormal numbers takes the CPU's slow path, several times slower.
+Every product of two kept entries is normal, and a dropped entry moves
+any entry of a product of two modulators by at most about n * sqrt(tiny),
+far below the window's TRUNCATION_POWER_TOL.
 """
 
 import functools
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import InvalidArgumentError, OutOfRangeError
 from .lattice import FrequencyLattice
 
 BESSEL_MAX_ARGUMENT = 50.0
 TRUNCATION_POWER_TOL = 1e-14
+# sqrt of the smallest normal double: the product of two numbers at least
+# this large is normal
+_SQRT_TINY = float(np.sqrt(np.finfo(float).tiny))
 
 
 def bessel_row(max_order: int, argument: float) -> np.ndarray:
@@ -106,21 +118,25 @@ class ModeOperator:
             raise InvalidArgumentError("operator dimensions must match the lattice window")
 
 
-def _toeplitz_index(n: int) -> np.ndarray:
-    """m - k + n - 1 at each cell (m, k) of an n x n matrix: where the cell
-    reads a band of 2n - 1 entries whose entry j holds offset j - (n - 1)."""
-    index = np.arange(n)
-    return index[:, None] - index[None, :] + (n - 1)
+def _toeplitz_view(band: np.ndarray) -> np.ndarray:
+    """The n x n Toeplitz matrix X[m, k] = band[m - k + n - 1] of a band of
+    2n - 1 entries, as a read-only strided view of it: each row is the
+    band read backwards from its own start."""
+    n = (len(band) + 1) // 2
+    step = band.strides[0]
+    return as_strided(band[n - 1:], (n, n), (step, -step), writeable=False)
 
 
 @functools.lru_cache(maxsize=2)
 def _toeplitz(depth: float, n: int) -> np.ndarray:
     """The read-only n x n real Toeplitz matrix T[m, k] = J_{m-k}(depth),
-    with J_{-j} = (-1)^j J_j: the modulator at RF phase 0."""
+    with J_{-j} = (-1)^j J_j: the modulator at RF phase 0.  Entries below
+    _SQRT_TINY are stored as 0 (module docstring)."""
     diff = np.arange(1 - n, n)
     row = bessel_row(n - 1, depth + 0.0)
+    row[np.abs(row) < _SQRT_TINY] = 0.0
     sign = np.where((diff < 0) & (np.abs(diff) % 2 == 1), -1.0, 1.0)
-    out = (row[np.abs(diff)] * sign)[_toeplitz_index(n)]
+    out = _toeplitz_view(row[np.abs(diff)] * sign).copy()
     out.setflags(write=False)
     return out
 
@@ -135,7 +151,7 @@ def eom_operator(drive: RfDrive, lattice: FrequencyLattice) -> ModeOperator:
     """
     n = lattice.size
     phase_band = np.exp(1j * np.arange(1 - n, n) * drive.phase)
-    return ModeOperator(lattice, _toeplitz(drive.depth, n) * phase_band[_toeplitz_index(n)])
+    return ModeOperator(lattice, _toeplitz(drive.depth, n) * _toeplitz_view(phase_band))
 
 
 def unitarity_deficit(op: ModeOperator, interior_margin: int) -> float:

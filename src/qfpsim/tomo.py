@@ -262,11 +262,12 @@ def mle_reconstruct(records: list) -> np.ndarray:
     MLE_RESTARTS random starts.  The floor keeps the seed's A full rank:
     the gradient is A times a matrix, so u A = 0 gives u grad = 0 and A
     could never gain rank.
-    After each start the best result so far is certified by its
-    Frank-Wolfe gap Tr(D rho) - lambda_min(D), D the NLL's gradient in
-    rho: the NLL is convex in rho, so the gap bounds the distance to the
-    optimum (Jaggi, ICML 2013), and the starts stop once it is at most
-    MLE_GAP_TOL.  If no start certifies, the best of all is returned.
+    Each start's result is certified by its Frank-Wolfe gap
+    Tr(D rho) - lambda_min(D), D the NLL's gradient in rho: the NLL is
+    convex in rho, so f(rho) <= f* + gap (Jaggi, ICML 2013), and the starts
+    stop once a gap is at most MLE_GAP_TOL.  The best result so far is
+    returned, since f(best) <= f(rho) certifies it as well; if no start
+    certifies, the best of all is returned.
     """
     if len(records) < 16:
         raise InvalidArgumentError("tomography needs at least 16 settings")
@@ -285,14 +286,13 @@ def mle_reconstruct(records: list) -> np.ndarray:
         res = minimize(_negloglike_and_grad, x0, args=(forms, *data), jac=True,
                        method="L-BFGS-B",
                        options={"maxiter": 2000, "ftol": 1e-14, "gtol": 1e-10})
-        if best is None or res.fun < best.fun:
-            best = res
-            rho = _rho_of(best.x)
-            _, drho = _negloglike_and_drho(rho, pis, *data)
-            gap = np.trace(drho @ rho).real - np.linalg.eigvalsh(drho)[0]
-        if gap <= MLE_GAP_TOL:
+        rho = _rho_of(res.x)
+        if best is None or res.fun < best_nll:
+            best, best_nll = rho, res.fun
+        _, drho = _negloglike_and_drho(rho, pis, *data)
+        if np.trace(drho @ rho).real - np.linalg.eigvalsh(drho)[0] <= MLE_GAP_TOL:
             break
-    return rho
+    return best
 
 
 def _psd_sqrt(rho: np.ndarray) -> np.ndarray:

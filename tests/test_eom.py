@@ -1,14 +1,20 @@
+from types import SimpleNamespace
+from unittest.mock import patch
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import jv
 
+from qfpsim import qfp
 from qfpsim.eom import (BESSEL_MAX_ARGUMENT, RfDrive, _toeplitz, bessel_row,
                         eom_operator, truncation_order, unitarity_deficit)
 from qfpsim.errors import InvalidArgumentError
 from qfpsim.lattice import make_lattice
-from qfpsim.qfp import _bessel_sums
+from qfpsim.qfp import _bessel_sums, compose_qfp
+
+SQRT_TINY = np.sqrt(np.finfo(float).tiny)
 
 
 @settings(max_examples=60, deadline=None)
@@ -101,6 +107,9 @@ def _reference_eom_entries(depth, phase, n):
     Bessel row of its own."""
     diff = np.arange(1 - n, n)
     row = bessel_row(n - 1, depth)
+    # the operator stores Bessel values below sqrt(tiny) as 0, so that no
+    # product of two of its entries is subnormal; the reference does too
+    row[np.abs(row) < SQRT_TINY] = 0.0
     mag = row[np.abs(diff)]
     sign = np.where((diff < 0) & (np.abs(diff) % 2 == 1), -1.0, 1.0)
     band = mag * sign * np.exp(1j * diff * phase)
@@ -140,3 +149,28 @@ def test_depth_caches_match_fresh_evaluations(depth, half_width, phase):
     with pytest.raises(ValueError):
         _toeplitz(depth, n)[0, 0] = 1.0
     assert _toeplitz.cache_info().currsize <= _toeplitz.cache_info().maxsize == 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(0.0, BESSEL_MAX_ARGUMENT), st.integers(1, 64), st.integers(0, 2**32 - 1))
+@example(1.0, 64, 0)  # 129 bins at depth 1: J_k below sqrt(tiny) from k = 85 on
+def test_toeplitz_stores_bessel_values_below_sqrt_tiny_as_zero(depth, half_width, seed):
+    lat = make_lattice(193.7e12, 25e9, half_width)  # 3 to 129 bins
+    n = lat.size
+    exact = jv(np.subtract.outer(np.arange(n), np.arange(n)), depth)
+    stored = _toeplitz(depth, n)
+    small = np.abs(exact) < SQRT_TINY
+    # each entry is the jv value bit for bit, or 0.0 where that is below sqrt(tiny)
+    assert np.array_equal(stored[~small], exact[~small])
+    assert not stored[small].any()
+    assert not (np.abs(stored[stored != 0.0]) < SQRT_TINY).any()
+    # the window rule guards the 2x2 block, not M, so a config without it
+    # composes the whole window at any depth
+    rng = np.random.default_rng(seed)
+    config = SimpleNamespace(in_drive=RfDrive(depth, rng.uniform(-np.pi, np.pi)),
+                             out_drive=RfDrive(depth, rng.uniform(-np.pi, np.pi)),
+                             ws_phases=tuple(rng.uniform(-np.pi, np.pi, n)), lattice=lat)
+    stored_m = compose_qfp(config).entries
+    with patch.object(qfp, "_toeplitz", lambda d, size: exact):
+        exact_m = compose_qfp(config).entries
+    assert np.abs(stored_m - exact_m).max() <= n * SQRT_TINY

@@ -1,6 +1,7 @@
 """Two-qubit tomography: projectors, Bell fringes, MLE reconstruction."""
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -341,6 +342,30 @@ def test_mle_stalled_seed_returns_the_best_of_all_starts(case):
         assert best is runs[-1]
         assert _nll_and_gap(best.x, records)[1] <= MLE_GAP_TOL
         assert np.array_equal(rho, tomo._rho_of(best.x))
+
+
+def test_mle_a_later_certified_start_certifies_the_best(monkeypatch):
+    # L-BFGS-B replaced by prescribed results: the seed run ends lowest but
+    # uncertified, and the first restart certifies 1.0 NLL above it.  Since
+    # f(best) <= f(run) <= f* + gap(run), that certifies the best as well:
+    # the restarts stop, and the best is returned
+    records = _records(13.5, 1e4, 55.0, 0.0, 7)
+    optimum = mle_reconstruct(records)
+    poor = (np.eye(4, dtype=complex) / 2.0).ravel().view(float)  # rho = I / 4
+    certified = tomo._psd_sqrt(optimum).ravel().view(float)
+    assert _nll_and_gap(poor, records)[1] > MLE_GAP_TOL
+    assert _nll_and_gap(certified, records)[1] <= MLE_GAP_TOL
+    results = iter([SimpleNamespace(x=poor, fun=1.0), SimpleNamespace(x=certified, fun=2.0)])
+    calls = []
+
+    def prescribed(*args, **kwargs):
+        calls.append(args)
+        return next(results)
+
+    monkeypatch.setattr(tomo, "minimize", prescribed)
+    rho = mle_reconstruct(records)
+    assert len(calls) == 2
+    assert np.array_equal(rho, tomo._rho_of(poor))
 
 
 def test_simulate_counts_modes_and_accidentals():

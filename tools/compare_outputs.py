@@ -25,10 +25,12 @@ processor is large, and ``beamsplitter`` with 8 points on that window;
 two runs with huge phases that are reduced before use, ``gate`` with
 ``mu`` 1e17 and ``calibrate`` with ``phase_offset`` 1e17; and
 ``beamsplitter`` with 200 points on a 513-bin window, where every point
-after the first reads the per-depth caches of the widest operator: 29
-cases.  For each output file the report says
-"identical", or gives the largest absolute and relative
-difference of the numbers in it (CSV cells and JSON values).
+after the first reads the per-depth caches of the widest operator; and
+``gate`` and ``spectrum`` at depth 1 on that window, where the modulator
+matrix stores its Bessel values below sqrt(tiny) as 0: 31 cases.  For
+each output file the report says "identical", or gives the largest
+absolute and relative difference of the numbers in it (CSV cells and
+JSON values).
 
 Exits 1 when, for some case, the exit codes, the stdout or stderr text,
 the set of output files, or anything in a file other than its numbers
@@ -82,7 +84,9 @@ CASES = ([(command, "{}", ("--seed", seed)) for seed in ("0", "3") for command i
             ("gate", '{"mu": 1e17}', ("--seed", "0")),
             ("calibrate", '{"phase_offset": 1e17}', ("--seed", "0")),
             ("beamsplitter", '{"alpha_points": 200, "constants": {"half_width": 256}}',
-             ("--seed", "0"))])
+             ("--seed", "0")),
+            ("gate", '{"constants": {"half_width": 256, "depth": 1.0}}', ("--seed", "0")),
+            ("spectrum", '{"constants": {"half_width": 256, "depth": 1.0}}', ("--seed", "0"))])
 
 
 def run_case(src: Path, case: tuple, work: Path):
