@@ -15,7 +15,7 @@ from scipy.optimize import minimize
 from .errors import InvalidArgumentError, OutOfRangeError, RetrievalFailureError
 from .eom import ModeOperator, RfDrive, eom_operator
 from .lattice import FrequencyLattice
-from .rings import mzi_pump_filter
+from .rings import mzi_pump_filter, reduce_phase
 
 
 @dataclass(frozen=True)
@@ -375,4 +375,4 @@ def retrieve_phases(measurements, base: BiphotonState, pair_bins,
     if not best.fun <= RETRIEVAL_TOL:
         raise RetrievalFailureError(
             f"residual {best.fun:.3g} exceeds tolerance {RETRIEVAL_TOL:.3g}")
-    return np.concatenate(([0.0], np.mod(best.x + np.pi, 2 * np.pi) - np.pi))
+    return np.array([0.0] + [reduce_phase(x) for x in best.x])

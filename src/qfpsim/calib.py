@@ -21,9 +21,6 @@ from scipy.optimize import OptimizeWarning, curve_fit
 from .errors import DegenerateScanError, FitFailureError, InvalidArgumentError
 from .rings import WsUnitConfig, _ring_ports, _ws_power_factors, reduce_phase, ws_unit
 
-# powers per block of simulate_phase_sweep's one-period intensity
-_SWEEP_BLOCK = 64
-
 
 @dataclass(frozen=True)
 class DitherConfig:
@@ -247,16 +244,10 @@ def fit_phase_curve(powers, traces, dither: DitherConfig) -> PhaseCalibration:
     # On resonance the dropped-path cross term t_M t_D (d_M d_D)* is
     # negative, so the fitted cosine is inverted relative to the channel
     # phase; shift by pi to report the actual phase offset.
-    phi0 = wrap_phase(phi0 + np.pi)
+    phi0 = reduce_phase(phi0 + np.pi)
     if span < 0.95 * p2pi:
         raise InvalidArgumentError("power sweep must span at least one full 2pi period")
     return PhaseCalibration(float(p2pi), phi0, float(i0), pcov, res)
-
-
-def wrap_phase(phi: float) -> float:
-    """Wrap an angle to [-pi, pi)."""
-    out = reduce_phase(phi)
-    return -math.pi if out >= math.pi else out
 
 
 def simulate_phase_sweep(unit_template: WsUnitConfig, powers, power_2pi: float,
@@ -267,29 +258,28 @@ def simulate_phase_sweep(unit_template: WsUnitConfig, powers, power_2pi: float,
 
     Plants Phi(P) = phase_offset + 2 pi P / power_2pi; used by the CLI and
     by plant-and-recover tests.  Each trace is the dithered intensity
-    |ws_unit_response|^2 of ws_unit(demux, mux, mode, Phi(P)).  The ring
-    ports do not depend on the phase and the noiseless trace repeats every
-    common period of the tones, so one period is built for the whole sweep
-    (e^{i Phi(P)} enters as an outer product) and tiled over the trace.
-    The period is built for _SWEEP_BLOCK powers at a time, so the complex
-    factors stay that small on any sweep.  Gaussian noise of noise_sigma >
-    0 is drawn from ``rng``, which must then be given, so a sweep reruns
-    the same; one draw fills the traces row by row.
+    |ws_unit_response|^2 of the aligned unit (``ws_unit``) at channel phase
+    Phi(P).  The ring ports do not depend on the phase and the noiseless
+    trace repeats every common period of the tones, so one period is built
+    for the whole sweep and tiled over the trace.  Its four products of
+    ring factors are taken once, at Phi = 0: through and drop add to a
+    level, and with the cross term c the period at Phi is
+    level + 2 (cos Phi Re c - sin Phi Im c), real outer products over the
+    powers.  Gaussian noise of noise_sigma > 0 is drawn from ``rng``, which
+    must then be given, so a sweep reruns the same; one draw fills the
+    traces row by row.
     """
     if noise_sigma > 0.0 and rng is None:
         raise InvalidArgumentError("noise needs a seeded generator (rng)")
     unit = ws_unit(unit_template.demux, unit_template.mux, unit_template.mode)
     ports = [_ring_ports(probe_wavelength, ring, det + offsets) for ring, det, offsets
              in zip((unit.demux, unit.mux), unit.detunings, _dither_offsets(dither))]
+    through, drop, cross, _ = (d * m for d, m in zip(*_ws_power_factors(unit.mode, 0.0, *ports)))
     powers = np.asarray(powers, dtype=float)
     # reduced first: an offset of 1e17 would swamp the phase the powers add
     phis = reduce_phase(phase_offset) + 2.0 * np.pi * powers[:, None] / power_2pi
+    one_period = through + drop + 2.0 * (np.cos(phis) * cross.real - np.sin(phis) * cross.imag)
     period, n = _dither_period(dither), dither.times.size
-    one_period = np.empty((powers.size, period))
-    for start in range(0, powers.size, _SWEEP_BLOCK):
-        block = phis[start:start + _SWEEP_BLOCK]
-        one_period[start:start + _SWEEP_BLOCK] = sum(
-            np.real(d * m) for d, m in zip(*_ws_power_factors(unit.mode, block, *ports)))
     tiles = np.broadcast_to(one_period[..., None, :], (powers.size, n // period, period))
     if noise_sigma > 0.0:
         traces = rng.normal(0.0, noise_sigma, tiles.shape)

@@ -118,15 +118,6 @@ class ModeOperator:
             raise InvalidArgumentError("operator dimensions must match the lattice window")
 
 
-def _toeplitz_view(band: np.ndarray) -> np.ndarray:
-    """The n x n Toeplitz matrix X[m, k] = band[m - k + n - 1] of a band of
-    2n - 1 entries, as a read-only strided view of it: each row is the
-    band read backwards from its own start."""
-    n = (len(band) + 1) // 2
-    step = band.strides[0]
-    return as_strided(band[n - 1:], (n, n), (step, -step), writeable=False)
-
-
 @functools.lru_cache(maxsize=2)
 def _toeplitz(depth: float, n: int) -> np.ndarray:
     """The read-only n x n real Toeplitz matrix T[m, k] = J_{m-k}(depth),
@@ -136,22 +127,37 @@ def _toeplitz(depth: float, n: int) -> np.ndarray:
     row = bessel_row(n - 1, depth + 0.0)
     row[np.abs(row) < _SQRT_TINY] = 0.0
     sign = np.where((diff < 0) & (np.abs(diff) % 2 == 1), -1.0, 1.0)
-    out = _toeplitz_view(row[np.abs(diff)] * sign).copy()
+    band = row[np.abs(diff)] * sign
+    # each row of T is the band read backwards from its own start
+    step = band.strides[0]
+    out = as_strided(band[n - 1:], (n, n), (step, -step), writeable=False).copy()
     out.setflags(write=False)
     return out
+
+
+def _phasors(bins: np.ndarray, phase: float) -> np.ndarray:
+    """exp(i k phase) for each bin k, to about an ulp.  Rounding k * phase
+    would move the angle by up to ulp(k * phase) / 2, 1.4e-14 at k = 64 and
+    phase = pi; so phase splits into a 40-bit head, whose products with bins
+    below 2^13 are exact, and the tail left over (Dekker, Numer. Math. 18,
+    224, 1971)."""
+    scaled = 8193.0 * phase  # (2^13 + 1) * phase
+    head = scaled - (scaled - phase)
+    return np.exp(1j * (bins * head)) * np.exp(1j * (bins * (phase - head)))
 
 
 def eom_operator(drive: RfDrive, lattice: FrequencyLattice) -> ModeOperator:
     """Mode-mixing operator of a sinusoidally driven phase modulator.
 
-    M[m, n] = J_{m-n}(depth) exp(i (m-n) phase).  The matrix keeps the full
-    Toeplitz band across the window; only the finite window truncates, which
-    keeps the interior (margin ``truncation_order(depth)``) unitary to well
-    below 1e-10.
+    M[m, n] = J_{m-n}(depth) exp(i (m-n) phase) = (D T D^dag)[m, n], with T
+    the real Toeplitz matrix at phase 0 and D the bins' ``_phasors``.  Only
+    the finite window truncates the band, which keeps the interior (margin
+    ``truncation_order(depth)``) unitary to well below 1e-10.
     """
-    n = lattice.size
-    phase_band = np.exp(1j * np.arange(1 - n, n) * drive.phase)
-    return ModeOperator(lattice, _toeplitz(drive.depth, n) * _toeplitz_view(phase_band))
+    d = _phasors(lattice.bins, drive.phase)
+    entries = d[:, None] * _toeplitz(drive.depth, lattice.size)
+    entries *= d.conj()
+    return ModeOperator(lattice, entries)
 
 
 def unitarity_deficit(op: ModeOperator, interior_margin: int) -> float:

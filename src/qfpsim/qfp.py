@@ -22,7 +22,7 @@ from scipy.optimize import brentq
 
 from .errors import (InvalidArgumentError, OutOfRangeError,
                      ReconstructionFailureError, UndefinedFidelityError)
-from .eom import (ModeOperator, RfDrive, _toeplitz, bessel_row, check_window_margin,
+from .eom import (ModeOperator, RfDrive, _phasors, _toeplitz, bessel_row, check_window_margin,
                   truncation_order)
 from .lattice import FrequencyLattice
 from .rings import reduce_phase, ws_operator
@@ -53,17 +53,6 @@ class ProcessorConfig:
         # margin of K bins to the window edge keeps it exact.
         check_window_margin(self.lattice, self.computational_bins,
                             max(self.in_drive.depth, self.out_drive.depth))
-
-
-def _phasors(bins: np.ndarray, phase: float) -> np.ndarray:
-    """exp(i k phase) for each bin k, to about an ulp.  Rounding k * phase
-    would move the angle by up to ulp(k * phase) / 2, 1.4e-14 at k = 64 and
-    phase = pi; so phase splits into a 40-bit head, whose products with bins
-    below 2^13 are exact, and the tail left over (Dekker, Numer. Math. 18,
-    224, 1971)."""
-    scaled = 8193.0 * phase  # (2^13 + 1) * phase
-    head = scaled - (scaled - phase)
-    return np.exp(1j * (bins * head)) * np.exp(1j * (bins * (phase - head)))
 
 
 def _composed_columns(config: ProcessorConfig, cols) -> np.ndarray:

@@ -133,9 +133,8 @@ class WsUnitConfig:
             raise InvalidArgumentError(f"unknown WS mode {self.mode!r}")
 
 
-def ws_unit(demux: RingParams, mux: RingParams, mode: str = MODE_PHASE,
-            channel_phase: float = 0.0) -> WsUnitConfig:
-    """WsUnitConfig with the conventional detunings for each mode."""
+def ws_unit(demux: RingParams, mux: RingParams, mode: str = MODE_PHASE) -> WsUnitConfig:
+    """WsUnitConfig at channel phase 0 with the conventional detunings for each mode."""
     if mode == MODE_PHASE:
         det = (0.0, 0.0)
     elif mode == MODE_PASS:
@@ -143,7 +142,7 @@ def ws_unit(demux: RingParams, mux: RingParams, mode: str = MODE_PHASE,
         det = (PASS_DETUNING_LINEWIDTHS * lw, -PASS_DETUNING_LINEWIDTHS * lw)
     else:  # STOP: align the demux ring only
         det = (0.0, PASS_DETUNING_LINEWIDTHS * mux.linewidth_fwhm)
-    return WsUnitConfig(demux, mux, channel_phase, mode, det)
+    return WsUnitConfig(demux, mux, 0.0, mode, det)
 
 
 def _ws_output(mode: str, channel_phase: float, demux_ports, mux_ports):
@@ -155,16 +154,16 @@ def _ws_output(mode: str, channel_phase: float, demux_ports, mux_ports):
     return t_m * t_d + d_m * np.exp(1j * channel_phase) * d_d
 
 
-def _ws_power_factors(mode: str, channel_phase, demux_ports, mux_ports):
+def _ws_power_factors(mode: str, channel_phase: float, demux_ports, mux_ports):
     """(demux, mux) factor tuples whose products sum to |_ws_output|^2:
     (|t_D|^2, |d_D|^2, e^{i Phi} conj(t_D) d_D, its conjugate) against
-    (|t_M|^2, |d_M|^2, conj(t_M) d_M, its conjugate); in STOP mode only
-    the through pair.  Each factor depends on one ring's ports alone, so
-    products over a grid of both rings separate into per-ring arrays; an
-    array of phases broadcasts against the demux ports."""
+    (|t_M|^2, |d_M|^2, conj(t_M) d_M, its conjugate), with d_D = 0 in STOP
+    mode, where the dropped light is absorbed.  Each factor depends on one
+    ring's ports alone, so products over a grid of both rings separate
+    into per-ring arrays."""
     (t_d, d_d), (t_m, d_m) = demux_ports, mux_ports
     if mode == MODE_STOP:
-        return (np.abs(t_d) ** 2,), (np.abs(t_m) ** 2,)
+        d_d = np.zeros_like(d_d)
     cross_d = np.exp(1j * channel_phase) * (np.conj(t_d) * d_d)
     cross_m = np.conj(t_m) * d_m
     return ((np.abs(t_d) ** 2, np.abs(d_d) ** 2, cross_d, np.conj(cross_d)),

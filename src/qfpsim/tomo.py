@@ -25,6 +25,8 @@ MLE_SEED = 11
 # Frank-Wolfe gap (NLL units) below which the best start so far is taken as
 # the MLE and no further start runs
 MLE_GAP_TOL = 0.1
+# how far a density matrix may miss Hermiticity, unit trace and positivity
+_DENSITY_TOL = 1e-8
 
 
 @functools.cache
@@ -61,15 +63,15 @@ def _rates(rho: np.ndarray, pis: np.ndarray) -> np.ndarray:
     return np.real(np.einsum("kij,ji->k", pis, rho))
 
 
-def _check_density(rho: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+def _check_density(rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise InvalidArgumentError("density matrix must be 4x4")
-    if not np.allclose(rho, rho.conj().T, atol=tol):
+    if not np.allclose(rho, rho.conj().T, atol=_DENSITY_TOL):
         raise InvalidArgumentError("density matrix must be Hermitian")
-    if abs(np.trace(rho).real - 1.0) > tol:
+    if abs(np.trace(rho).real - 1.0) > _DENSITY_TOL:
         raise InvalidArgumentError("density matrix must have unit trace")
-    if np.linalg.eigvalsh(rho).min() < -tol:
+    if np.linalg.eigvalsh(rho).min() < -_DENSITY_TOL:
         raise InvalidArgumentError("density matrix must be positive semidefinite")
     return rho
 

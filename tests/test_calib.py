@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,10 +10,10 @@ from scipy.optimize import OptimizeWarning, curve_fit
 
 from qfpsim.calib import (DitherConfig, _dither_offsets, _dither_period, _period_grid_search,
                           align_scan, fit_phase_curve, harmonic_component,
-                          simulate_phase_sweep, wrap_phase)
+                          simulate_phase_sweep)
 from qfpsim.errors import (DegenerateScanError, InvalidArgumentError)
 from qfpsim.rings import (MODE_PASS, MODE_PHASE, MODE_STOP, WsUnitConfig, _ring_ports,
-                          _ws_output, make_ring, ws_unit, ws_unit_response)
+                          _ws_output, make_ring, reduce_phase, ws_unit, ws_unit_response)
 
 WAVELENGTH = c / 193.7e12
 
@@ -208,7 +209,7 @@ def test_fit_phase_curve_plant_and_recover():
     traces = simulate_phase_sweep(unit, powers, p2pi, phi0, dither, WAVELENGTH)
     cal = fit_phase_curve(powers, traces, dither)
     assert cal.power_2pi == pytest.approx(p2pi, rel=0.01)
-    assert abs(wrap_phase(cal.phase_offset - phi0)) < 0.01 * 2 * np.pi
+    assert abs(reduce_phase(cal.phase_offset - phi0)) < 0.01 * 2 * np.pi
     assert cal.residual_rms < 1e-4 * cal.amplitude
 
 
@@ -226,7 +227,7 @@ def test_fit_phase_curve_exact_when_model_matches_generator():
                   for p in powers]
         cal = fit_phase_curve(powers, traces, dither)
         assert cal.power_2pi == pytest.approx(p2pi, rel=1e-9)
-        assert abs(wrap_phase(cal.phase_offset - phi0)) < 1e-9
+        assert abs(reduce_phase(cal.phase_offset - phi0)) < 1e-9
         assert cal.residual_rms < 1e-6 * cal.amplitude
 
 
@@ -333,11 +334,11 @@ def test_period_grid_search_equals_a_per_frequency_projection(points, p0, log_st
     i0, p2pi, phase = _period_grid_search(powers, y)
     assert i0 == pytest.approx(ref[0], rel=1e-8)
     assert p2pi == pytest.approx(ref[1], rel=1e-8)
-    assert abs(wrap_phase(phase - ref[2])) < 1e-8
+    assert abs(reduce_phase(phase - ref[2])) < 1e-8
 
 
 @pytest.mark.parametrize("template", [
-    lambda r: ws_unit(r, r, MODE_PHASE, 0.7),
+    lambda r: WsUnitConfig(r, r, 0.7),
     lambda r: ws_unit(r, r, MODE_PASS),
     lambda r: ws_unit(r, r, MODE_STOP),
     lambda r: WsUnitConfig(r, r, 1.9, MODE_PHASE, (0.3 * r.linewidth_fwhm, -0.2e-12)),
@@ -352,15 +353,16 @@ def test_phase_sweep_matches_per_power_traces(template, noise_sigma):
                                   noise_sigma=noise_sigma, rng=np.random.default_rng(4))
     rng = np.random.default_rng(4)
     for p, trace in zip(powers, traces):
-        per_power = ws_unit(ring, ring, unit.mode, 0.3 + 2 * np.pi * p / 1.1)
+        per_power = replace(ws_unit(ring, ring, unit.mode),
+                            channel_phase=0.3 + 2 * np.pi * p / 1.1)
         ref = simulate_dither_trace(per_power, dither, WAVELENGTH,
                                     noise_sigma=noise_sigma, rng=rng)
         assert np.abs(trace - ref).max() <= 1e-12
 
 
 def test_phase_sweep_blocks_give_single_power_sweeps_bit_for_bit():
-    # the one-period intensity is built a block of powers at a time; 130
-    # powers cross two block edges
+    # each power's one-period intensity is its own row of the outer
+    # products, so a sweep of 130 powers gives each single-power sweep
     ring = paper_ring()
     unit = ws_unit(ring, ring, MODE_PHASE)
     dither = small_dither(ring)
@@ -384,9 +386,3 @@ def test_noisy_phase_sweep_needs_a_generator():
                           simulate_phase_sweep(*args))
     assert simulate_phase_sweep(args[0], [], *args[2:]).shape == (0, 10240)
 
-
-def test_wrap_phase_interval():
-    assert wrap_phase(np.pi) == -np.pi
-    assert wrap_phase(-np.pi) == -np.pi
-    assert wrap_phase(3 * np.pi + 0.1) == pytest.approx(0.1 - np.pi)
-    assert -np.pi <= wrap_phase(123.456) < np.pi

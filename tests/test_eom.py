@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.special import jv
 
 from qfpsim import qfp
-from qfpsim.eom import (BESSEL_MAX_ARGUMENT, RfDrive, _toeplitz, bessel_row,
+from qfpsim.eom import (BESSEL_MAX_ARGUMENT, RfDrive, _phasors, _toeplitz, bessel_row,
                         eom_operator, truncation_order, unitarity_deficit)
 from qfpsim.errors import InvalidArgumentError
 from qfpsim.lattice import make_lattice
@@ -102,9 +102,28 @@ def test_disabled_drive_gives_identity():
     assert np.abs(op.entries - np.eye(lat.size)).max() < 1e-15
 
 
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant <= np.finfo(float).nmant,
+                    reason="the reference phase needs a long double wider than a double")
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([16, 64]), st.floats(0.1, 4.0), st.floats(-np.pi, np.pi))
+@example(64, 4.0, np.pi)  # 129 bins: the angle (m - k) phase rounded cost 128 eps
+def test_eom_operator_entries_within_a_few_ulps_of_the_exact_sidebands(half_width, depth,
+                                                                       phase):
+    lat = make_lattice(193.7e12, 25e9, half_width)  # 33 and 129 bins
+    diff = np.subtract.outer(lat.bins, lat.bins)
+    bessel = jv(diff, depth)
+    # the angle (m - k) phase in long double, then cos and sin rounded to double
+    angle = diff.astype(np.longdouble) * np.longdouble(phase)
+    exact = bessel * (np.cos(angle).astype(float) + 1j * np.sin(angle).astype(float))
+    entries = eom_operator(RfDrive(depth, phase), lat).entries
+    kept = np.abs(bessel) > 1e-150
+    rel = np.abs(entries[kept] - exact[kept]) / np.abs(exact[kept])
+    assert rel.max() <= 4 * np.finfo(float).eps
+
+
 def _reference_eom_entries(depth, phase, n):
-    """The operator as one complex band gathered into the matrix, with a
-    Bessel row of its own."""
+    """The operator as d T d^dag, with T gathered from a real band of a
+    Bessel row of its own and d the bins' phasors."""
     diff = np.arange(1 - n, n)
     row = bessel_row(n - 1, depth)
     # the operator stores Bessel values below sqrt(tiny) as 0, so that no
@@ -112,9 +131,10 @@ def _reference_eom_entries(depth, phase, n):
     row[np.abs(row) < SQRT_TINY] = 0.0
     mag = row[np.abs(diff)]
     sign = np.where((diff < 0) & (np.abs(diff) % 2 == 1), -1.0, 1.0)
-    band = mag * sign * np.exp(1j * diff * phase)
+    band = mag * sign
     index = np.arange(n)
-    return band[index[:, None] - index[None, :] + (n - 1)]
+    d = _phasors(index - n // 2, phase)
+    return d[:, None] * band[index[:, None] - index[None, :] + (n - 1)] * d.conj()
 
 
 @settings(max_examples=60, deadline=None)
@@ -126,11 +146,11 @@ def test_depth_caches_match_fresh_evaluations(depth, half_width, phase):
     cached = _toeplitz(depth, n)
     _toeplitz.cache_clear()
     at_phase_0 = eom_operator(RfDrive(depth), lat).entries
-    # at phase 0 the real part of T times the unit band is T, except that
-    # a -0.0 of T (J_{-j} = -J_j of an odd j at which J_j is 0) comes out 0.0
+    # at phase 0 the real part of d T d^dag is T, except that a -0.0 of T
+    # (J_{-j} = -J_j of an odd j at which J_j is 0) comes out 0.0
     assert (cached + 0.0).tobytes() == at_phase_0.real.tobytes()
     assert not at_phase_0.imag.any()
-    # any phase multiplies the cached matrix as the full band did, bit for bit
+    # any phase multiplies the cached matrix as a fresh one, bit for bit
     entries = eom_operator(RfDrive(depth, phase), lat).entries
     assert entries.tobytes() == _reference_eom_entries(depth, phase, n).tobytes()
     # the per-depth values do not depend on the cache, nor on the sign of

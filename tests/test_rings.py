@@ -8,9 +8,10 @@ from scipy.constants import c
 
 from qfpsim.errors import InvalidArgumentError
 from qfpsim.lattice import make_lattice
-from qfpsim.rings import (MODE_PASS, MODE_PHASE, MODE_STOP, RingParams, _ring_ports,
-                          _ws_output, _ws_power_factors, make_ring, mzi_pump_filter,
-                          reduce_phase, ws_operator, ws_unit, ws_unit_response)
+from qfpsim.rings import (MODE_PASS, MODE_PHASE, MODE_STOP, RingParams, WsUnitConfig,
+                          _ring_ports, _ws_output, _ws_power_factors, make_ring,
+                          mzi_pump_filter, reduce_phase, ws_operator, ws_unit,
+                          ws_unit_response)
 
 WAVELENGTH = c / 193.7e12
 
@@ -80,7 +81,7 @@ def test_stop_mode_suppresses_channel():
 def test_phase_mode_imprints_channel_phase_lossless():
     ring = make_ring(WAVELENGTH, 0.023, 0.0, 50e-6, 2.8)
     for phi in (0.0, np.pi / 2, np.pi, -2.0):
-        unit = ws_unit(ring, ring, MODE_PHASE, channel_phase=phi)
+        unit = WsUnitConfig(ring, ring, channel_phase=phi)
         resp = ws_unit_response(WAVELENGTH, unit)
         err = np.angle(resp * np.exp(-1j * phi))
         assert abs(err) < 1e-10
@@ -89,7 +90,7 @@ def test_phase_mode_imprints_channel_phase_lossless():
 
 def test_phase_mode_phase_error_with_loss_is_bounded():
     ring = paper_ring()
-    unit = ws_unit(ring, ring, MODE_PHASE, channel_phase=np.pi / 2)
+    unit = WsUnitConfig(ring, ring, channel_phase=np.pi / 2)
     resp = ws_unit_response(WAVELENGTH, unit)
     assert abs(np.angle(resp * np.exp(-1j * np.pi / 2))) < 0.2
 
@@ -112,7 +113,7 @@ def test_power_factors_sum_to_the_unit_power(mode, phase, kappa_d, kappa_m, rows
     total = sum(d[:, None] * m[None] for d, m in zip(*factors))
     power = np.abs(_ws_output(mode, phase, [p[:, None] for p in demux_ports],
                               [p[None] for p in mux_ports])) ** 2
-    assert len(factors[0]) == len(factors[1]) == (1 if mode == MODE_STOP else 4)
+    assert len(factors[0]) == len(factors[1]) == 4
     assert np.all(np.imag(total) == 0.0)
     # both sides are powers of at most 1 reached by different routes of about
     # a dozen roundings each (the factor sum up to ~10 eps, |a + b|^2 up to

@@ -30,7 +30,8 @@ after the first reads the per-depth caches of the widest operator; and
 matrix stores its Bessel values below sqrt(tiny) as 0: 31 cases.  For
 each output file the report says "identical", or gives the largest
 absolute and relative difference of the numbers in it (CSV cells and
-JSON values).
+JSON values); a relative difference is taken against at least eps times
+the largest magnitude in the file.
 
 Exits 1 when, for some case, the exit codes, the stdout or stderr text,
 the set of output files, or anything in a file other than its numbers
@@ -150,6 +151,11 @@ def compare_file(name: str, old: bytes, new: bytes):
         return f"differs and cannot be parsed ({exc})", False
     if [key for key, _ in a] != [key for key, _ in b]:
         return "differs in shape or keys", False
+    # a relative difference is taken against at least eps times the file's
+    # largest finite magnitude, so numbers at subnormal scale do not count as
+    # large drifts
+    floor = sys.float_info.epsilon * max(
+        (abs(v) for _, v in a + b if not isinstance(v, str) and abs(v) < math.inf), default=0.0)
     max_abs = max_rel = 0.0
     where = None
     for (key, x), (_, y) in zip(a, b):
@@ -163,8 +169,9 @@ def compare_file(name: str, old: bytes, new: bytes):
         if not math.isfinite(diff):  # NaN or infinity against a number
             return f"differs at {key}: {x!r} -> {y!r}", False
         max_abs = max(max_abs, diff)
-        if diff / max(abs(x), abs(y)) > max_rel:
-            max_rel, where = diff / max(abs(x), abs(y)), key
+        rel = diff / max(abs(x), abs(y), floor)
+        if rel > max_rel:
+            max_rel, where = rel, key
     return f"max abs {max_abs:.3g}, max rel {max_rel:.3g} (at {where})", True
 
 
