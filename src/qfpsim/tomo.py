@@ -25,6 +25,10 @@ MLE_SEED = 11
 # Frank-Wolfe gap (NLL units) below which the best start so far is taken as
 # the MLE and no further start runs
 MLE_GAP_TOL = 0.1
+# ridge of each start's whitening, as a fraction of the Fisher information's
+# mean eigenvalue: it keeps the gauge directions of A, on which the Fisher
+# information is 0, and the directions the data barely fix, at a finite scale
+_WHITEN_RIDGE = 0.1
 # how far a density matrix may miss Hermiticity, unit trace and positivity
 _DENSITY_TOL = 1e-8
 
@@ -200,7 +204,7 @@ def _linear_inversion(pis: np.ndarray, rates: np.ndarray) -> np.ndarray:
     rho = x.reshape(4, 4)
     rho = 0.5 * (rho + rho.conj().T)
     tr = np.trace(rho).real
-    return rho / tr if abs(tr) > 1e-12 else np.eye(4) / 4.0
+    return rho / tr if abs(tr) > 1e-12 else np.eye(4, dtype=complex) / 4.0
 
 
 def _quadratic_forms(pis: np.ndarray) -> np.ndarray:
@@ -250,6 +254,36 @@ def _negloglike_and_grad(params, forms, counts, shots, accidentals):
     return nll, 2.0 * (w @ qp - (w @ rates) * params) / tra
 
 
+def _whitening(params, forms, shots, accidentals) -> np.ndarray:
+    """Upper-triangular R with R^T R = G + _WHITEN_RIDGE tr(G)/32 I, G the
+    Fisher information of the Poisson records in the 32 parameters at
+    ``params``: G = J^T diag(1/mu) J with J_k = d mu_k / dp
+    = 2 shots_k (Q_k p - rate_k p) / p p.  The identity where G's trace is
+    not finite and positive."""
+    with np.errstate(all="ignore"):
+        tra = params @ params
+        qp = (forms @ params).reshape(-1, 32)
+        rates = qp @ params / tra
+        mu = np.maximum(shots * rates + accidentals, 1e-12)
+        jac = (2.0 * shots / tra)[:, None] * (qp - rates[:, None] * params)
+        fisher = (jac.T / mu) @ jac
+        scale = _WHITEN_RIDGE * np.trace(fisher) / 32.0
+    if not (np.isfinite(scale) and scale > 0.0 and np.isfinite(fisher).all()):
+        return np.eye(32)
+    try:
+        return np.linalg.cholesky(fisher + scale * np.eye(32), upper=True)
+    except np.linalg.LinAlgError:
+        return np.eye(32)
+
+
+def _whitened_negloglike_and_grad(q, x0, r_inv, forms, counts, shots, accidentals):
+    """_negloglike_and_grad at p = x0 + R^-1 q, with the gradient in q,
+    R^-T grad: q = R (p - x0) is the whitened step from the start x0, so a
+    start that L-BFGS-B does not move comes back bit for bit."""
+    nll, grad = _negloglike_and_grad(x0 + r_inv @ q, forms, counts, shots, accidentals)
+    return nll, grad @ r_inv
+
+
 def mle_reconstruct(records: list) -> np.ndarray:
     """Maximum-likelihood density matrix from coincidence records.
 
@@ -264,6 +298,11 @@ def mle_reconstruct(records: list) -> np.ndarray:
     MLE_RESTARTS random starts.  The floor keeps the seed's A full rank:
     the gradient is A times a matrix, so u A = 0 gives u grad = 0 and A
     could never gain rank.
+    Each start x0 runs in whitened parameters q = R (p - x0), R from the
+    Fisher information at x0 (_whitening), so that L-BFGS-B starts on a
+    nearly round problem and needs fewer iterations (Nocedal and Wright,
+    Numerical Optimization, 2nd ed., ch. 6-7); the ridge _WHITEN_RIDGE keeps
+    R invertible on the directions the likelihood does not fix.
     Each start's result is certified by its Frank-Wolfe gap
     Tr(D rho) - lambda_min(D), D the NLL's gradient in rho: the NLL is
     convex in rho, so f(rho) <= f* + gap (Jaggi, ICML 2013), and the starts
@@ -285,10 +324,11 @@ def mle_reconstruct(records: list) -> np.ndarray:
     starts += [rng.normal(scale=0.5, size=32) for _ in range(MLE_RESTARTS)]
     best = None
     for x0 in starts:
-        res = minimize(_negloglike_and_grad, x0, args=(forms, *data), jac=True,
-                       method="L-BFGS-B",
+        r_inv = np.linalg.inv(_whitening(x0, forms, shots, accidentals))
+        res = minimize(_whitened_negloglike_and_grad, np.zeros(32),
+                       args=(x0, r_inv, forms, *data), jac=True, method="L-BFGS-B",
                        options={"maxiter": 2000, "ftol": 1e-14, "gtol": 1e-10})
-        rho = _rho_of(res.x)
+        rho = _rho_of(x0 + r_inv @ res.x)
         if best is None or res.fun < best_nll:
             best, best_nll = rho, res.fun
         _, drho = _negloglike_and_drho(rho, pis, *data)

@@ -316,6 +316,20 @@ def test_config_exit_codes(tmp_path, command, config, code):
     assert code == 0 or not out.exists()  # a failed run writes nothing
 
 
+def test_one_shot_tomography_without_a_count_exits_0(tmp_path):
+    # at --seed 3 every sampled count of one shot is 0, so the MLE seed's
+    # linear inversion falls back to I/4; a real fallback crashed the seed
+    # (a ValueError traceback and exit 1)
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert _run("tomography", _write_cfg(tmp_path, {"shots": 1}), out, "--seed", "3") == 0
+    assert not caught, [f"{w.category.__name__}: {w.message}" for w in caught]
+    summary = json.loads((out / "tomography_summary.json").read_text(),
+                         parse_constant=_reject_constant)
+    assert summary["shots"] == 1.0 and 0.0 <= summary["fidelity_to_true"] <= 1.0
+
+
 def test_out_naming_a_file_is_config_error(tmp_path, capsys):
     taken = tmp_path / "taken"
     taken.write_text("")

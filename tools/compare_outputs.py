@@ -8,11 +8,13 @@ Each SRC is a directory that holds the ``qfpsim`` package, such as the
 flags, and runs once on each tree, in a fresh interpreter whose
 PYTHONPATH starts with that tree: the six commands on the config ``{}``
 at ``--seed 0`` and at ``--seed 3``, ``tomography --expected-value``,
-``tomography`` at ``--seed 5`` (the first seed from 0 up at which the
+``tomography`` at ``--seed 190`` (the first seed from 0 up at which the
 maximum-likelihood fit runs a random restart), ``tomography`` with
-``car`` Infinity (no accidental coincidences), with 1000 shots, and
-with 1e5 shots at 20 dB suppression (a purer state, ten times the
-default shots), two failing runs,
+``car`` Infinity (no accidental coincidences), with 1000 shots, with
+1e5 shots at 20 dB suppression (a purer state, ten times the default
+shots), with 1e6 shots (where the fit runs all its random restarts) and
+with one shot at ``--seed 3`` (every count 0, so the fit starts from
+I/4), two failing runs,
 ``gate`` with a mistyped ``theta`` (exit 2) and ``calibrate`` with a
 phase-curve fit that fails (exit 3), and four runs with a noisy, long
 or many-pair fit: ``calibrate`` with ``noise_sigma`` 0.01, on the
@@ -27,7 +29,7 @@ two runs with huge phases that are reduced before use, ``gate`` with
 ``beamsplitter`` with 200 points on a 513-bin window, where every point
 after the first reads the per-depth caches of the widest operator; and
 ``gate`` and ``spectrum`` at depth 1 on that window, where the modulator
-matrix stores its Bessel values below sqrt(tiny) as 0: 31 cases.  For
+matrix stores its Bessel values below sqrt(tiny) as 0: 33 cases.  For
 each output file the report says "identical", or gives the largest
 absolute and relative difference of the numbers in it (CSV cells and
 JSON values); a relative difference is taken against at least eps times
@@ -65,10 +67,12 @@ COMMANDS = ("beamsplitter", "gate", "spectrum", "qwalk", "tomography", "calibrat
 # (command, config, flags)
 CASES = ([(command, "{}", ("--seed", seed)) for seed in ("0", "3") for command in COMMANDS]
          + [("tomography", "{}", ("--seed", "0", "--expected-value")),
-            ("tomography", "{}", ("--seed", "5")),
+            ("tomography", "{}", ("--seed", "190")),
             ("tomography", '{"constants": {"car": Infinity}}', ("--seed", "0")),
             ("tomography", '{"shots": 1000}', ("--seed", "0")),
             ("tomography", '{"shots": 100000, "suppression_db": 20}', ("--seed", "0")),
+            ("tomography", '{"shots": 1000000}', ("--seed", "0")),
+            ("tomography", '{"shots": 1}', ("--seed", "3")),
             ("gate", '{"theta": "x"}', ("--seed", "0")),
             ("calibrate", '{"power_2pi": 1e200}', ("--seed", "0")),
             ("calibrate", '{"noise_sigma": 0.01}', ("--seed", "0")),
