@@ -19,7 +19,7 @@ import numpy as np
 from scipy.optimize import OptimizeWarning, curve_fit
 
 from .errors import DegenerateScanError, FitFailureError, InvalidArgumentError
-from .rings import WsUnitConfig, _ring_ports, _ws_power_factors, reduce_phase, ws_unit
+from .rings import WsUnitConfig, _ring_ports, _ws_power_factors, reduce_phase
 
 
 @dataclass(frozen=True)
@@ -111,14 +111,15 @@ def align_scan(unit_template: WsUnitConfig, grid_demux, grid_mux,
     """Grid search maximizing |I~(2(f_D + f_M))| over ring detunings.
 
     ``grid_demux``/``grid_mux`` are wavelength offsets added on top of the
-    template's detunings; returns the argmax plus the full 2-D map.  The
-    noiseless trace repeats with the common period 1/gcd(f_D, f_M) of the
-    tones (20 ms, 1024 of its samples), and the harmonic and mean of one
-    period equal those of the whole trace, so each cell uses one period.
-    A cell's intensity is a sum of demux-only times mux-only factors, so
-    the ports of all demux rows and of all mux columns are built in one
-    call each, and the grid's harmonics and means are a few (rows x
-    period) @ (period x columns) products.
+    template's detunings; returns the argmax plus the full 2-D map.  A
+    maximum on the edge of either axis was not bracketed by the scan and is
+    refused, as is a flat map.  The noiseless trace repeats with the common
+    period 1/gcd(f_D, f_M) of the tones (20 ms, 1024 of its samples), and
+    the harmonic and mean of one period equal those of the whole trace, so
+    each cell uses one period.  A cell's intensity is a sum of demux-only
+    times mux-only factors, so the ports of all demux rows and of all mux
+    columns are built in one call each, and the grid's harmonics and means
+    are a few (rows x period) @ (period x columns) products.
     """
     grid_demux = np.asarray(grid_demux, dtype=float)
     grid_mux = np.asarray(grid_mux, dtype=float)
@@ -132,8 +133,7 @@ def align_scan(unit_template: WsUnitConfig, grid_demux, grid_mux,
                               det_d + (grid_demux[:, None] + dd_t))
     mux_ports = _ring_ports(probe_wavelength, unit_template.mux,
                             det_m + (grid_mux[:, None] + dm_t))
-    factors = list(zip(*_ws_power_factors(unit_template.mode, unit_template.channel_phase,
-                                          demux_ports, mux_ports)))
+    factors = list(zip(*_ws_power_factors(unit_template.channel_phase, demux_ports, mux_ports)))
     harmonic = sum((d * kernel) @ m.T for d, m in factors)
     # hypot is what abs of one complex number computes; the vectorized
     # complex abs can differ from it in the last bit
@@ -142,6 +142,9 @@ def align_scan(unit_template: WsUnitConfig, grid_demux, grid_mux,
     if scan.max() <= 1e-9 * max(baseline, np.finfo(float).tiny):
         raise DegenerateScanError("scan map is flat; dither amplitude too small")
     i, j = np.unravel_index(np.argmax(scan), scan.shape)
+    if i in (0, scan.shape[0] - 1) or j in (0, scan.shape[1] - 1):
+        raise DegenerateScanError(f"scan maximum at cell ({i}, {j}) of a {scan.shape} grid "
+                                  "lies on its edge, not bracketed; widen scan_span")
     return AlignScanResult(float(grid_demux[i]), float(grid_mux[j]), scan)
 
 
@@ -257,24 +260,23 @@ def simulate_phase_sweep(unit_template: WsUnitConfig, powers, power_2pi: float,
     stacked as the rows of one array.
 
     Plants Phi(P) = phase_offset + 2 pi P / power_2pi; used by the CLI and
-    by plant-and-recover tests.  Each trace is the dithered intensity
-    |ws_unit_response|^2 of the aligned unit (``ws_unit``) at channel phase
-    Phi(P).  The ring ports do not depend on the phase and the noiseless
-    trace repeats every common period of the tones, so one period is built
-    for the whole sweep and tiled over the trace.  Its four products of
-    ring factors are taken once, at Phi = 0: through and drop add to a
-    level, and with the cross term c the period at Phi is
-    level + 2 (cos Phi Re c - sin Phi Im c), real outer products over the
-    powers.  Gaussian noise of noise_sigma > 0 is drawn from ``rng``, which
-    must then be given, so a sweep reruns the same; one draw fills the
-    traces row by row.
+    by plant-and-recover tests.  Only the template's rings are read: each
+    trace is the dithered intensity |ws_unit_response|^2 of the aligned unit
+    of those rings (``ws_unit``) at channel phase Phi(P).  The ring ports do
+    not depend on the phase and the noiseless trace repeats every common
+    period of the tones, so one period is built for the whole sweep and
+    tiled over the trace.  Its four products of ring factors are taken once,
+    at Phi = 0: through and drop add to a level, and with the cross term c
+    the period at Phi is level + 2 (cos Phi Re c - sin Phi Im c), real outer
+    products over the powers.  Gaussian noise of noise_sigma > 0 is drawn
+    from ``rng``, which must then be given, so a sweep reruns the same; one
+    draw fills the traces row by row.
     """
     if noise_sigma > 0.0 and rng is None:
         raise InvalidArgumentError("noise needs a seeded generator (rng)")
-    unit = ws_unit(unit_template.demux, unit_template.mux, unit_template.mode)
-    ports = [_ring_ports(probe_wavelength, ring, det + offsets) for ring, det, offsets
-             in zip((unit.demux, unit.mux), unit.detunings, _dither_offsets(dither))]
-    through, drop, cross, _ = (d * m for d, m in zip(*_ws_power_factors(unit.mode, 0.0, *ports)))
+    ports = [_ring_ports(probe_wavelength, ring, offsets) for ring, offsets
+             in zip((unit_template.demux, unit_template.mux), _dither_offsets(dither))]
+    through, drop, cross, _ = (d * m for d, m in zip(*_ws_power_factors(0.0, *ports)))
     powers = np.asarray(powers, dtype=float)
     # reduced first: an offset of 1e17 would swamp the phase the powers add
     phis = reduce_phase(phase_offset) + 2.0 * np.pi * powers[:, None] / power_2pi

@@ -337,7 +337,7 @@ COMMANDS = {
         {"expected_value": "replace Poisson sampling with expected counts"}),
     "calibrate": Command(cmd_calibrate, "dither alignment scan and phase-power curve", {
         "dither_amplitude": Field("real", 0.05, "(0, inf)"),
-        "scan_points": Field("int", 13, "[1, 201]"), "scan_span": Field("real", 0.6),
+        "scan_points": Field("int", 13, "[3, 201]"), "scan_span": Field("real", 0.6),
         "planted_detunings": Field("reals", (0.3, -0.2), length=2),
         "power_2pi": Field("real", 1.0, "(0, inf)"), "phase_offset": Field("real", 0.4),
         "sweep_points": Field("int", 24, "[8, 1000]"),

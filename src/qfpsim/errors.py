@@ -19,7 +19,7 @@ class FitFailureError(RuntimeError, PhysicsError):
 
 
 class DegenerateScanError(RuntimeError, PhysicsError):
-    """An alignment scan produced no usable signal (e.g. zero dither)."""
+    """An alignment scan gave no usable signal or did not bracket its peak."""
 
 
 class ReconstructionFailureError(RuntimeError, PhysicsError):

@@ -356,15 +356,3 @@ def reconstruction_residual(v: np.ndarray, spectra: dict, lattice: FrequencyLatt
     err = pred - _probe_rows(spectra, lattice, computational_bins)
     return float(np.sqrt(np.mean(np.square(err))))
 
-
-def single_pm_balanced_probability() -> tuple:
-    """1-D sweep oracle for the single-modulator balanced beamsplitter.
-
-    Sweeps the depth of a lone modulator over [0.5, 2.5], finds the most
-    balanced |J_0|^2 vs |J_1|^2 splitting, and reports (delta*, P).
-    Documents the ~2/3 upper bound a single phase modulator can reach.
-    """
-    deltas = np.linspace(0.5, 2.5, 2001)
-    power = np.array([bessel_row(1, d) for d in deltas]) ** 2
-    best = int(np.argmin(np.abs(power[:, 0] - power[:, 1])))
-    return float(deltas[best]), float(power[best, 0] + power[best, 1])

@@ -7,7 +7,7 @@ and phase.  A waveshaper (WS) unit is a DEMUX ring whose drop port feeds a
 programmable phase shifter and is multiplexed back onto the bus by a MUX
 ring; the bus output is the two-path interference of the through path and
 the drop-phase-add path.  The processor's waveshaper is one spectral phase
-per bin (``ws_operator``); PASS and STOP belong to the unit model alone.
+per bin (``ws_operator``).
 """
 
 import cmath
@@ -18,11 +18,6 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 from .lattice import FrequencyLattice
-
-MODE_PHASE = "PHASE"
-MODE_PASS = "PASS"
-MODE_STOP = "STOP"
-PASS_DETUNING_LINEWIDTHS = 25.0
 
 
 @dataclass(frozen=True)
@@ -114,56 +109,29 @@ def _ring_ports(probe_wavelength, ring: RingParams, detuning=0.0):
 
 @dataclass(frozen=True)
 class WsUnitConfig:
-    """One DEMUX-phase-MUX waveshaper unit.
-
-    ``detunings`` are the (demux, mux) resonance offsets from the channel
-    wavelength; PHASE mode intends (0, 0), PASS mode detunes both rings far
-    off resonance, STOP mode aligns exactly the demux ring and terminates
-    the dropped light in an absorber.
-    """
+    """One DEMUX-phase-MUX waveshaper unit imprinting ``channel_phase`` on its
+    channel; ``detunings`` are the (demux, mux) resonance offsets from the
+    channel wavelength, (0, 0) when aligned."""
 
     demux: RingParams
     mux: RingParams
     channel_phase: float = 0.0
-    mode: str = MODE_PHASE
     detunings: tuple = (0.0, 0.0)
 
-    def __post_init__(self):
-        if self.mode not in (MODE_PHASE, MODE_PASS, MODE_STOP):
-            raise InvalidArgumentError(f"unknown WS mode {self.mode!r}")
+
+def ws_unit(demux: RingParams, mux: RingParams) -> WsUnitConfig:
+    """The aligned unit of two rings, at channel phase 0."""
+    return WsUnitConfig(demux, mux)
 
 
-def ws_unit(demux: RingParams, mux: RingParams, mode: str = MODE_PHASE) -> WsUnitConfig:
-    """WsUnitConfig at channel phase 0 with the conventional detunings for each mode."""
-    if mode == MODE_PHASE:
-        det = (0.0, 0.0)
-    elif mode == MODE_PASS:
-        lw = max(demux.linewidth_fwhm, mux.linewidth_fwhm)
-        det = (PASS_DETUNING_LINEWIDTHS * lw, -PASS_DETUNING_LINEWIDTHS * lw)
-    else:  # STOP: align the demux ring only
-        det = (0.0, PASS_DETUNING_LINEWIDTHS * mux.linewidth_fwhm)
-    return WsUnitConfig(demux, mux, 0.0, mode, det)
-
-
-def _ws_output(mode: str, channel_phase: float, demux_ports, mux_ports):
-    """Bus output t_M t_D + d_M e^{i Phi} d_D of a unit from its ring ports;
-    in STOP mode the dropped light is absorbed and only t_M t_D survives."""
+def _ws_power_factors(channel_phase: float, demux_ports, mux_ports):
+    """(demux, mux) factor tuples whose products sum to the bus power
+    |t_M t_D + d_M e^{i Phi} d_D|^2 of a unit: (|t_D|^2, |d_D|^2,
+    e^{i Phi} conj(t_D) d_D, its conjugate) against (|t_M|^2, |d_M|^2,
+    conj(t_M) d_M, its conjugate).  Each factor depends on one ring's
+    ports alone, so products over a grid of both rings separate into
+    per-ring arrays."""
     (t_d, d_d), (t_m, d_m) = demux_ports, mux_ports
-    if mode == MODE_STOP:
-        return t_m * t_d
-    return t_m * t_d + d_m * np.exp(1j * channel_phase) * d_d
-
-
-def _ws_power_factors(mode: str, channel_phase: float, demux_ports, mux_ports):
-    """(demux, mux) factor tuples whose products sum to |_ws_output|^2:
-    (|t_D|^2, |d_D|^2, e^{i Phi} conj(t_D) d_D, its conjugate) against
-    (|t_M|^2, |d_M|^2, conj(t_M) d_M, its conjugate), with d_D = 0 in STOP
-    mode, where the dropped light is absorbed.  Each factor depends on one
-    ring's ports alone, so products over a grid of both rings separate
-    into per-ring arrays."""
-    (t_d, d_d), (t_m, d_m) = demux_ports, mux_ports
-    if mode == MODE_STOP:
-        d_d = np.zeros_like(d_d)
     cross_d = np.exp(1j * channel_phase) * (np.conj(t_d) * d_d)
     cross_m = np.conj(t_m) * d_m
     return ((np.abs(t_d) ** 2, np.abs(d_d) ** 2, cross_d, np.conj(cross_d)),
@@ -171,14 +139,12 @@ def _ws_power_factors(mode: str, channel_phase: float, demux_ports, mux_ports):
 
 
 def ws_unit_response(probe_wavelength, unit: WsUnitConfig, extra_detunings=(0.0, 0.0)):
-    """Bus-output amplitude of a WS unit; broadcasts over wavelength arrays.
-
-    PHASE/PASS: t_M t_D + d_M e^{i Phi} d_D.  STOP: the dropped light is
-    absorbed, so only the through product survives.
-    """
-    ports = [_ring_ports(probe_wavelength, ring, det + np.asarray(extra))
-             for ring, det, extra in zip((unit.demux, unit.mux), unit.detunings, extra_detunings)]
-    return _ws_output(unit.mode, unit.channel_phase, *ports)
+    """Bus-output amplitude t_M t_D + d_M e^{i Phi} d_D of a WS unit (through
+    and drop-phase-add paths); broadcasts over wavelength arrays."""
+    (t_d, d_d), (t_m, d_m) = (
+        _ring_ports(probe_wavelength, ring, det + np.asarray(extra))
+        for ring, det, extra in zip((unit.demux, unit.mux), unit.detunings, extra_detunings))
+    return t_m * t_d + d_m * np.exp(1j * unit.channel_phase) * d_d
 
 
 def reduce_phase(phase: float) -> float:

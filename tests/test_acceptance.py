@@ -17,15 +17,13 @@ from qfpsim.biphoton import (apply_joint, comb_envelope, comb_state,
 from qfpsim.calib import (DitherConfig, align_scan, fit_phase_curve,
                           simulate_phase_sweep)
 from qfpsim.cli import main
-from qfpsim.eom import truncation_order
+from qfpsim.eom import bessel_row, truncation_order
 from qfpsim.lattice import SPEED_OF_LIGHT, make_lattice
 from qfpsim.qfp import (beamsplitter_config, beamsplitter_spectra,
                         compose_qfp, fidelity, gauge_distance, jbar,
-                        reconstruct_submatrix, rt_closed_form,
-                        single_pm_balanced_probability, submatrix,
+                        reconstruct_submatrix, rt_closed_form, submatrix,
                         success_probability, synthesize_gate, target_unitary)
-from qfpsim.rings import (MODE_PHASE, WsUnitConfig, _ring_ports, make_ring, ws_unit,
-                          ws_unit_response)
+from qfpsim.rings import WsUnitConfig, _ring_ports, make_ring, ws_unit, ws_unit_response
 from qfpsim.tomo import (bell_fringe, carve_bell_state,
                          fit_visibility, mle_reconstruct, simulate_counts,
                          state_fidelity)
@@ -62,12 +60,23 @@ def test_closed_form_matches_matrix_magnitudes():
 
 # --- 3. success probability ---------------------------------------------
 
+def single_pm_balanced_probability() -> tuple:
+    """(delta*, P) of the most balanced |J_0|^2 against |J_1|^2 splitting of
+    a lone modulator over depths [0.5, 2.5]: the ~2/3 upper bound a single
+    phase modulator can reach as a beamsplitter."""
+    deltas = np.linspace(0.5, 2.5, 2001)
+    power = np.array([bessel_row(1, d) for d in deltas]) ** 2
+    best = int(np.argmin(np.abs(power[:, 0] - power[:, 1])))
+    return float(deltas[best]), float(power[best, 0] + power[best, 1])
+
+
 def test_success_probability_floor_and_single_modulator_bound():
     alphas = np.linspace(np.pi, 2 * np.pi, 64)
     probs = [success_probability(submatrix(compose_qfp(
         beamsplitter_config(a, DELTA, LAT, BINS)), BINS)) for a in alphas]
     assert min(probs) >= 0.94
-    _, p_single = single_pm_balanced_probability()
+    delta_star, p_single = single_pm_balanced_probability()
+    assert 1.3 < delta_star < 1.6
     assert p_single < 0.70
 
 
@@ -163,8 +172,7 @@ def test_alignment_scan_recovers_planted_detunings():
     step = grid[1] - grid[0]
     planted = (0.27 * lw, -0.18 * lw)
     for phase in (0.0, np.pi / 2, np.pi, 3 * np.pi / 2):
-        unit = WsUnitConfig(ring, ring, channel_phase=phase,
-                            mode=MODE_PHASE, detunings=planted)
+        unit = WsUnitConfig(ring, ring, channel_phase=phase, detunings=planted)
         scan = align_scan(unit, grid, grid, dither, probe)
         assert abs(-scan.detuning_demux - planted[0]) <= step
         assert abs(-scan.detuning_mux - planted[1]) <= step

@@ -305,6 +305,14 @@ def test_flat_fringe_exits_3_without_a_warning(tmp_path):
     # the comb's pump-filter offsets overflow; noise whose harmonics overflow
     ("qwalk", {"constants": {"bin_spacing": 3.595386269724632e307}}, 2),
     ("calibrate", {"noise_sigma": 1.0749609013314589e306}, 3),
+    # the scan's maximum on its edge: the scan did not bracket the peak (these
+    # exited 0 with a detuning up to 2.5 grid steps off, or the edge itself)
+    ("calibrate", {"planted_detunings": [0.3, 0.953], "scan_points": 25}, 3),
+    ("calibrate", {"planted_detunings": [0.3, 0.6]}, 3),
+    ("calibrate", {"planted_detunings": [0.128, 1.25], "scan_span": 1.0, "scan_points": 25}, 3),
+    # an axis of one or two points never brackets a peak
+    ("calibrate", {"scan_points": 1}, 2),
+    ("calibrate", {"scan_points": 2}, 2),
 ])
 def test_config_exit_codes(tmp_path, command, config, code):
     out = tmp_path / "out"

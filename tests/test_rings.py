@@ -8,8 +8,7 @@ from scipy.constants import c
 
 from qfpsim.errors import InvalidArgumentError
 from qfpsim.lattice import make_lattice
-from qfpsim.rings import (MODE_PASS, MODE_PHASE, MODE_STOP, RingParams, WsUnitConfig,
-                          _ring_ports, _ws_output, _ws_power_factors, make_ring,
+from qfpsim.rings import (RingParams, WsUnitConfig, _ring_ports, _ws_power_factors, make_ring,
                           mzi_pump_filter, reduce_phase, ws_operator, ws_unit,
                           ws_unit_response)
 
@@ -36,7 +35,7 @@ def test_loaded_q_in_characterized_band():
 def test_on_channel_drop_loss_in_characterized_band():
     # channel path traverses the demux and mux drop ports in series
     ring = paper_ring()
-    unit = ws_unit(ring, ring, MODE_PHASE)
+    unit = ws_unit(ring, ring)
     loss_db = -10.0 * np.log10(abs(ws_unit_response(WAVELENGTH, unit)) ** 2)
     assert 4.0 < loss_db < 7.0
 
@@ -62,22 +61,6 @@ def test_linewidth_is_fwhm_of_drop_peak():
     assert at_half == pytest.approx(peak / 2.0, rel=5e-2)
 
 
-def test_pass_mode_is_nearly_transparent():
-    ring = paper_ring()
-    unit = ws_unit(ring, ring, MODE_PASS)
-    resp = ws_unit_response(WAVELENGTH, unit)
-    assert abs(resp) ** 2 > 0.98
-    assert abs(np.angle(resp)) < 0.15
-
-
-def test_stop_mode_suppresses_channel():
-    ring = paper_ring()
-    unit = ws_unit(ring, ring, MODE_STOP)
-    suppression_db = -10.0 * np.log10(abs(ws_unit_response(WAVELENGTH, unit)) ** 2)
-    # demux ring on resonance, dropped light absorbed
-    assert suppression_db > 10.0
-
-
 def test_phase_mode_imprints_channel_phase_lossless():
     ring = make_ring(WAVELENGTH, 0.023, 0.0, 50e-6, 2.8)
     for phi in (0.0, np.pi / 2, np.pi, -2.0):
@@ -96,23 +79,21 @@ def test_phase_mode_phase_error_with_loss_is_bounded():
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from([MODE_PHASE, MODE_PASS, MODE_STOP]), st.floats(0.0, 2 * np.pi),
-       st.floats(0.01, 0.05), st.floats(0.01, 0.05), st.integers(1, 6), st.integers(1, 6),
-       st.integers(1, 64), st.integers(0, 2**32 - 1))
-def test_power_factors_sum_to_the_unit_power(mode, phase, kappa_d, kappa_m, rows, cols,
-                                             samples, seed):
+@given(st.floats(0.0, 2 * np.pi), st.floats(0.01, 0.05), st.floats(0.01, 0.05),
+       st.integers(1, 6), st.integers(1, 6), st.integers(1, 64), st.integers(0, 2**32 - 1))
+def test_power_factors_sum_to_the_unit_power(phase, kappa_d, kappa_m, rows, cols, samples,
+                                             seed):
     # rows x N demux ports against columns x N mux ports, broadcast as an
     # alignment grid does; detunings within +-2 linewidths of each ring
     demux, mux = (make_ring(WAVELENGTH, kappa, 1.2, 50e-6, 2.8) for kappa in (kappa_d, kappa_m))
     rng = np.random.default_rng(seed)
-    demux_ports = _ring_ports(WAVELENGTH, demux,
-                              rng.uniform(-2, 2, (rows, samples)) * demux.linewidth_fwhm)
-    mux_ports = _ring_ports(WAVELENGTH, mux,
-                            rng.uniform(-2, 2, (cols, samples)) * mux.linewidth_fwhm)
-    factors = _ws_power_factors(mode, phase, demux_ports, mux_ports)
+    det_d = rng.uniform(-2, 2, (rows, samples)) * demux.linewidth_fwhm
+    det_m = rng.uniform(-2, 2, (cols, samples)) * mux.linewidth_fwhm
+    factors = _ws_power_factors(phase, _ring_ports(WAVELENGTH, demux, det_d),
+                                _ring_ports(WAVELENGTH, mux, det_m))
     total = sum(d[:, None] * m[None] for d, m in zip(*factors))
-    power = np.abs(_ws_output(mode, phase, [p[:, None] for p in demux_ports],
-                              [p[None] for p in mux_ports])) ** 2
+    unit = WsUnitConfig(demux, mux, channel_phase=phase)
+    power = np.abs(ws_unit_response(WAVELENGTH, unit, (det_d[:, None], det_m[None]))) ** 2
     assert len(factors[0]) == len(factors[1]) == 4
     assert np.all(np.imag(total) == 0.0)
     # both sides are powers of at most 1 reached by different routes of about
