@@ -337,6 +337,8 @@ def test_period_grid_search_equals_a_per_frequency_projection(points, p0, log_st
 
 @pytest.mark.parametrize("template", [
     lambda r: WsUnitConfig(r, r, 0.7),
+    lambda r: ws_unit(r, r),
+    lambda r: WsUnitConfig(r, r, -2.4, (-0.4 * r.linewidth_fwhm, 0.1 * r.linewidth_fwhm)),
     lambda r: WsUnitConfig(r, r, 1.9, (0.3 * r.linewidth_fwhm, -0.2e-12)),
 ])
 @pytest.mark.parametrize("noise_sigma", [0.0, 1e-3])

@@ -15,6 +15,7 @@ from qfpsim.qfp import (MIN_GATE_FIDELITY, QUADRATURE_GAMMAS, ProcessorConfig,
                         reconstruct_submatrix, reconstruction_residual,
                         rt_closed_form, simulate_output_spectrum, submatrix,
                         success_probability, synthesize_gate, target_unitary)
+from test_acceptance import single_pm_balanced_probability
 
 DELTA = 0.8169
 LAT = make_lattice(193.7e12, 25e9, 20)
@@ -313,6 +314,12 @@ def test_reconstruct_random_blocks(theta, lam, mu, scale, row0, row1):
     v_rec = reconstruct_submatrix(spectra, LAT, BINS)
     assert reconstruction_residual(v_rec, spectra, LAT, BINS) < 1e-10
     assert gauge_distance(v_rec, v) < 1e-6
+
+
+def test_single_pm_balanced_splitting_is_bounded():
+    delta_star, prob = single_pm_balanced_probability()
+    assert 1.3 < delta_star < 1.6
+    assert prob < 0.70
 
 
 def test_processor_config_validates_window():
