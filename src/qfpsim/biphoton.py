@@ -10,8 +10,8 @@ window.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
+from ._solvers import minimize
 from .errors import InvalidArgumentError, OutOfRangeError, RetrievalFailureError
 from .eom import ModeOperator, RfDrive, eom_operator
 from .lattice import FrequencyLattice

@@ -16,8 +16,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import OptimizeWarning, curve_fit
 
+from ._solvers import curve_fit
 from .errors import DegenerateScanError, FitFailureError, InvalidArgumentError
 from .rings import WsUnitConfig, _ring_ports, _ws_power_factors, reduce_phase
 
@@ -223,6 +223,8 @@ def fit_phase_curve(powers, traces, dither: DitherConfig) -> PhaseCalibration:
     # or overflows (powers or noise of extreme scale, from the harmonics
     # on) has no finite residual: both fail
     failed = FitFailureError("phase-curve fit failed to converge from every start")
+    from scipy.optimize import OptimizeWarning  # loaded with the solver, not at import
+
     with warnings.catch_warnings(), np.errstate(all="ignore"):
         warnings.simplefilter("error", OptimizeWarning)
         y = harmonic_component(traces, dither.phase_harmonic, dither.sample_rate).real

@@ -31,7 +31,7 @@ from .qfp import (beamsplitter_config, beamsplitter_spectra, fidelity, gauge_dis
                   pair_block, reconstruct_submatrix, rt_closed_form,
                   simulate_output_spectrum, success_probability, synthesize_gate,
                   target_unitary)
-from .rings import WsUnitConfig, make_ring, ws_unit
+from .rings import WsUnitConfig, make_ring, reduce_phase, ws_unit
 from .tomo import (bell_fringe, carve_bell_state, fit_visibility,
                    mle_reconstruct, purity, simulate_counts, state_fidelity)
 
@@ -206,10 +206,11 @@ def cmd_qwalk(cfg: dict, rng) -> dict:
                                    ("anticorrelated", anti_out))}
 
     reference = retrieval_reference_offsets(num_pairs)
+    # reduced first: a phase of 1e17 (ulp 16) would round the offsets away
+    reduced = np.array([reduce_phase(p) for p in planted])
     measurements = []
     for offsets in (np.zeros(num_pairs), reference):
-        state = comb_state(lat, lat, pairs, weights=weights,
-                           phases=np.asarray(planted) + offsets)
+        state = comb_state(lat, lat, pairs, weights=weights, phases=reduced + offsets)
         measurements.append((offsets, jsi(apply_joint(state, sig, idl), "integral")))
     recovered = retrieve_phases(measurements, initial, pairs, sig, idl)
     rec_state = comb_state(lat, lat, pairs, weights=weights, phases=recovered)

@@ -18,8 +18,8 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
+from ._solvers import brentq
 from .errors import (InvalidArgumentError, OutOfRangeError,
                      ReconstructionFailureError, UndefinedFidelityError)
 from .eom import (ModeOperator, RfDrive, _phasors, _toeplitz, bessel_row, check_window_margin,

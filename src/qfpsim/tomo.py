@@ -12,8 +12,8 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import OptimizeWarning, curve_fit, minimize
 
+from ._solvers import curve_fit, minimize
 from .errors import FitFailureError, InvalidArgumentError
 from .eom import bessel_row
 from .rings import reduce_phase
@@ -143,6 +143,8 @@ def fit_visibility(phis, counts) -> VisibilityFit:
     b0 = float(np.mean(counts))
     spread = (counts.max() - counts.min()) / (2.0 * b0) if b0 > 0 else 0.5
     chi0 = float(-phis[np.argmax(counts)])
+    from scipy.optimize import OptimizeWarning  # loaded with the solver, not at import
+
     with warnings.catch_warnings():
         # curve_fit warns exactly when it returns a covariance that is not finite
         warnings.simplefilter("error", OptimizeWarning)

@@ -8,6 +8,9 @@ setting it composes into a set, so a setting must stay hashable.
 """
 
 import importlib.util
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -87,3 +90,47 @@ def test_a_traced_gate_op_runs_through_the_wrappers():
     _, calls, _ = traced_gate_op().layer_totals()
     assert calls["qfp.synthesize_gate"] == 1
     assert calls["eom.bessel_row"] == 0
+
+
+_CLI_CHILD_ORDER = """
+import importlib.util
+import json
+import sys
+
+import qfpsim.cli
+
+tracing_path, config, out = sys.argv[1:]
+spec = importlib.util.spec_from_file_location("perfbench_tracing", tracing_path)
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+tracer = tracing.Tracer()
+undo = tracing.install(tracer)
+loaded_before = "scipy.optimize" in sys.modules
+try:
+    code = qfpsim.cli.main(["gate", "--config", config, "--out", out])
+finally:
+    tracing.uninstall(undo)
+_, calls, _ = tracer.layer_totals()
+print(json.dumps({"code": code, "loaded_before": loaded_before,
+                  "brentq_calls": calls["qfp.brentq"],
+                  "brentq_nfev": tracer.counts["qfp.brentq.nfev"]}))
+"""
+
+
+def test_a_tracer_installed_before_the_first_solver_call_counts_it(tmp_path):
+    # perfbench/cli_child.py imports qfpsim.cli, installs the tracer, then
+    # runs main: the tracer wraps qfp.brentq before scipy.optimize is
+    # loaded.  In a fresh interpreter: pytest's filterwarnings has loaded it
+    # here
+    config = tmp_path / "gate.json"
+    config.write_text(json.dumps({"theta": 1.2}))  # below the largest splitting
+    env = {**os.environ, "PYTHONPATH": str(Path(qfpsim.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", _CLI_CHILD_ORDER, str(TRACING),
+                           str(config), str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout)
+    assert result["code"] == 0
+    assert not result["loaded_before"]
+    assert result["brentq_calls"] >= 1
+    assert result["brentq_nfev"] > 0

@@ -19,6 +19,7 @@ import qfpsim
 from qfpsim import cli, errors
 from qfpsim.cli import main
 from qfpsim.qfp import MIN_GATE_FIDELITY, rt_closed_form
+from qfpsim.rings import reduce_phase
 
 
 def _write_cfg(tmp_path, payload, name="cfg.json"):
@@ -107,6 +108,18 @@ def test_qwalk_command(tmp_path):
     for name in ("jsi_initial.csv", "jsi_correlated.csv",
                  "jsi_anticorrelated.csv"):
         assert (out / name).exists()
+
+
+def test_qwalk_recovers_a_huge_planted_phase(tmp_path):
+    # unreduced, the phase 1e17 (ulp 16) rounded the retrieval's offsets
+    # away, and the fit missed its residual tolerance (exit 3)
+    cfg = _write_cfg(tmp_path, {"num_pairs": 2, "planted_phases": [0, 1e17]})
+    out = tmp_path / "out"
+    assert _run("qwalk", cfg, out) == 0
+    summary = json.loads((out / "qwalk_summary.json").read_text())
+    assert summary["planted_phases"] == [0.0, 1e17]
+    err = np.angle(np.exp(1j * (summary["recovered_phases"][1] - reduce_phase(1e17))))
+    assert abs(err) < 1e-6
 
 
 def _far_draw(num_pairs):
@@ -237,6 +250,38 @@ def test_flat_fringe_exits_3_without_a_warning(tmp_path):
     assert done.returncode == 3
     assert done.stderr.startswith("numerical failure: fringe fit failed")
     assert "Warning" not in done.stderr and len(done.stderr.splitlines()) == 1
+
+
+_SOLVER_IMPORT_PROBE = """
+import json
+import sys
+
+import qfpsim.cli
+
+out, *runs = sys.argv[1:]
+loaded = {"import": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}
+for command, config in zip(runs[::2], runs[1::2]):
+    assert qfpsim.cli.main([command, "--config", config, "--out", out + command]) == 0
+    loaded[command] = "scipy.optimize" in sys.modules
+print(json.dumps(loaded))
+"""
+
+
+def test_scipy_optimize_loads_on_the_first_solver_call(tmp_path):
+    # importing scipy.optimize costs more than the rest of a cold spectrum or
+    # beamsplitter run, which call no solver; the brentq of a gate below its
+    # largest splitting loads it.  In a fresh interpreter: pytest's
+    # filterwarnings has imported it here
+    env = {**os.environ, "PYTHONPATH": str(Path(qfpsim.__file__).parents[1])}
+    default = _write_cfg(tmp_path, {})
+    runs = ["spectrum", default, "beamsplitter", default,
+            "gate", _write_cfg(tmp_path, {"theta": 1.2}, "gate.json")]
+    done = subprocess.run([sys.executable, "-c", _SOLVER_IMPORT_PROBE,
+                           str(tmp_path / "out_"), *runs],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {"import": [], "spectrum": False,
+                                       "beamsplitter": False, "gate": True}
 
 
 @pytest.mark.parametrize("command, config, code", [

@@ -24,12 +24,13 @@ largest, ``qwalk`` with 16 pairs on a 49-bin window, and ``qwalk`` with
 the lifted design of the phase retrieval is large; and ``gate`` and
 ``spectrum`` at depth 2 on a 129-bin window, where the composed
 processor is large, and ``beamsplitter`` with 8 points on that window;
-two runs with huge phases that are reduced before use, ``gate`` with
-``mu`` 1e17 and ``calibrate`` with ``phase_offset`` 1e17; and
+three runs with huge phases that are reduced before use, ``gate`` with
+``mu`` 1e17, ``calibrate`` with ``phase_offset`` 1e17 and ``qwalk``
+with a planted phase of 1e17; and
 ``beamsplitter`` with 200 points on a 513-bin window, where every point
 after the first reads the per-depth caches of the widest operator; and
 ``gate`` and ``spectrum`` at depth 1 on that window, where the modulator
-matrix stores its Bessel values below sqrt(tiny) as 0: 33 cases.  For
+matrix stores its Bessel values below sqrt(tiny) as 0: 34 cases.  For
 each output file the report says "identical", or gives the largest
 absolute and relative difference of the numbers in it (CSV cells and
 JSON values); a relative difference is taken against at least eps times
@@ -88,6 +89,7 @@ CASES = ([(command, "{}", ("--seed", seed)) for seed in ("0", "3") for command i
              ("--seed", "0")),
             ("gate", '{"mu": 1e17}', ("--seed", "0")),
             ("calibrate", '{"phase_offset": 1e17}', ("--seed", "0")),
+            ("qwalk", '{"num_pairs": 2, "planted_phases": [0, 1e17]}', ("--seed", "0")),
             ("beamsplitter", '{"alpha_points": 200, "constants": {"half_width": 256}}',
              ("--seed", "0")),
             ("gate", '{"constants": {"half_width": 256, "depth": 1.0}}', ("--seed", "0")),
