@@ -2,19 +2,20 @@
 
 A modulator driven with instantaneous phase ``depth * sin(Omega t + phase)``
 scatters bin n to bin m with amplitude J_{m-n}(depth) * exp(i (m-n) phase),
-so an upshift by one bin carries exp(i*phase).  Bessel functions come
-from ``scipy.special.jv``, imported on first use so that importing this
-module loads only numpy.
+so an upshift by one bin carries exp(i*phase).  Bessel rows come from
+Miller's backward recurrence (``bessel_row``) in plain Python and numpy,
+so no command that only mixes bins loads scipy.
 
 The processor runs at one working depth while its phases change, so what
 depends on the depth alone is computed once per depth, in bounded
-``functools.lru_cache``s: ``truncation_order`` keyed on the depth, and the
-real Toeplitz matrix J_{m-n}(depth) keyed on (depth, window size), at
-most two of them (the in and out modulators of one setting).  A cached
-matrix is handed to every caller, so it is read-only and an RF phase
-multiplies it into a new array.  The depths -0.0 and 0.0 are one key to
-a cache, so both must give one value: the truncation order is 0 at
-either, and the matrix is built at depth + 0.0.
+``functools.lru_cache``s: one read-only Bessel row keyed on the depth,
+which ``truncation_order``, the closed form's sums (``qfp._bessel_sums``)
+and the real Toeplitz matrix J_{m-n}(depth) slice, that matrix keyed on
+(depth, window size); at most two rows and two matrices (the in and out
+modulators of one setting).  A cached array is handed to every caller,
+so it is read-only and an RF phase multiplies the matrix into a new
+array.  The depths -0.0 and 0.0 are one key to a cache, so both must
+give one value: the row is evaluated at depth + 0.0.
 
 The matrix stores each J_k(depth) below sqrt(tiny) ~ 1.5e-154, tiny the
 smallest normal double, as 0: the far tail of the band on a wide window.
@@ -26,6 +27,7 @@ far below the window's TRUNCATION_POWER_TOL.
 """
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,18 +43,97 @@ TRUNCATION_POWER_TOL = 1e-14
 _SQRT_TINY = float(np.sqrt(np.finfo(float).tiny))
 
 
+# Miller's recurrence starts at the first order at which the bound
+# |J_k(x)| <= (|x|/2)^k / k! falls below _START_BOUND (an order far past
+# |x| for every |x| <= BESSEL_MAX_ARGUMENT): far enough out that its
+# relative error at every order above sqrt(tiny) is about
+# (_START_BOUND / sqrt(tiny))^2, and that every order past it may be 0
+_START_BOUND = _SQRT_TINY * 1e-17
+_LN_START_BOUND = math.log(_START_BOUND)
+# the value seeded at the start order: the row grows by at most about
+# 1 / J_start toward order 0, so it stays finite without rescaling
+_MILLER_SEED = 1e-100
+
+
+def _log_start_bound(k: float, ax: float) -> float:
+    """ln((ax/2)^k / k!)."""
+    return k * math.log(ax / 2.0) - math.lgamma(k + 1.0)
+
+
+def _start_order(ax: float) -> int:
+    """The first order k with (ax/2)^k / k! < _START_BOUND, for
+    2 _START_BOUND <= ax <= BESSEL_MAX_ARGUMENT.
+
+    By Stirling, k (1 + ln(ax/2k)) = -ln _START_BOUND = t, whose root is
+    k = t / W(2t / (e ax)), W the Lambert function, here its two leading
+    terms (2t / (e ax) > e in that range).  Two Newton steps on the exact
+    bound, with ln(k + 1/2) for the derivative of ln k!, land within about
+    1e-3 of its root, and the checks at the end settle the order.
+    """
+    t = -_LN_START_BOUND
+    z = math.log(2.0 * t / (math.e * ax))
+    k = t / (z - math.log(z))
+    for _ in range(2):
+        k -= (_log_start_bound(k, ax) + t) / (math.log(ax / 2.0) - math.log(k + 0.5))
+    n = math.ceil(k)
+    while _log_start_bound(n - 1, ax) < _LN_START_BOUND:
+        n -= 1
+    while _log_start_bound(n, ax) >= _LN_START_BOUND:
+        n += 1
+    return n
+
+
 def bessel_row(max_order: int, argument: float) -> np.ndarray:
-    """J_0..J_max_order(argument) in one ``scipy.special.jv`` call.
+    """J_0..J_max_order(argument), a new array, by Miller's backward recurrence.
+
+    J_{k-1} = (2k/x) J_k - J_{k+1} runs down from J_{N+1} = 0 and a seed
+    at the start order N (``_start_order``), and the row is normalised by
+    J_0 + 2 sum_k J_2k = 1 (DLMF 10.12.4).  Orders past N are 0; every
+    one of them lies below sqrt(tiny) * 1e-17.  A negative argument takes
+    J_k(-x) = (-1)^k J_k(x).  Below 2 _START_BOUND, where the recurrence
+    would start at order 1 and 2/x can overflow, the row is its closed
+    form [1, x/2].
 
     Raises:
         InvalidArgumentError: if |argument| exceeds the validated range.
     """
-    if abs(argument) > BESSEL_MAX_ARGUMENT:
+    ax = abs(argument)
+    if ax > BESSEL_MAX_ARGUMENT:
         raise InvalidArgumentError(
-            f"|argument| = {abs(argument)} exceeds validated range {BESSEL_MAX_ARGUMENT}")
-    from scipy.special import jv  # imported here so this module loads only numpy
+            f"|argument| = {ax} exceeds validated range {BESSEL_MAX_ARGUMENT}")
+    out = np.zeros(max_order + 1)
+    if ax < 2.0 * _START_BOUND:
+        out[0] = 1.0
+        out[1:2] = argument / 2.0
+        return out
+    n = _start_order(ax)
+    values = [0.0] * (n + 1)
+    values[n] = after = now = _MILLER_SEED
+    for k in range(n, 0, -1):
+        after, now = now, 2.0 * k / ax * now - after
+        values[k - 1] = now
+    row = np.fromiter(values, float, n + 1)
+    row /= 2.0 * math.fsum(values[::2]) - values[0]
+    if argument < 0.0:
+        row[1::2] *= -1.0
+    m = min(n, max_order) + 1
+    out[:m] = row[:m]
+    return out
 
-    return jv(np.arange(max_order + 1), argument)
+
+# every Bessel row starts at or below this order (the start order grows
+# with |x|), so a row this long holds every value that is not 0
+_ROW_ORDER = _start_order(BESSEL_MAX_ARGUMENT)
+
+
+@functools.lru_cache(maxsize=2)
+def _depth_row(depth: float) -> np.ndarray:
+    """The read-only Bessel row of depth + 0.0 up to _ROW_ORDER, once per
+    depth; the per-depth values cached from it keep their own caches, so
+    two rows (the in and out modulators of one setting) are enough."""
+    row = bessel_row(_ROW_ORDER, depth + 0.0)
+    row.setflags(write=False)
+    return row
 
 
 @functools.lru_cache(maxsize=64)
@@ -60,21 +141,15 @@ def truncation_order(depth: float) -> int:
     """Smallest K with sum_{|j|>K} J_j(depth)^2 < TRUNCATION_POWER_TOL.
 
     Used as the interior guard margin: bins farther than K from the window
-    edge see the operator as rigorously unitary.
+    edge see the operator as rigorously unitary.  Each tail is summed from
+    the far end of the row, so it is accurate to its last few orders; a
+    tail taken as 1 minus the inner orders carries an absolute error of
+    about eps, which near TRUNCATION_POWER_TOL moves K by one when the
+    row's last ulp changes.
     """
-    if depth == 0.0:
-        return 0
-    row = bessel_row(int(np.ceil(depth)) + 60, depth)
-    power = row**2
-    total = power[0] + 2.0 * power[1:].sum()
-    tail = total - power[0]
-    k = 0
-    while tail >= TRUNCATION_POWER_TOL:
-        k += 1
-        if k >= len(row):
-            raise InvalidArgumentError("truncation order not found; depth too large")
-        tail -= 2.0 * power[k]
-    return k
+    power = _depth_row(depth) ** 2
+    tail = 2.0 * np.cumsum(power[:0:-1])[::-1]  # tail[k] = 2 sum_{j>k} J_j^2
+    return int(np.count_nonzero(tail >= TRUNCATION_POWER_TOL))
 
 
 def check_window_margin(lattice: FrequencyLattice, bins, depth: float) -> None:
@@ -124,8 +199,9 @@ def _toeplitz(depth: float, n: int) -> np.ndarray:
     with J_{-j} = (-1)^j J_j: the modulator at RF phase 0.  Entries below
     _SQRT_TINY are stored as 0 (module docstring)."""
     diff = np.arange(1 - n, n)
-    row = bessel_row(n - 1, depth + 0.0)
-    row[np.abs(row) < _SQRT_TINY] = 0.0
+    row = np.zeros(n)
+    kept = _depth_row(depth)[:n]
+    row[:len(kept)] = np.where(np.abs(kept) < _SQRT_TINY, 0.0, kept)
     sign = np.where((diff < 0) & (np.abs(diff) % 2 == 1), -1.0, 1.0)
     band = row[np.abs(diff)] * sign
     # each row of T is the band read backwards from its own start

@@ -22,7 +22,7 @@ import numpy as np
 from ._solvers import brentq
 from .errors import (InvalidArgumentError, OutOfRangeError,
                      ReconstructionFailureError, UndefinedFidelityError)
-from .eom import (ModeOperator, RfDrive, _phasors, _toeplitz, bessel_row, check_window_margin,
+from .eom import (ModeOperator, RfDrive, _depth_row, _phasors, _toeplitz, check_window_margin,
                   truncation_order)
 from .lattice import FrequencyLattice
 from .rings import reduce_phase, ws_operator
@@ -114,13 +114,11 @@ def beamsplitter_config(alpha: float, delta: float, lattice: FrequencyLattice,
 
 @functools.lru_cache(maxsize=64)
 def _bessel_sums(delta: float) -> tuple:
-    """(J_0, s = sum_{k>=1} J_k J_{k-1}) at depth delta from one Bessel row,
-    computed once per depth (at delta + 0.0, so -0.0 and 0.0, one key to
-    the cache, give one value)."""
+    """(J_0, s = sum_{k>=1} J_k J_{k-1}) at depth delta, sliced from the
+    per-depth Bessel row of ``eom`` and computed once per depth."""
     if delta < 0:
         raise InvalidArgumentError("depth must be non-negative")
-    delta += 0.0
-    row = bessel_row(truncation_order(delta) + 5, delta)
+    row = _depth_row(delta)[:truncation_order(delta) + 6]
     return row[0], float(np.sum(row[1:] * row[:-1]))
 
 

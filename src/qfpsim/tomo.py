@@ -31,6 +31,10 @@ MLE_GAP_TOL = 0.1
 _WHITEN_RIDGE = 0.1
 # how far a density matrix may miss Hermiticity, unit trace and positivity
 _DENSITY_TOL = 1e-8
+# a fringe whose peak-to-peak is at most this fraction of its peak is flat
+# to rounding: the expected fringe of the maximally mixed state comes out
+# flat only to a few ulp, and a fit to that noise leaves the phase undetermined
+_FLAT_FRINGE_RTOL = 64 * np.finfo(float).eps
 
 
 @functools.cache
@@ -123,13 +127,17 @@ def fit_visibility(phis, counts) -> VisibilityFit:
 
     Each point is weighted by its shot noise sqrt(max(counts, 1)).
     Requires at least five phase points; raises FitFailureError when the
-    optimizer cannot converge or the covariance is not finite (a flat
-    fringe leaves the phase, and so V's uncertainty, undetermined).
+    fringe is flat to rounding (``_FLAT_FRINGE_RTOL``), or the optimizer
+    cannot converge or the covariance is not finite (a flat fringe leaves
+    the phase, and so V's uncertainty, undetermined).
     """
     phis = np.asarray(phis, dtype=float)
     counts = np.asarray(counts, dtype=float)
     if phis.shape != counts.shape or phis.size < 5:
         raise InvalidArgumentError("need matching arrays with >= 5 fringe points")
+    if np.ptp(counts) <= _FLAT_FRINGE_RTOL * np.abs(counts).max():
+        raise FitFailureError("fringe fit failed: the fringe is flat, so its phase is "
+                              "undetermined")
     sigma = np.sqrt(np.maximum(counts, 1.0))
 
     def model(x, b, v, chi):

@@ -8,13 +8,42 @@ from hypothesis import strategies as st
 from scipy.special import jv
 
 from qfpsim import qfp
-from qfpsim.eom import (BESSEL_MAX_ARGUMENT, RfDrive, _phasors, _toeplitz, bessel_row,
-                        eom_operator, truncation_order, unitarity_deficit)
+from qfpsim.eom import (BESSEL_MAX_ARGUMENT, TRUNCATION_POWER_TOL, RfDrive, _phasors, _toeplitz,
+                        bessel_row, eom_operator, truncation_order, unitarity_deficit)
 from qfpsim.errors import InvalidArgumentError
 from qfpsim.lattice import make_lattice
 from qfpsim.qfp import _bessel_sums, compose_qfp
 
 SQRT_TINY = np.sqrt(np.finfo(float).tiny)
+EPS = np.finfo(float).eps
+
+
+def _bessel_band(row, diff):
+    """J_diff gathered from the row J_0, J_1, ..., with J_{-j} = (-1)^j J_j."""
+    return row[np.abs(diff)] * np.where(diff % 2 == 1, np.sign(diff), 1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-BESSEL_MAX_ARGUMENT, BESSEL_MAX_ARGUMENT), st.integers(0, 512))
+@example(0.0, 512)
+@example(-0.0, 512)
+@example(5e-324, 512)  # x / 2 underflows to 0
+@example(1e-300, 512)
+@example(BESSEL_MAX_ARGUMENT, 512)
+@example(-BESSEL_MAX_ARGUMENT, 512)
+def test_bessel_row_matches_jv(x, max_order):
+    # scipy's jv is the independent reference: absolute error up to the
+    # turning point and a little past it, relative error in the decaying
+    # tail down to sqrt(tiny), below which the row may read 0
+    row = bessel_row(max_order, x)
+    k = np.arange(max_order + 1)
+    ref = jv(k, x)
+    err = np.abs(row - ref)
+    inner = k <= abs(x) + 3.0 * abs(x) ** (1.0 / 3.0) + 3.0
+    assert err[inner].max() <= 16 * EPS
+    tail = ~inner & (np.abs(ref) >= SQRT_TINY)
+    assert (err[tail] <= 1e-12 * np.abs(ref[tail])).all()
+    assert (np.abs(ref[row == 0.0]) < SQRT_TINY).all()
 
 
 @settings(max_examples=60, deadline=None)
@@ -69,6 +98,31 @@ def test_truncation_order_controls_power_tail():
             assert 2.0 * np.sum(row[k:] ** 2) >= 1e-14
 
 
+def test_per_depth_values_match_jv_rows_on_a_dense_grid():
+    for depth in np.linspace(0.0, BESSEL_MAX_ARGUMENT, 5001).tolist():
+        ref = jv(np.arange(int(np.ceil(depth)) + 61), depth)
+        # the smallest K with sum_{|j|>K} J_j^2 below the tolerance, each
+        # tail summed from the far end
+        tail = 2.0 * np.cumsum((ref**2)[:0:-1])[::-1]
+        k = truncation_order(depth)
+        assert k == np.flatnonzero(tail < TRUNCATION_POWER_TOL)[0]
+        j0, s = _bessel_sums(depth)
+        assert abs(j0 - ref[0]) <= 1e-15
+        # jv's own s is up to 6 eps (1.3e-15) off near depth 49 (next test)
+        assert abs(s - np.sum(ref[1:k + 6] * ref[:k + 5])) <= 2e-15
+
+
+def test_bessel_sums_within_an_ulp_of_40_digits_where_jv_is_off():
+    # at depth 49.21 jv's sum s is 6 eps off the 40-digit value
+    mpmath = pytest.importorskip("mpmath")
+    depth = 49.21
+    k = truncation_order(depth)
+    with mpmath.workdps(40):
+        exact = [mpmath.besselj(j, depth) for j in range(k + 6)]
+        s_exact = float(mpmath.fsum(exact[j] * exact[j - 1] for j in range(1, k + 6)))
+    assert abs(_bessel_sums(depth)[1] - s_exact) <= EPS
+
+
 def test_eom_operator_entries_are_bessel_sidebands():
     lat = make_lattice(193.7e12, 25e9, 8)
     theta = 0.7
@@ -111,7 +165,8 @@ def test_eom_operator_entries_within_a_few_ulps_of_the_exact_sidebands(half_widt
                                                                        phase):
     lat = make_lattice(193.7e12, 25e9, half_width)  # 33 and 129 bins
     diff = np.subtract.outer(lat.bins, lat.bins)
-    bessel = jv(diff, depth)
+    # the phasors are under test here, so the magnitudes are the operator's own
+    bessel = _bessel_band(bessel_row(lat.size - 1, depth), diff)
     # the angle (m - k) phase in long double, then cos and sin rounded to double
     angle = diff.astype(np.longdouble) * np.longdouble(phase)
     exact = bessel * (np.cos(angle).astype(float) + 1j * np.sin(angle).astype(float))
@@ -177,10 +232,11 @@ def test_depth_caches_match_fresh_evaluations(depth, half_width, phase):
 def test_toeplitz_stores_bessel_values_below_sqrt_tiny_as_zero(depth, half_width, seed):
     lat = make_lattice(193.7e12, 25e9, half_width)  # 3 to 129 bins
     n = lat.size
-    exact = jv(np.subtract.outer(np.arange(n), np.arange(n)), depth)
+    # T unfloored, gathered from a Bessel row of its own
+    exact = _bessel_band(bessel_row(n - 1, depth), np.subtract.outer(np.arange(n), np.arange(n)))
     stored = _toeplitz(depth, n)
     small = np.abs(exact) < SQRT_TINY
-    # each entry is the jv value bit for bit, or 0.0 where that is below sqrt(tiny)
+    # each entry is the row's value bit for bit, or 0.0 where that is below sqrt(tiny)
     assert np.array_equal(stored[~small], exact[~small])
     assert not stored[small].any()
     assert not (np.abs(stored[stored != 0.0]) < SQRT_TINY).any()

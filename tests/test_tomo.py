@@ -132,9 +132,15 @@ def test_fit_visibility_validation_and_sign_handling():
 
 
 def test_fit_visibility_raises_on_a_flat_fringe():
-    # no fringe: the phase, and with it V's uncertainty, is undetermined
-    with pytest.raises(FitFailureError, match="fringe fit failed"):
-        fit_visibility(np.linspace(0, 2 * np.pi, 13), np.full(13, 500.0))
+    # no fringe: the phase, and with it V's uncertainty, is undetermined,
+    # also where the fringe is flat only to rounding, as the expected fringe
+    # of the maximally mixed state is
+    phis = np.linspace(0, 2 * np.pi, 13)
+    ulps = np.spacing(500.0) * np.resize([0.0, 2.0, -1.0, 3.0], 13)
+    for counts in (np.full(13, 500.0), 500.0 + ulps,
+                   1e5 * bell_fringe(np.eye(4) / 4.0, phis)):
+        with pytest.raises(FitFailureError, match="fringe fit failed"):
+            fit_visibility(phis, counts)
 
 
 def test_fit_visibility_sigma_is_finite_on_noiseless_fringe_at_zero_phase():

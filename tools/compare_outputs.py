@@ -30,7 +30,11 @@ with a planted phase of 1e17; and
 ``beamsplitter`` with 200 points on a 513-bin window, where every point
 after the first reads the per-depth caches of the widest operator; and
 ``gate`` and ``spectrum`` at depth 1 on that window, where the modulator
-matrix stores its Bessel values below sqrt(tiny) as 0: 34 cases.  For
+matrix stores its Bessel values below sqrt(tiny) as 0; and ``spectrum``
+at the two ends of the Bessel rows' range, at the subnormal depth 5e-324
+(x / 2 underflows to 0) and at depth 50 on a 161-bin window, whose
+79 bins beside the pair leave room for that depth's truncation order of
+72: 36 cases.  For
 each output file the report says "identical", or gives the largest
 absolute and relative difference of the numbers in it (CSV cells and
 JSON values); a relative difference is taken against at least eps times
@@ -93,7 +97,9 @@ CASES = ([(command, "{}", ("--seed", seed)) for seed in ("0", "3") for command i
             ("beamsplitter", '{"alpha_points": 200, "constants": {"half_width": 256}}',
              ("--seed", "0")),
             ("gate", '{"constants": {"half_width": 256, "depth": 1.0}}', ("--seed", "0")),
-            ("spectrum", '{"constants": {"half_width": 256, "depth": 1.0}}', ("--seed", "0"))])
+            ("spectrum", '{"constants": {"half_width": 256, "depth": 1.0}}', ("--seed", "0")),
+            ("spectrum", '{"constants": {"depth": 5e-324}}', ("--seed", "0")),
+            ("spectrum", '{"constants": {"half_width": 80, "depth": 50.0}}', ("--seed", "0"))])
 
 
 def run_case(src: Path, case: tuple, work: Path):
