@@ -345,7 +345,7 @@ def retrieve_phases(measurements, base: BiphotonState, pair_bins,
     and the phases are read off its determined entries along a spanning
     tree from pair 0 (angular synchronisation: Singer, ACHA 30, 20, 2011).
     The lifted seed models the pairs only; amplitudes of ``base`` off the
-    pairs enter the cost but not the seed.  One L-BFGS-B run on the
+    pairs enter the cost but not the seed.  One BFGS run on the
     squared mismatch between predicted and measured normalized grids, with
     its analytic gradient, then polishes the seed; an exact seed ends it
     at the first evaluation, and POLISH_MAXITER ends a polish that does
@@ -370,8 +370,8 @@ def retrieve_phases(measurements, base: BiphotonState, pair_bins,
     cost = _model_cost(*model)
     entries, edges = _phase_tree(signal_cols, idler_rows, offsets)
     seed = _lifted_seed(signal_cols, idler_rows, offsets, targets, entries, edges)
-    best = minimize(cost, seed, jac=True, method="L-BFGS-B",
-                    options={"ftol": 1e-15, "gtol": 1e-12, "maxiter": POLISH_MAXITER})
+    best = minimize(cost, seed, options={"ftol": 1e-15, "gtol": 1e-12,
+                                         "maxiter": POLISH_MAXITER})
     if not best.fun <= RETRIEVAL_TOL:
         raise RetrievalFailureError(
             f"residual {best.fun:.3g} exceeds tolerance {RETRIEVAL_TOL:.3g}")

@@ -12,7 +12,6 @@ which maps heater power to phase.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -223,17 +222,14 @@ def fit_phase_curve(powers, traces, dither: DitherConfig) -> PhaseCalibration:
     # or overflows (powers or noise of extreme scale, from the harmonics
     # on) has no finite residual: both fail
     failed = FitFailureError("phase-curve fit failed to converge from every start")
-    from scipy.optimize import OptimizeWarning  # loaded with the solver, not at import
-
-    with warnings.catch_warnings(), np.errstate(all="ignore"):
-        warnings.simplefilter("error", OptimizeWarning)
+    with np.errstate(all="ignore"):
         y = harmonic_component(traces, dither.phase_harmonic, dither.sample_rate).real
         start = _period_grid_search(powers[order], y[order])
         if start is None:
             raise failed
         try:
             popt, pcov = curve_fit(model, powers, y, p0=start, jac=jac, maxfev=20000)
-        except (RuntimeError, OptimizeWarning):
+        except RuntimeError:
             raise failed from None
         res = float(np.sqrt(np.mean((model(powers, *popt) - y) ** 2)))
     # periods under two steps are sampling aliases, not physical fits

@@ -4,7 +4,7 @@ A modulator driven with instantaneous phase ``depth * sin(Omega t + phase)``
 scatters bin n to bin m with amplitude J_{m-n}(depth) * exp(i (m-n) phase),
 so an upshift by one bin carries exp(i*phase).  Bessel rows come from
 Miller's backward recurrence (``bessel_row``) in plain Python and numpy,
-so no command that only mixes bins loads scipy.
+so that no command loads scipy.
 
 The processor runs at one working depth while its phases change, so what
 depends on the depth alone is computed once per depth, in bounded

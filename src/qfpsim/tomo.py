@@ -8,7 +8,6 @@ mixer's effective splitting at DEFAULT_MEASUREMENT_DEPTH.
 """
 
 import functools
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -151,18 +150,12 @@ def fit_visibility(phis, counts) -> VisibilityFit:
     b0 = float(np.mean(counts))
     spread = (counts.max() - counts.min()) / (2.0 * b0) if b0 > 0 else 0.5
     chi0 = float(-phis[np.argmax(counts)])
-    from scipy.optimize import OptimizeWarning  # loaded with the solver, not at import
-
-    with warnings.catch_warnings():
-        # curve_fit warns exactly when it returns a covariance that is not finite
-        warnings.simplefilter("error", OptimizeWarning)
-        try:
-            popt, pcov = curve_fit(model, phis, counts, sigma=sigma, jac=jac,
-                                   absolute_sigma=True,
-                                   p0=[b0, min(spread, 0.99), chi0],
-                                   maxfev=20000)
-        except (RuntimeError, OptimizeWarning) as exc:
-            raise FitFailureError(f"fringe fit failed: {exc}") from exc
+    try:
+        popt, pcov = curve_fit(model, phis, counts, sigma=sigma, jac=jac,
+                               absolute_sigma=True, p0=[b0, min(spread, 0.99), chi0],
+                               maxfev=20000)
+    except RuntimeError as exc:  # no convergence, or a covariance that is not finite
+        raise FitFailureError(f"fringe fit failed: {exc}") from exc
     b, v, chi = popt
     if b < 0:
         b, v = -b, -v
@@ -289,7 +282,7 @@ def _whitening(params, forms, shots, accidentals) -> np.ndarray:
 def _whitened_negloglike_and_grad(q, x0, r_inv, forms, counts, shots, accidentals):
     """_negloglike_and_grad at p = x0 + R^-1 q, with the gradient in q,
     R^-T grad: q = R (p - x0) is the whitened step from the start x0, so a
-    start that L-BFGS-B does not move comes back bit for bit."""
+    start that the minimizer does not move comes back bit for bit."""
     nll, grad = _negloglike_and_grad(x0 + r_inv @ q, forms, counts, shots, accidentals)
     return nll, grad @ r_inv
 
@@ -302,14 +295,14 @@ def mle_reconstruct(records: list) -> np.ndarray:
     record's rate Tr(rho Pi_k) is then a ratio of real quadratic forms,
     p Q_k p / p p, built once per call (_quadratic_forms), so an evaluation
     of the likelihood and its gradient is one real product.  The Poisson
-    log-likelihood is maximized with L-BFGS-B using the analytic gradient,
+    log-likelihood is maximized by BFGS using the analytic gradient,
     from the linear-inversion seed U diag(w) U^dag as A = U diag(sqrt(w))
     U^dag (w floored at 1e-9, then scaled to unit sum) and then
     MLE_RESTARTS random starts.  The floor keeps the seed's A full rank:
     the gradient is A times a matrix, so u A = 0 gives u grad = 0 and A
     could never gain rank.
     Each start x0 runs in whitened parameters q = R (p - x0), R from the
-    Fisher information at x0 (_whitening), so that L-BFGS-B starts on a
+    Fisher information at x0 (_whitening), so that BFGS starts on a
     nearly round problem and needs fewer iterations (Nocedal and Wright,
     Numerical Optimization, 2nd ed., ch. 6-7); the ridge _WHITEN_RIDGE keeps
     R invertible on the directions the likelihood does not fix.
@@ -336,7 +329,7 @@ def mle_reconstruct(records: list) -> np.ndarray:
     for x0 in starts:
         r_inv = np.linalg.inv(_whitening(x0, forms, shots, accidentals))
         res = minimize(_whitened_negloglike_and_grad, np.zeros(32),
-                       args=(x0, r_inv, forms, *data), jac=True, method="L-BFGS-B",
+                       args=(x0, r_inv, forms, *data),
                        options={"maxiter": 2000, "ftol": 1e-14, "gtol": 1e-10})
         rho = _rho_of(x0 + r_inv @ res.x)
         if best is None or res.fun < best_nll:

@@ -1,10 +1,11 @@
 """The benchmark's tracer still finds every qfpsim name it wraps.
 
-``perfbench/tracing.py`` looks up the functions it records, and the scipy
-solvers the modules bind, by name in the qfpsim modules.  A deleted or
-renamed one makes the traced benchmark run raise, so install the tracer
-here and take it off again.  A traced gate op also puts every processor
-setting it composes into a set, so a setting must stay hashable.
+``perfbench/tracing.py`` looks up the functions it records, and the
+solvers the modules bind from ``qfpsim._solvers``, by name in the qfpsim
+modules.  A deleted or renamed one makes the traced benchmark run raise,
+so install the tracer here and take it off again.  A traced gate op also
+puts every processor setting it composes into a set, so a setting must
+stay hashable.
 """
 
 import importlib.util
@@ -119,9 +120,9 @@ print(json.dumps({"code": code, "loaded_before": loaded_before,
 
 def test_a_tracer_installed_before_the_first_solver_call_counts_it(tmp_path):
     # perfbench/cli_child.py imports qfpsim.cli, installs the tracer, then
-    # runs main: the tracer wraps qfp.brentq before scipy.optimize is
-    # loaded.  In a fresh interpreter: pytest's filterwarnings has loaded it
-    # here
+    # runs main: the tracer wraps the qfp.brentq bound at import, and no
+    # scipy module is loaded.  In a fresh interpreter: pytest's
+    # filterwarnings has loaded scipy.optimize here
     config = tmp_path / "gate.json"
     config.write_text(json.dumps({"theta": 1.2}))  # below the largest splitting
     env = {**os.environ, "PYTHONPATH": str(Path(qfpsim.__file__).parents[1])}

@@ -255,7 +255,7 @@ def test_flat_fringe_exits_3_without_a_warning(tmp_path):
     assert "Warning" not in done.stderr and len(done.stderr.splitlines()) == 1
 
 
-_SOLVER_IMPORT_PROBE = """
+_SCIPY_IMPORT_PROBE = """
 import json
 import sys
 
@@ -266,32 +266,36 @@ def scipy_modules():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
 
-out, *runs = sys.argv[1:]
-loaded = {"import": scipy_modules()}
-for command, config in zip(runs[::2], runs[1::2]):
-    assert qfpsim.cli.main([command, "--config", config, "--out", out + command]) == 0
-    loaded[command] = scipy_modules()
+loaded = [["import", scipy_modules()]]
+for argv in json.loads(sys.argv[1]):
+    assert qfpsim.cli.main(argv) == 0, argv
+    loaded.append([" ".join(argv), scipy_modules()])
 print(json.dumps(loaded))
 """
 
 
-def test_scipy_optimize_loads_on_the_first_solver_call(tmp_path):
-    # importing scipy costs more than the rest of a cold spectrum or
-    # beamsplitter run, which take their Bessel rows from numpy and call no
-    # solver, so they load no scipy module; the brentq of a gate below its
-    # largest splitting loads scipy.optimize.  In a fresh interpreter:
-    # pytest's filterwarnings has imported it here
+def test_no_command_loads_scipy(tmp_path):
+    # importing scipy costs more than the rest of a cold command, and
+    # qfpsim computes its Bessel rows and runs its solvers in numpy, so no
+    # command loads a scipy module: each of the six on {}, a gate below its
+    # largest splitting (brentq) and the expected-value tomography (MLE and
+    # fringe fit), one after another in a fresh interpreter; pytest's
+    # filterwarnings has imported scipy here
     env = {**os.environ, "PYTHONPATH": str(Path(qfpsim.__file__).parents[1])}
-    default = _write_cfg(tmp_path, {})
-    runs = ["spectrum", default, "beamsplitter", default,
-            "gate", _write_cfg(tmp_path, {"theta": 1.2}, "gate.json")]
-    done = subprocess.run([sys.executable, "-c", _SOLVER_IMPORT_PROBE,
-                           str(tmp_path / "out_"), *runs],
+    default = str(_write_cfg(tmp_path, {}))
+    runs = [[command, "--config", default, "--out", str(tmp_path / command)]
+            for command in ("spectrum", "beamsplitter", "gate", "calibrate", "qwalk",
+                            "tomography")]
+    runs += [["gate", "--config", str(_write_cfg(tmp_path, {"theta": 1.2}, "gate.json")),
+              "--out", str(tmp_path / "gate_1.2")],
+             ["tomography", "--config", default, "--out", str(tmp_path / "expected"),
+              "--expected-value"]]
+    done = subprocess.run([sys.executable, "-c", _SCIPY_IMPORT_PROBE, json.dumps(runs)],
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     loaded = json.loads(done.stdout)
-    assert loaded["import"] == loaded["spectrum"] == loaded["beamsplitter"] == []
-    assert "scipy.optimize" in loaded["gate"]
+    assert len(loaded) == 1 + len(runs)
+    assert all(modules == [] for _, modules in loaded), loaded
 
 
 @pytest.mark.parametrize("command, config, code", [
