@@ -15,6 +15,7 @@ laws, and at alpha = pi the block is [[sqrt(R), sqrt(T)], [sqrt(T), -sqrt(R)]].
 """
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +55,19 @@ class ProcessorConfig:
         check_window_margin(self.lattice, self.computational_bins,
                             max(self.in_drive.depth, self.out_drive.depth))
 
+    @functools.cached_property
+    def _diagonals(self) -> tuple:
+        """The read-only diagonals (D_in, D_out, c = W D_in D_out^dag) of
+        ``_composed_columns``, built on first use and kept as long as the
+        setting is, so its compositions share one WS diagonal."""
+        bins = self.lattice.bins
+        d_in = _phasors(bins, self.in_drive.phase)
+        d_out = _phasors(bins, self.out_drive.phase)
+        c = ws_operator(self.ws_phases, self.lattice) * d_in * d_out.conj()
+        for d in (d_in, d_out, c):
+            d.setflags(write=False)
+        return d_in, d_out, c
+
 
 def _composed_columns(config: ProcessorConfig, cols) -> np.ndarray:
     """Columns ``cols`` (an index list or slice) of M = M_out W M_in.
@@ -62,15 +76,15 @@ def _composed_columns(config: ProcessorConfig, cols) -> np.ndarray:
     at phase 0 and D = diag(exp(i k p)) over the bins k.  So
     M = D_out T_out diag(c) T_in D_in^dag with c = W D_in D_out^dag, and the
     one n^3 step is a real matrix times a complex one, taken as a single
-    real product over the interleaved real and imaginary parts.  Both T
-    come from the per-depth cache of ``eom._toeplitz``.
+    real product over the interleaved real and imaginary parts.  The three
+    diagonals are the setting's own, built once per setting
+    (``ProcessorConfig._diagonals``); both T come from the per-depth cache
+    of ``eom._toeplitz``.
     """
     lat = config.lattice
-    d_in = _phasors(lat.bins, config.in_drive.phase)
-    d_out = _phasors(lat.bins, config.out_drive.phase)
+    d_in, d_out, c = config._diagonals
     t_out = _toeplitz(config.out_drive.depth, lat.size)
     t_in = _toeplitz(config.in_drive.depth, lat.size)
-    c = ws_operator(config.ws_phases, lat) * d_in * d_out.conj()
     x = np.multiply(c[:, None], t_in[:, cols], order="C")  # C order, to view as real
     y = (t_out @ x.view(np.float64)).view(np.complex128)
     y *= d_out[:, None]
@@ -150,21 +164,23 @@ def rt_closed_form(alpha, delta: float) -> tuple:
 
 def submatrix(op: ModeOperator, bins: tuple) -> np.ndarray:
     """2x2 block of the operator on the computational bin pair."""
-    idx = [op.lattice.index_of(b) for b in bins]
-    return op.entries[np.ix_(idx, idx)].copy()
+    i, j = (op.lattice.index_of(b) for b in bins)
+    return op.entries[[[i], [j]], [i, j]]  # a column of rows against a row of columns
 
 
 def success_probability(v: np.ndarray) -> float:
-    """P = Tr(V^dag V) / 2: fraction of amplitude kept in the qubit pair."""
-    return float(0.5 * np.real(np.trace(v.conj().T @ v)))
+    """P = Tr(V^dag V) / 2, summed as vdot(V, V): fraction of amplitude
+    kept in the qubit pair."""
+    return float(0.5 * np.vdot(v, v).real)
 
 
 def fidelity(v: np.ndarray, target: np.ndarray) -> float:
-    """Frobenius overlap |Tr(V^dag U)|^2 / (4 P); global-phase invariant."""
+    """Frobenius overlap |Tr(V^dag U)|^2 / (4 P), with Tr(V^dag U) summed
+    as vdot(V, U); global-phase invariant."""
     p = success_probability(v)
     if p <= 0.0:
         raise UndefinedFidelityError("success probability is zero")
-    return float(abs(np.trace(v.conj().T @ target)) ** 2 / (4.0 * p))
+    return float(abs(np.vdot(v, target)) ** 2 / (4.0 * p))
 
 
 def target_unitary(theta: float, lam: float, mu: float) -> np.ndarray:
@@ -207,11 +223,14 @@ def alpha_for_theta(theta: float, delta: float) -> float:
                          xtol=1e-12))
 
 
-def _beamsplitter_block(alpha: float, delta: float) -> np.ndarray:
-    """The closed-form 2x2 block V(alpha) of the module docstring."""
+def _block_entries(alpha: float, delta: float) -> tuple:
+    """Entries (V_00, V_01 = V_10, V_11) of the closed-form block V(alpha)
+    of the module docstring, as complex scalars.  The off-diagonal entry
+    adds 0.0 as the identity's zero does, which turns a -0.0 part into +0.0."""
     j0, s = _bessel_sums(delta)
-    a = np.array([[(1.0 - j0 * j0) / 2.0, -s], [-s, (1.0 + j0 * j0) / 2.0]])
-    return np.eye(2) + (np.exp(1j * alpha) - 1.0) * a
+    z = np.exp(1j * alpha) - 1.0
+    return (1.0 + z * ((1.0 - j0 * j0) / 2.0), 0.0 + z * -s,
+            1.0 + z * ((1.0 + j0 * j0) / 2.0))
 
 
 def intrinsic_phases(alpha: float, delta: float) -> tuple:
@@ -220,10 +239,11 @@ def intrinsic_phases(alpha: float, delta: float) -> tuple:
     Away from alpha = pi the computational block is still in the target
     family but with equal non-zero column/row phases; gate synthesis
     subtracts them so the programmed phases land on the requested values.
+    The block is symmetric, so the two are the same value.
     """
-    v = _beamsplitter_block(alpha, delta)
-    ref = np.angle(v[0, 0])
-    return (float(np.angle(v[0, 1]) - ref), float(np.angle(v[1, 0]) - ref))
+    v00, v01, _ = _block_entries(alpha, delta)
+    phase = float(np.angle(v01) - np.angle(v00))
+    return phase, phase
 
 
 def synthesize_gate(theta: float, lam: float, mu: float, delta: float,
@@ -329,21 +349,23 @@ def reconstruct_submatrix(spectra: dict, lattice: FrequencyLattice,
     an inferred cosine exceeds 1 beyond tol.
     """
     tol = 1e-6
-    bin0, bin1, i_0, i_pi, i_q1, i_q3 = _probe_rows(spectra, lattice, computational_bins)
-    col0 = np.sqrt(np.maximum(bin0, 0.0))
-    mag1 = np.sqrt(np.maximum(bin1, 0.0))
-    v = np.array([[col0[0], mag1[0]], [col0[1], mag1[1]]], dtype=complex)
-    for m in (0, 1):
-        if col0[m] < tol:
+    rows = []
+    for m, (bin0, bin1, i_0, i_pi, i_q1, i_q3) in enumerate(
+            _probe_rows(spectra, lattice, computational_bins).T.tolist()):
+        # negative powers clip to +0.0 and NaN stays, as with np.maximum
+        col0 = math.sqrt(0.0 if bin0 <= 0.0 else bin0)
+        mag1 = math.sqrt(0.0 if bin1 <= 0.0 else bin1)
+        if col0 < tol:
+            rows.append([col0, mag1])
             continue
-        re = (i_0[m] - i_pi[m]) / (2.0 * col0[m])
-        if abs(re) > mag1[m] + 10.0 * np.sqrt(tol):
+        re = (i_0 - i_pi) / (2.0 * col0)
+        if abs(re) > mag1 + 10.0 * math.sqrt(tol):
             raise ReconstructionFailureError(
                 f"row {m}: inferred cosine exceeds 1 "
-                f"(|Re| = {abs(re):.3g} > |V| = {mag1[m]:.3g})")
-        im = -(i_q1[m] - i_q3[m]) / (2.0 * col0[m])
-        v[m, 1] = re + 1j * im
-    return v
+                f"(|Re| = {abs(re):.3g} > |V| = {mag1:.3g})")
+        im = -(i_q1 - i_q3) / (2.0 * col0)
+        rows.append([col0, re + 1j * im])
+    return np.array(rows, dtype=complex)
 
 
 def reconstruction_residual(v: np.ndarray, spectra: dict, lattice: FrequencyLattice,

@@ -83,7 +83,9 @@ def test_a_traced_gate_op_runs_through_the_wrappers():
     # the gate is composed once; the probe spectra compose only the pair's
     # columns, and intrinsic_phases composes nothing
     assert calls["qfp.compose_qfp"] == 1
-    assert calls["rings.ws_operator"] == 2
+    # the setting's diagonals are built once and shared by compose_qfp and
+    # the probe spectra, so the WS diagonal is built once
+    assert calls["rings.ws_operator"] == 1
     assert tracer.counts["qfp.compose_qfp.distinct"] == 1
     assert tracer.counts["qfp.brentq.nfev"] > 0
     # what depends on the depth alone is cached, so a second gate op at

@@ -1,4 +1,3 @@
-from types import SimpleNamespace
 from unittest.mock import patch
 
 import numpy as np
@@ -12,7 +11,7 @@ from qfpsim.eom import (BESSEL_MAX_ARGUMENT, TRUNCATION_POWER_TOL, RfDrive, _pha
                         bessel_row, eom_operator, truncation_order, unitarity_deficit)
 from qfpsim.errors import InvalidArgumentError
 from qfpsim.lattice import make_lattice
-from qfpsim.qfp import _bessel_sums, compose_qfp
+from qfpsim.qfp import ProcessorConfig, _bessel_sums, compose_qfp
 
 SQRT_TINY = np.sqrt(np.finfo(float).tiny)
 EPS = np.finfo(float).eps
@@ -240,12 +239,13 @@ def test_toeplitz_stores_bessel_values_below_sqrt_tiny_as_zero(depth, half_width
     assert np.array_equal(stored[~small], exact[~small])
     assert not stored[small].any()
     assert not (np.abs(stored[stored != 0.0]) < SQRT_TINY).any()
-    # the window rule guards the 2x2 block, not M, so a config without it
-    # composes the whole window at any depth
+    # the window rule guards the 2x2 block, not M, so a setting built
+    # without it composes the whole window at any depth
     rng = np.random.default_rng(seed)
-    config = SimpleNamespace(in_drive=RfDrive(depth, rng.uniform(-np.pi, np.pi)),
-                             out_drive=RfDrive(depth, rng.uniform(-np.pi, np.pi)),
-                             ws_phases=tuple(rng.uniform(-np.pi, np.pi, n)), lattice=lat)
+    with patch.object(qfp, "check_window_margin", lambda *args: None):
+        config = ProcessorConfig(RfDrive(depth, rng.uniform(-np.pi, np.pi)),
+                                 RfDrive(depth, rng.uniform(-np.pi, np.pi)),
+                                 tuple(rng.uniform(-np.pi, np.pi, n)), lat, (0, 1))
     stored_m = compose_qfp(config).entries
     with patch.object(qfp, "_toeplitz", lambda d, size: exact):
         exact_m = compose_qfp(config).entries

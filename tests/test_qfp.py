@@ -8,7 +8,7 @@ from qfpsim.errors import (InvalidArgumentError, OutOfRangeError,
                            ReconstructionFailureError, UndefinedFidelityError)
 from qfpsim.lattice import make_lattice
 from qfpsim.qfp import (MIN_GATE_FIDELITY, QUADRATURE_GAMMAS, ProcessorConfig,
-                        _beamsplitter_block, _composed_columns, _probe_table,
+                        _block_entries, _composed_columns, _probe_table,
                         alpha_for_theta,
                         beamsplitter_config, beamsplitter_spectra, compose_qfp, fidelity,
                         gauge_distance, intrinsic_phases, jbar, pair_block,
@@ -184,7 +184,8 @@ def test_closed_form_block_matches_the_composed_beamsplitter(delta, alpha, data)
     lat = make_lattice(193.7e12, 25e9, half_width)
     bins = (b0, b0 + 1)
     v = submatrix(compose_qfp(beamsplitter_config(alpha, delta, lat, bins)), bins)
-    block = _beamsplitter_block(alpha, delta)
+    v00, v01, v11 = _block_entries(alpha, delta)
+    block = np.array([[v00, v01], [v01, v11]])
     assert np.abs(block - v).max() < 1e-13
     # an entry good to ~2e-16 has its phase good to ~2e-16 / |entry|, and the
     # phases are read against V_00, which vanishes at alpha = pi on a zero of J_0
@@ -381,3 +382,54 @@ def test_composed_columns_are_the_columns_of_the_composed_operator(lat):
         for idx in (pair, [lat.index_of(-3)]):
             assert np.abs(_composed_columns(cfg, idx) - full[:, idx]).max() <= 1e-15
         assert np.abs(pair_block(cfg) - submatrix(compose_qfp(cfg), BINS)).max() <= 1e-15
+
+
+EPS = np.finfo(float).eps
+
+
+def _setting_outputs(cfg):
+    """Everything a setting composes, through each entry point of the kernel."""
+    b0, b1 = cfg.computational_bins
+    probe = {b0: np.sqrt(0.5), b1: 1j * np.sqrt(0.5)}
+    spectra = beamsplitter_spectra(cfg)
+    return ([compose_qfp(cfg).entries, pair_block(cfg), simulate_output_spectrum(cfg, probe)]
+            + [spectra[k] for k in _probe_table(QUADRATURE_GAMMAS)[0]])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(0.0, 4.0), st.floats(0.0, 4.0), st.data())
+def test_a_setting_builds_its_diagonals_once_and_composes_as_a_fresh_one(
+        depth_in, depth_out, data):
+    # a window that meets the margin of the larger depth, any adjacent pair inside it
+    margin = max(truncation_order(depth_in), truncation_order(depth_out), 1)
+    half_width = data.draw(st.integers(margin + 1, margin + 8))
+    b0 = data.draw(st.integers(margin - half_width, half_width - margin - 1))
+    lat = make_lattice(193.7e12, 25e9, half_width)
+    phase = st.floats(-np.pi, np.pi)
+
+    def draw_setting():
+        ws = data.draw(st.lists(phase, min_size=lat.size, max_size=lat.size))
+        return ProcessorConfig(RfDrive(depth_in, data.draw(phase)),
+                               RfDrive(depth_out, data.draw(phase)),
+                               tuple(ws), lat, (b0, b0 + 1))
+
+    cfg, other = draw_setting(), draw_setting()
+    first = _setting_outputs(cfg)
+    diagonals = cfg._diagonals
+    assert cfg._diagonals is diagonals
+    assert not any(d.flags.writeable for d in diagonals)
+    _setting_outputs(other)
+    fresh = ProcessorConfig(cfg.in_drive, cfg.out_drive, cfg.ws_phases, lat,
+                            cfg.computational_bins)
+    assert fresh == cfg and hash(fresh) == hash(cfg)
+    # bit for bit: again from the kept diagonals, and from a setting that builds its own
+    for outputs in (_setting_outputs(cfg), _setting_outputs(fresh)):
+        assert [a.tobytes() for a in outputs] == [a.tobytes() for a in first]
+    # the vdot sums of the 2x2 figures against the trace forms; both are at most 1
+    v = first[1]
+    target = target_unitary(*(data.draw(phase) for _ in range(3)))
+    p_trace = 0.5 * np.trace(v.conj().T @ v).real
+    assert abs(success_probability(v) - p_trace) <= 4 * EPS
+    if p_trace > 0.0:
+        f_trace = abs(np.trace(v.conj().T @ target)) ** 2 / (4.0 * p_trace)
+        assert abs(fidelity(v, target) - f_trace) <= 4 * EPS

@@ -34,7 +34,10 @@ matrix stores its Bessel values below sqrt(tiny) as 0; and ``spectrum``
 at the two ends of the Bessel rows' range, at the subnormal depth 5e-324
 (x / 2 underflows to 0) and at depth 50 on a 161-bin window, whose
 79 bins beside the pair leave room for that depth's truncation order of
-72: 36 cases.  For
+72; and two gates whose intrinsic phases are read off near-zero entries,
+``gate`` at theta 0 (alpha = 2 pi, where V_01 is at rounding level) and
+at theta 1e-7 with lam 2.5 and mu -3 (near the identity, on the root
+finder's branch), where a signed zero could flip a phase: 38 cases.  For
 each output file the report says "identical", or gives the largest
 absolute and relative difference of the numbers in it (CSV cells and
 JSON values); a relative difference is taken against at least eps times
@@ -99,7 +102,9 @@ CASES = ([(command, "{}", ("--seed", seed)) for seed in ("0", "3") for command i
             ("gate", '{"constants": {"half_width": 256, "depth": 1.0}}', ("--seed", "0")),
             ("spectrum", '{"constants": {"half_width": 256, "depth": 1.0}}', ("--seed", "0")),
             ("spectrum", '{"constants": {"depth": 5e-324}}', ("--seed", "0")),
-            ("spectrum", '{"constants": {"half_width": 80, "depth": 50.0}}', ("--seed", "0"))])
+            ("spectrum", '{"constants": {"half_width": 80, "depth": 50.0}}', ("--seed", "0")),
+            ("gate", '{"theta": 0.0}', ("--seed", "0")),
+            ("gate", '{"theta": 1e-7, "lam": 2.5, "mu": -3.0}', ("--seed", "0"))])
 
 
 def run_case(src: Path, case: tuple, work: Path):
