@@ -2,16 +2,14 @@
 
 Importing ``scipy.optimize`` takes longer than numpy and the rest of a
 cold command together, so qfpsim carries its own three solvers.  Each
-keeps the name, the call form and the stopping rules of the ``scipy``
-function that it replaces, and takes its objective first:
+keeps the name and the call form of the ``scipy`` function that it
+replaces, and takes its objective first:
 
 - ``brentq``: Brent's root finder (Brent, *Algorithms for Minimization
   without Derivatives*, 1973, ch. 4), ported line for line from scipy's
   ``brentq.c``, so it returns scipy's root bit for bit;
-- ``curve_fit``: Levenberg-Marquardt on the weighted residual with the
-  caller's Jacobian, in MINPACK's trust region with its scaling and
-  stopping tests, so it makes scipy's evaluations, and scipy's
-  covariance rule;
+- ``curve_fit``: Gauss-Newton on the weighted residual with the caller's
+  Jacobian, damped only where its step fails, and scipy's covariance rule;
 - ``minimize``: dense BFGS with a strong-Wolfe line search (Nocedal and
   Wright, *Numerical Optimization*, 2nd ed., ch. 3 and 6) on an
   objective that returns its value and gradient, stopped by L-BFGS-B's
@@ -26,9 +24,6 @@ from types import SimpleNamespace
 import numpy as np
 
 _EPS = float(np.finfo(float).eps)
-# MINPACK's default tolerances on the relative reduction of the sum of
-# squares and the relative step
-_LSQ_TOL = math.sqrt(_EPS)
 
 
 def _sign(value):
@@ -97,152 +92,70 @@ def brentq(f, a, b, args=(), xtol=2e-12, rtol=4.0 * _EPS, maxiter=100):
     raise RuntimeError(f"brentq failed to converge after {maxiter} iterations, value is {xcur}")
 
 
-def _lm_step(w, b, delta):
-    """MINPACK's lmpar on the eigendecomposition V diag(w) V^T of the scaled
-    normal matrix D^-1 J^T J D^-1, with b = V^T D^-1 J^T r: the Levenberg-
-    Marquardt parameter par >= 0 and the scaled step's coordinates along V,
-    -b / (w + par), whose norm is within a tenth of delta.  par = 0, the
-    Gauss-Newton step, when its norm is at most 1.1 delta; that step drops
-    the directions whose w is at rounding level, eps n max(w).
-
-    par solves 1/delta = 1/|z(par)| by Newton's method, which after its
-    first step approaches the root from above (Moré, Lecture Notes in
-    Mathematics 630, 1978).
-    """
-    coords = np.zeros_like(b)
-    kept = w > _EPS * w.size * w[-1]
-    w, b = w[kept], b[kept]
-    coords[kept] = -b / w
-    norm, par = math.sqrt(float(coords @ coords)), 0.0
-    if norm <= 1.1 * delta:
-        return par, coords
-    b2 = b * b
-    for _ in range(10):
-        slope = -float(np.sum(b2 / (w + par) ** 3)) / norm  # d|z| / d par
-        if not slope < 0.0:
-            break
-        par = max(par - (1.0 / delta - 1.0 / norm) * norm * norm / slope, 0.0)
-        coords[kept] = -b / (w + par)
-        norm = math.sqrt(float(coords @ coords))
-        if abs(norm - delta) <= 0.1 * delta:
-            break
-    return par, coords
-
-
 def curve_fit(f, xdata, ydata, p0, *, jac, sigma=None, absolute_sigma=False, maxfev):
-    """Least-squares parameters of f(xdata, *p) to ydata, and their
-    covariance, as scipy's ``curve_fit`` with a callable ``jac`` returns them.
-
-    Minimizes |r|^2, r = (f(xdata, *p) - ydata) / sigma, from p0 by
-    MINPACK's lmder (Moré, Garbow and Hillstrom, ANL-80-74, 1980), with
-    jac(xdata, *p) the Jacobian of f: a trust region of radius delta in the
-    parameters scaled by D, the largest column norms of J so far, whose
-    step is the Gauss-Newton step or a Levenberg-Marquardt step of scaled
-    length delta (_lm_step, from the eigendecomposition of the scaled
-    normal matrix in place of MINPACK's pivoted QR).  It stops, as lmder
-    with scipy's defaults, when the actual and the predicted relative
-    reductions of |r|^2 are both at most sqrt(eps), when delta is at most
-    sqrt(eps) of |D p|, or where r or its gradient is 0.
-
-    The covariance is scipy's rule: the pseudo-inverse (J^T J)^+ from the
-    SVD of the weighted Jacobian last taken, as scipy's is from MINPACK's
-    last Jacobian, scaled by the residual variance |r|^2 / (m - n) unless
-    ``absolute_sigma``.  Raises RuntimeError when the fit makes ``maxfev``
-    evaluations of f without converging, when rounding stops it first, or
-    when the parameters or their covariance are not finite: a singular
-    value of J at or below scipy's cut-off, eps max(m, n) s_max, is a
-    direction that the data do not fix, whose variance is infinite.
-    """
-    xdata = np.asarray(xdata, dtype=float)
-    ydata = np.asarray(ydata, dtype=float)
-    weight = None if sigma is None else 1.0 / np.asarray(sigma, dtype=float)
+    """Least-squares p of f(xdata, *p) to ydata, and ``_covariance`` at p, in
+    the call form of scipy's ``curve_fit``.  Gauss-Newton steps on r =
+    (f(xdata, *p) - ydata) / sigma, min |J h + r| by ``lstsq``, each taken if
+    it lowers |r|^2 by a quarter of what its linear model predicts; a failed
+    step is damped to [J; sqrt(mu) D] h = [-r; 0], D the column norms of J
+    (Marquardt, J. SIAM 11, 431, 1963), mu doubling per failure and halving
+    after a damped step is taken.  Converged when the Gauss-Newton step
+    predicts at most 1e-10 |r|^2, a step taken gained at most sqrt(eps)
+    |r|^2, or a failed step is at rounding level (eps |r|^2, 1e-12 |D p|).
+    RuntimeError after ``maxfev`` evaluations, or where r(p0), J or the
+    covariance is not finite."""
+    xdata, ydata = np.asarray(xdata, dtype=float), np.asarray(ydata, dtype=float)
+    weight = np.ones_like(ydata) if sigma is None else 1.0 / np.asarray(sigma, dtype=float)
 
     def residual(p):
-        r = np.asarray(f(xdata, *p), dtype=float) - ydata
-        return r if weight is None else weight * r
+        return weight * (np.asarray(f(xdata, *p), dtype=float) - ydata)
 
     def jacobian(p):
-        j = np.asarray(jac(xdata, *p), dtype=float)
-        return j if weight is None else weight[:, None] * j
+        j = weight[:, None] * np.asarray(jac(xdata, *p), dtype=float)
+        if not np.all(np.isfinite(j)):
+            raise RuntimeError("the Jacobian is not finite")
+        return j
 
     p = np.array(p0, dtype=float)
     r = residual(p)
-    fnorm, nfev, first, converged, j = math.sqrt(float(r @ r)), 1, True, False, None
-    if not math.isfinite(fnorm):
+    cost, nfev, mu = float(r @ r), 1, 1e-2
+    if not math.isfinite(cost):
         raise RuntimeError("the residual at p0 is not finite")
-    while not converged and fnorm > 0.0:
-        j = jacobian(p)
-        hess, grad = j.T @ j, j.T @ r
-        if not grad.any():  # r is stationary: MINPACK's zero cosine test
+    j = jacobian(p)
+    while cost > 0.0:
+        step = np.linalg.lstsq(j, -r, rcond=None)[0]
+        if float(np.sum((j @ step) ** 2)) <= 1e-10 * cost:
             break
-        col_norms = np.sqrt(hess.diagonal())
-        if first:
-            diag = np.where(col_norms > 0.0, col_norms, 1.0)
-            xnorm = math.sqrt(float((diag * p) @ (diag * p)))
-            delta = 100.0 * xnorm or 100.0
-        diag = np.maximum(diag, col_norms)
-        try:
-            gauss_newton = np.linalg.solve(hess, -grad)
-            gn_norm = math.sqrt(float((diag * gauss_newton) @ (diag * gauss_newton)))
-        except np.linalg.LinAlgError:  # singular: _lm_step's step drops a direction
-            gauss_newton = None
-        eigen = None
-        ratio = 0.0
-        while ratio < 1e-4:  # until a step lowers |r|
-            if gauss_newton is not None and gn_norm <= 1.1 * delta:
-                par, step, pnorm = 0.0, gauss_newton, gn_norm
-                fitted = -float(grad @ step)  # |J h|^2 for the Gauss-Newton h
-            else:
-                if eigen is None:  # the scaled normal matrix, once per Jacobian
-                    w, v = np.linalg.eigh(hess / np.outer(diag, diag))
-                    eigen = w, (grad / diag) @ v, v
-                w, b, v = eigen
-                par, coords = _lm_step(w, b, delta)
-                step = (v @ coords) / diag
-                pnorm = math.sqrt(float(coords @ coords))
-                fitted = float(np.maximum(w, 0.0) @ (coords * coords))
-            if first:
-                delta = min(delta, pnorm)
-            trial = p + step
-            r_trial = residual(trial)
-            nfev += 1
-            fnorm1 = math.sqrt(float(r_trial @ r_trial))
-            # relative reductions of |r|^2, actual and predicted by the linear model
-            actred = 1.0 - (fnorm1 / fnorm) ** 2 if 0.1 * fnorm1 < fnorm else -1.0
-            temp1 = math.sqrt(max(fitted, 0.0)) / fnorm
-            temp2 = math.sqrt(par) * pnorm / fnorm
-            prered = temp1 * temp1 + 2.0 * temp2 * temp2
-            dirder = -(temp1 * temp1 + temp2 * temp2)
-            ratio = actred / prered if prered != 0.0 else 0.0
-            if ratio <= 0.25:
-                temp = 0.5 if actred >= 0.0 else 0.5 * dirder / (dirder + 0.5 * actred)
-                if 0.1 * fnorm1 >= fnorm or temp < 0.1:
-                    temp = 0.1
-                delta = temp * min(delta, pnorm / 0.1)
-            elif par == 0.0 or ratio >= 0.75:
-                delta = pnorm / 0.5
-            if ratio >= 1e-4:
-                p, r, fnorm, first = trial, r_trial, fnorm1, False
-                xnorm = math.sqrt(float((diag * p) @ (diag * p)))
-            if ((abs(actred) <= _LSQ_TOL and prered <= _LSQ_TOL and ratio <= 2.0)
-                    or delta <= _LSQ_TOL * xnorm):
-                converged = True
-                break
+        damping = 0.0  # the mu of the step tried
+        while True:
             if nfev >= maxfev:
                 raise RuntimeError(f"no convergence within maxfev = {maxfev} evaluations")
-            if ((abs(actred) <= _EPS and prered <= _EPS and ratio <= 2.0)
-                    or delta <= _EPS * xnorm):
-                raise RuntimeError("rounding stops any further reduction of the residual")
-    j = jacobian(p) if j is None else j
-    return p, _covariance(j, fnorm * fnorm, p.size, absolute_sigma)
+            fitted = j @ step
+            predicted = -float(fitted @ (2.0 * r + fitted))  # by the linear model
+            trial = p + step
+            r_trial = residual(trial)
+            cost_trial, nfev = float(r_trial @ r_trial), nfev + 1
+            if cost_trial < cost and cost - cost_trial >= 0.25 * predicted:
+                break
+            scale = np.linalg.norm(j, axis=0)
+            if (predicted <= _EPS * cost
+                    or np.linalg.norm(scale * step) <= 1e-12 * np.linalg.norm(scale * p)):
+                return p, _covariance(j, cost, p.size, absolute_sigma)
+            damping = 2.0 * damping if damping else mu
+            step = np.linalg.lstsq(np.vstack((j, math.sqrt(damping) * np.diag(scale))),
+                                   np.concatenate((-r, np.zeros(p.size))), rcond=None)[0]
+        mu = damping / 2.0 if damping else mu
+        reduction = cost - cost_trial
+        p, r, cost, j = trial, r_trial, cost_trial, jacobian(trial)
+        if reduction <= math.sqrt(_EPS) * (cost + reduction):
+            break
+    return p, _covariance(j, cost, p.size, absolute_sigma)
 
 
 def _covariance(j, cost, n, absolute_sigma):
     """scipy's curve_fit covariance: (J^T J)^+ from the SVD of J, times
     |r|^2 / (m - n) unless absolute_sigma; RuntimeError where not finite."""
     m = len(j)
-    if not np.all(np.isfinite(j)):
-        raise RuntimeError("the Jacobian is not finite")
     _, s, vt = np.linalg.svd(j, full_matrices=False)
     if not (s.size == n and s[-1] > _EPS * max(m, n) * s[0]):
         raise RuntimeError("covariance of the parameters could not be estimated")

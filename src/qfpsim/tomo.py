@@ -118,22 +118,28 @@ class VisibilityFit:
 
     @property
     def violates_classical_bound(self) -> bool:
-        return self.visibility > 1.0 / np.sqrt(2.0)
+        """V exceeds the classical bound 1/sqrt(2) by more than three sigma."""
+        return self.visibility - 3.0 * self.visibility_sigma > 1.0 / np.sqrt(2.0)
 
 
 def fit_visibility(phis, counts) -> VisibilityFit:
     """Fit a two-photon interference fringe and report V with uncertainty.
 
-    Each point is weighted by its shot noise sqrt(max(counts, 1)).
-    Requires at least five phase points; raises FitFailureError when the
-    fringe is flat to rounding (``_FLAT_FRINGE_RTOL``), or the optimizer
-    cannot converge or the covariance is not finite (a flat fringe leaves
-    the phase, and so V's uncertainty, undetermined).
+    Each point is weighted by its shot noise sqrt(max(counts, 1)).  The
+    model b (1 + v cos(x + chi)) is linear in (b, b v cos chi, b v sin chi),
+    so its weighted linear least squares is the optimum, which the
+    nonlinear fit confirms and gives the covariance of.  Requires at least
+    five phase points; raises FitFailureError when the fringe is flat to
+    rounding (``_FLAT_FRINGE_RTOL``), has a zero constant term or no first
+    harmonic above rounding, or when the fit cannot converge or the
+    covariance is not finite (a flat fringe leaves the phase, and so V's
+    uncertainty, undetermined).
     """
     phis = np.asarray(phis, dtype=float)
     counts = np.asarray(counts, dtype=float)
-    if phis.shape != counts.shape or phis.size < 5:
-        raise InvalidArgumentError("need matching arrays with >= 5 fringe points")
+    if (phis.shape != counts.shape or phis.size < 5
+            or not (np.all(np.isfinite(phis)) and np.all(np.isfinite(counts)))):
+        raise InvalidArgumentError("need matching finite arrays with >= 5 fringe points")
     if np.ptp(counts) <= _FLAT_FRINGE_RTOL * np.abs(counts).max():
         raise FitFailureError("fringe fit failed: the fringe is flat, so its phase is "
                               "undetermined")
@@ -147,12 +153,15 @@ def fit_visibility(phis, counts) -> VisibilityFit:
         c = np.cos(x + chi)
         return np.column_stack((1.0 + v * c, b * c, -b * v * np.sin(x + chi)))
 
-    b0 = float(np.mean(counts))
-    spread = (counts.max() - counts.min()) / (2.0 * b0) if b0 > 0 else 0.5
-    chi0 = float(-phis[np.argmax(counts)])
+    design = np.column_stack((np.ones_like(phis), np.cos(phis), -np.sin(phis))) / sigma[:, None]
+    b, bv_cos, bv_sin = np.linalg.lstsq(design, counts / sigma, rcond=None)[0]
+    bv = float(np.hypot(bv_cos, bv_sin))
+    if b == 0.0 or not bv > _FLAT_FRINGE_RTOL * abs(b):
+        raise FitFailureError("fringe fit failed: the fringe has a zero constant term or no "
+                              "first harmonic above rounding")
     try:
-        popt, pcov = curve_fit(model, phis, counts, sigma=sigma, jac=jac,
-                               absolute_sigma=True, p0=[b0, min(spread, 0.99), chi0],
+        popt, pcov = curve_fit(model, phis, counts, sigma=sigma, jac=jac, absolute_sigma=True,
+                               p0=[b, bv / b, float(np.arctan2(bv_sin, bv_cos))],
                                maxfev=20000)
     except RuntimeError as exc:  # no convergence, or a covariance that is not finite
         raise FitFailureError(f"fringe fit failed: {exc}") from exc

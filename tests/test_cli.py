@@ -162,6 +162,18 @@ def test_tomography_expected_value(tmp_path):
         assert (out / name).exists()
 
 
+@pytest.mark.parametrize("fringe_shots, claimed", [(1, False), (2e5, True)])
+def test_tomography_claims_a_violation_only_three_sigma_above_the_bound(tmp_path, fringe_shots,
+                                                                        claimed):
+    # one shot per fringe point fixes nothing: V = 2 with sigma 10.6
+    cfg = _write_cfg(tmp_path, {"fringe_shots": fringe_shots})
+    out = tmp_path / "out"
+    assert _run("tomography", cfg, out, "--seed", "0") == 0
+    summary = json.loads((out / "tomography_summary.json").read_text())
+    assert summary["violates_classical_bound"] is claimed
+    assert claimed == (summary["visibility"] - 3.0 * summary["visibility_sigma"] > 0.5**0.5)
+
+
 def test_calibrate_command(tmp_path):
     cfg = _write_cfg(tmp_path, {"planted_detunings": [0.25, -0.1]})
     out = tmp_path / "out"

@@ -143,6 +143,14 @@ def test_fit_visibility_raises_on_a_flat_fringe():
             fit_visibility(phis, counts)
 
 
+def test_fit_visibility_raises_without_a_first_harmonic():
+    # a pure second harmonic: the linear start has no first harmonic above
+    # rounding, so V and the phase are undetermined
+    phis = np.linspace(0, 2 * np.pi, 16, endpoint=False)
+    with pytest.raises(FitFailureError, match="no first harmonic"):
+        fit_visibility(phis, 100.0 * (1.0 + 0.5 * np.cos(2.0 * phis)))
+
+
 def test_fit_visibility_sigma_is_finite_on_noiseless_fringe_at_zero_phase():
     phis = np.linspace(0, 2 * np.pi, 13)
     counts = 1e5 * (1.0 + 0.93 * np.cos(phis))

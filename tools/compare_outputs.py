@@ -16,10 +16,12 @@ shots), with 1e6 shots (where the fit runs all its random restarts) and
 with one shot at ``--seed 3`` (every count 0, so the fit starts from
 I/4), two failing runs,
 ``gate`` with a mistyped ``theta`` (exit 2) and ``calibrate`` with a
-phase-curve fit that fails (exit 3), and four runs with a noisy, long
+phase-curve fit that fails (exit 3), and five runs with a noisy, long
 or many-pair fit: ``calibrate`` with ``noise_sigma`` 0.01, on the
 default sweep and on 1000 points, where the phase-curve grid search is
-largest, ``qwalk`` with 16 pairs on a 49-bin window, and ``qwalk`` with
+largest, ``calibrate`` with ``noise_sigma`` 1.0, where the noise
+dominates the phase curve and the fit's stopping rules decide where it
+ends, ``qwalk`` with 16 pairs on a 49-bin window, and ``qwalk`` with
 32 pairs on an 81-bin window and planted phases drawn over +-pi, where
 the lifted design of the phase retrieval is large; and ``gate`` and
 ``spectrum`` at depth 2 on a 129-bin window, where the composed
@@ -37,7 +39,7 @@ at the two ends of the Bessel rows' range, at the subnormal depth 5e-324
 72; and two gates whose intrinsic phases are read off near-zero entries,
 ``gate`` at theta 0 (alpha = 2 pi, where V_01 is at rounding level) and
 at theta 1e-7 with lam 2.5 and mu -3 (near the identity, on the root
-finder's branch), where a signed zero could flip a phase: 38 cases.  For
+finder's branch), where a signed zero could flip a phase: 39 cases.  For
 each output file the report says "identical", or gives the largest
 absolute and relative difference of the numbers in it (CSV cells and
 JSON values); a relative difference is taken against at least eps times
@@ -85,6 +87,7 @@ CASES = ([(command, "{}", ("--seed", seed)) for seed in ("0", "3") for command i
             ("calibrate", '{"power_2pi": 1e200}', ("--seed", "0")),
             ("calibrate", '{"noise_sigma": 0.01}', ("--seed", "0")),
             ("calibrate", '{"sweep_points": 1000, "noise_sigma": 0.01}', ("--seed", "0")),
+            ("calibrate", '{"noise_sigma": 1.0}', ("--seed", "0")),
             ("qwalk", '{"num_pairs": 16, "constants": {"half_width": 24}}', ("--seed", "0")),
             ("qwalk", json.dumps({"num_pairs": 32, "constants": {"half_width": 40},
                                   "planted_phases": _FAR_PHASES}), ("--seed", "0")),
