@@ -121,29 +121,29 @@ def _lattice_from(constants: dict):
 
 
 def cmd_beamsplitter(cfg: dict, rng) -> dict:
+    if not np.isfinite(cfg["alpha_max"] - cfg["alpha_min"]):  # linspace would overflow
+        raise InvalidArgumentError("the span alpha_max - alpha_min overflows")
     lat = _lattice_from(cfg["constants"])
     bins = tuple(cfg["computational_bins"])
     delta = cfg["constants"]["depth"]
     alphas = np.linspace(cfg["alpha_min"], cfg["alpha_max"], cfg["alpha_points"])
-    rows, min_p = [], np.inf
-    r_cf, t_cf = rt_closed_form(alphas, delta)
-    for alpha, r, t in zip(alphas, r_cf.tolist(), t_cf.tolist()):
-        v = pair_block(beamsplitter_config(alpha, delta, lat, bins))
-        p = success_probability(v)
-        denom = abs(v[0, 0]) ** 2 + abs(v[0, 1]) ** 2
-        tgt_theta = 2 * np.arcsin(np.sqrt(abs(v[0, 1]) ** 2 / denom))
-        f = fidelity(v, target_unitary(tgt_theta, 0.0, 0.0))
-        min_p = min(min_p, p)
-        rows.append([float(alpha), r, t,
-                     float(abs(v[0, 0]) ** 2), float(abs(v[0, 1]) ** 2), p, f])
+    # M is linear in the WS diagonal, whose entries are 1 or e^{i alpha}, so the
+    # block is affine in e^{i alpha} and two settings give it at every alpha
+    v0, v_pi = (pair_block(beamsplitter_config(a, delta, lat, bins)) for a in (0.0, np.pi))
+    blocks = (v0 + v_pi) / 2 + np.exp(1j * alphas)[:, None, None] * ((v0 - v_pi) / 2)
+    r_mat, t_mat = np.abs(blocks[:, 0, 0]) ** 2, np.abs(blocks[:, 0, 1]) ** 2
+    thetas = 2 * np.arcsin(np.sqrt(t_mat / (r_mat + t_mat)))
+    p = [success_probability(v) for v in blocks]
+    f = [fidelity(v, target_unitary(theta, 0.0, 0.0)) for v, theta in zip(blocks, thetas)]
+    columns = (alphas, *rt_closed_form(alphas, delta), r_mat, t_mat)
     r_pi, t_pi = rt_closed_form(np.pi, delta)
     return {
         "beamsplitter.csv": (["alpha", "R_closed_form", "T_closed_form",
                               "R_matrix", "T_matrix", "success_probability", "fidelity"],
-                             rows),
+                             list(zip(*(c.tolist() for c in columns), p, f))),
         "beamsplitter_summary.json": {
             "depth": delta, "R_at_pi": r_pi, "T_at_pi": t_pi,
-            "min_success_probability": float(min_p), "alpha_points": int(len(alphas))},
+            "min_success_probability": min(p), "alpha_points": len(alphas)},
     }
 
 

@@ -1,6 +1,7 @@
 """End-to-end checks of the reproduction command line."""
 
 import csv
+import importlib.util
 import json
 import math
 import os
@@ -18,7 +19,10 @@ from hypothesis import strategies as st
 import qfpsim
 from qfpsim import cli, errors
 from qfpsim.cli import main
-from qfpsim.qfp import MIN_GATE_FIDELITY, rt_closed_form
+from qfpsim.eom import truncation_order
+from qfpsim.lattice import make_lattice
+from qfpsim.qfp import (MIN_GATE_FIDELITY, beamsplitter_config, fidelity, pair_block,
+                        rt_closed_form, success_probability, target_unitary)
 from qfpsim.rings import reduce_phase
 
 
@@ -54,7 +58,7 @@ def test_beamsplitter_outputs_and_anchor_row(tmp_path):
 def test_beamsplitter_sweep_takes_one_bessel_row_per_closed_form(tmp_path, monkeypatch):
     # what depends on the depth alone is sliced from one Bessel row: the
     # window rule, the closed form's sums for the whole alpha column and the
-    # summary, and both modulator matrices of every point
+    # summary, and both modulator matrices of both settings
     calls = []
     bessel_row = qfpsim.eom.bessel_row
     monkeypatch.setattr(qfpsim.eom, "bessel_row",
@@ -64,6 +68,45 @@ def test_beamsplitter_sweep_takes_one_bessel_row_per_closed_form(tmp_path, monke
         cached.cache_clear()
     assert _run("beamsplitter", _write_cfg(tmp_path, {}), tmp_path / "out") == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("alpha_points", [1, 32, 1000])
+def test_beamsplitter_sweep_composes_two_settings(tmp_path, monkeypatch, alpha_points):
+    # the block is affine in e^{i alpha}, so the settings at 0 and pi give
+    # it at every alpha, however many points the sweep has
+    settings_made = []
+    make = cli.beamsplitter_config
+    monkeypatch.setattr(cli, "beamsplitter_config",
+                        lambda *args: settings_made.append(args) or make(*args))
+    cfg = _write_cfg(tmp_path, {"alpha_points": alpha_points})
+    assert _run("beamsplitter", cfg, tmp_path / "out") == 0
+    assert len(settings_made) == 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_beamsplitter_sweep_matches_the_per_point_blocks(data):
+    # depth 0-4 on a window that meets the pair's margin or exceeds it, any
+    # adjacent pair, alpha anywhere in +-1e3: every row within 4e-15 of the
+    # figures of a block composed from that row's own setting
+    depth = data.draw(st.floats(0.0, 4.0))
+    margin = truncation_order(depth)
+    half_width = margin + 1 + data.draw(st.integers(0, 30))
+    b0 = data.draw(st.integers(margin - half_width, half_width - margin - 1))
+    constants = {**{name: f.default for name, f in cli.CONSTANTS.items()},
+                 "half_width": half_width, "depth": depth}
+    cfg = {"alpha_min": data.draw(st.floats(-1e3, 1e3)),
+           "alpha_max": data.draw(st.floats(-1e3, 1e3)),
+           "alpha_points": data.draw(st.integers(1, 40)),
+           "computational_bins": [b0, b0 + 1], "constants": constants}
+    rows = cli.cmd_beamsplitter(cfg, None)["beamsplitter.csv"][1]
+    lat = make_lattice(constants["center_frequency"], constants["bin_spacing"], half_width)
+    for alpha, _, _, r, t, p, f in rows:
+        v = pair_block(beamsplitter_config(alpha, depth, lat, (b0, b0 + 1)))
+        r_v, t_v = abs(v[0, 0]) ** 2, abs(v[0, 1]) ** 2
+        f_v = fidelity(v, target_unitary(2 * np.arcsin(np.sqrt(t_v / (r_v + t_v))), 0.0, 0.0))
+        for got, want in ((r, r_v), (t, t_v), (p, success_probability(v)), (f, f_v)):
+            assert abs(got - want) <= 4e-15, (alpha, got, want)
 
 
 def test_gate_command(tmp_path):
@@ -384,6 +427,10 @@ def test_no_command_loads_scipy(tmp_path):
     # an axis of one or two points never brackets a peak
     ("calibrate", {"scan_points": 1}, 2),
     ("calibrate", {"scan_points": 2}, 2),
+    # a span beyond the largest float: linspace made inf and NaN step phases,
+    # and the run wrote NaN rows (the CSV is not checked for finiteness)
+    ("beamsplitter", {"alpha_min": -1e308, "alpha_max": 1e308}, 2),
+    ("beamsplitter", {"alpha_min": -8e307, "alpha_max": 8e307}, 0),  # a finite span is run
 ])
 def test_config_exit_codes(tmp_path, command, config, code):
     out = tmp_path / "out"
@@ -472,19 +519,23 @@ def _reject_constant(name):
     raise AssertionError(f"non-strict JSON constant {name}")
 
 
-def _assert_exits_cleanly(command, config) -> tuple:
+def _assert_exits_cleanly(command, config, check=None) -> tuple:
     """The command exits 0, 2 or 3 and leaves no warning; on success it
-    writes strict JSON, and on failure nothing.  Returns the exit code and
-    the written JSON files as {name: value}."""
+    writes strict JSON, and on failure nothing.  On success ``check``, if
+    given, is called with the config path and the output directory.
+    Returns the exit code and the written JSON files as {name: value}."""
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
+        cfg_path = _write_cfg(Path(tmp), config)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            code = _run(command, _write_cfg(Path(tmp), config), out)
+            code = _run(command, cfg_path, out)
         assert not caught, [f"{w.category.__name__}: {w.message}" for w in caught]
         assert code in (0, 2, 3)
         if code != 0:
             assert not out.exists()
+        elif check is not None:
+            check(cfg_path, out)
         return code, {path.name: json.loads(path.read_text(), parse_constant=_reject_constant)
                       for path in out.glob("*.json")}
 
@@ -573,6 +624,25 @@ def _table_value(data, field: cli.Field):
     return [entry + offset for entry in field.default]
 
 
+ORACLE = Path(__file__).resolve().parent.parent / "perfbench" / "oracle.py"
+
+
+def _load_oracle():
+    """The benchmark's output checks, which rebuild the physics with scipy."""
+    spec = importlib.util.spec_from_file_location("perfbench_oracle", ORACLE)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _check_beamsplitter(cfg_path, out):
+    cfg = cli.load_config(cfg_path, "beamsplitter")
+    with open(out / "beamsplitter.csv", newline="") as fh:
+        table = np.array([[float(x) for x in row] for row in list(csv.reader(fh))[1:]])
+    summary = json.loads((out / "beamsplitter_summary.json").read_text())
+    _load_oracle().check_beamsplitter_output(cfg, table, summary, cfg["constants"]["depth"])
+
+
 @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
 @seed(21)
 @settings(max_examples=50, deadline=None, database=None)
@@ -587,6 +657,8 @@ def test_configs_drawn_from_the_tables_keep_the_exit_code_contract(command, data
     for name, constant in chosen:
         (config["constants"] if constant else config)[name] = _table_value(
             data, fields[name, constant])
-    code, summaries = _assert_exits_cleanly(command, config)
+    # a beamsplitter run's rows must match the oracle's closed form
+    code, summaries = _assert_exits_cleanly(
+        command, config, _check_beamsplitter if command == "beamsplitter" else None)
     if command == "gate" and code == 0:
         assert summaries["gate.json"]["fidelity"] >= MIN_GATE_FIDELITY

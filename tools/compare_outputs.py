@@ -29,17 +29,19 @@ processor is large, and ``beamsplitter`` with 8 points on that window;
 three runs with huge phases that are reduced before use, ``gate`` with
 ``mu`` 1e17, ``calibrate`` with ``phase_offset`` 1e17 and ``qwalk``
 with a planted phase of 1e17; and
-``beamsplitter`` with 200 points on a 513-bin window, where every point
-after the first reads the per-depth caches of the widest operator; and
-``gate`` and ``spectrum`` at depth 1 on that window, where the modulator
-matrix stores its Bessel values below sqrt(tiny) as 0; and ``spectrum``
+``beamsplitter`` with 200 points on a 513-bin window, the widest
+operator, whose sweep composes two settings as every sweep does;
+``beamsplitter`` from alpha -20 to 20 on 101 points, step phases far
+outside [pi, 2 pi] at which e^{i alpha} wraps round the circle; and
+``gate`` and ``spectrum`` at depth 1 on the 513-bin window, where the
+modulator matrix stores its Bessel values below sqrt(tiny) as 0; and ``spectrum``
 at the two ends of the Bessel rows' range, at the subnormal depth 5e-324
 (x / 2 underflows to 0) and at depth 50 on a 161-bin window, whose
 79 bins beside the pair leave room for that depth's truncation order of
 72; and two gates whose intrinsic phases are read off near-zero entries,
 ``gate`` at theta 0 (alpha = 2 pi, where V_01 is at rounding level) and
 at theta 1e-7 with lam 2.5 and mu -3 (near the identity, on the root
-finder's branch), where a signed zero could flip a phase: 39 cases.  For
+finder's branch), where a signed zero could flip a phase: 40 cases.  For
 each output file the report says "identical", or gives the largest
 absolute and relative difference of the numbers in it (CSV cells and
 JSON values); a relative difference is taken against at least eps times
@@ -101,6 +103,8 @@ CASES = ([(command, "{}", ("--seed", seed)) for seed in ("0", "3") for command i
             ("calibrate", '{"phase_offset": 1e17}', ("--seed", "0")),
             ("qwalk", '{"num_pairs": 2, "planted_phases": [0, 1e17]}', ("--seed", "0")),
             ("beamsplitter", '{"alpha_points": 200, "constants": {"half_width": 256}}',
+             ("--seed", "0")),
+            ("beamsplitter", '{"alpha_min": -20.0, "alpha_max": 20.0, "alpha_points": 101}',
              ("--seed", "0")),
             ("gate", '{"constants": {"half_width": 256, "depth": 1.0}}', ("--seed", "0")),
             ("spectrum", '{"constants": {"half_width": 256, "depth": 1.0}}', ("--seed", "0")),
