@@ -62,25 +62,17 @@ def _log_start_bound(k: float, ax: float) -> float:
 
 def _start_order(ax: float) -> int:
     """The first order k with (ax/2)^k / k! < _START_BOUND, for
-    2 _START_BOUND <= ax <= BESSEL_MAX_ARGUMENT.
-
-    By Stirling, k (1 + ln(ax/2k)) = -ln _START_BOUND = t, whose root is
-    k = t / W(2t / (e ax)), W the Lambert function, here its two leading
-    terms (2t / (e ax) > e in that range).  Two Newton steps on the exact
-    bound, with ln(k + 1/2) for the derivative of ln k!, land within about
-    1e-3 of its root, and the checks at the end settle the order.
-    """
-    t = -_LN_START_BOUND
-    z = math.log(2.0 * t / (math.e * ax))
-    k = t / (z - math.log(z))
-    for _ in range(2):
-        k -= (_log_start_bound(k, ax) + t) / (math.log(ax / 2.0) - math.log(k + 0.5))
-    n = math.ceil(k)
-    while _log_start_bound(n - 1, ax) < _LN_START_BOUND:
-        n -= 1
-    while _log_start_bound(n, ax) >= _LN_START_BOUND:
-        n += 1
-    return n
+    2 _START_BOUND <= ax <= BESSEL_MAX_ARGUMENT: the bound rises up to
+    k = floor(ax/2), where it is at least 1, and falls after it, so a
+    bisection between there and a doubling upper bracket finds the order."""
+    low = math.floor(ax / 2.0)
+    high = low + 1
+    while _log_start_bound(high, ax) >= _LN_START_BOUND:
+        low, high = high, 2 * high
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (low, mid) if _log_start_bound(mid, ax) < _LN_START_BOUND else (mid, high)
+    return high
 
 
 def bessel_row(max_order: int, argument: float) -> np.ndarray:

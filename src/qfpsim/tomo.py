@@ -18,13 +18,12 @@ from .eom import bessel_row
 from .rings import reduce_phase
 
 DEFAULT_MEASUREMENT_DEPTH = 0.8169
-# random starts of the MLE after the linear-inversion seed, and their seed
+# runs of the MLE after the first that may continue an uncertified one
 MLE_RESTARTS = 3
-MLE_SEED = 11
-# Frank-Wolfe gap (NLL units) below which the best start so far is taken as
-# the MLE and no further start runs
+# Frank-Wolfe gap (NLL units) at or below which a run's end is taken as the
+# MLE and no further run follows
 MLE_GAP_TOL = 0.1
-# ridge of each start's whitening, as a fraction of the Fisher information's
+# ridge of each run's whitening, as a fraction of the Fisher information's
 # mean eigenvalue: it keeps the gauge directions of A, on which the Fisher
 # information is 0, and the directions the data barely fix, at a finite scale
 _WHITEN_RIDGE = 0.1
@@ -239,10 +238,12 @@ def _quadratic_forms(pis: np.ndarray) -> np.ndarray:
 
 
 def _poisson_nll(rates, counts, shots, accidentals):
-    """Poisson negative log-likelihood of the records at the fractional
-    rates, and its derivative in each rate, (1 - counts_k/mu_k) * shots_k."""
+    """Poisson NLL of the records at the fractional rates from the saturated
+    model, sum_k mu_k - n_k + n_k log(n_k/mu_k), 0 log 0 = 0 (half the
+    deviance), and its derivative in each rate, (1 - n_k/mu_k) * shots_k."""
     mu = np.maximum(shots * rates + accidentals, 1e-12)
-    return float(np.sum(mu - counts * np.log(mu))), (1.0 - counts / mu) * shots
+    nll = np.sum(mu - counts + counts * np.log(np.maximum(counts, 1e-300) / mu))
+    return float(nll), (1.0 - counts / mu) * shots
 
 
 def _negloglike_and_drho(rho, pis, counts, shots, accidentals):
@@ -288,12 +289,12 @@ def _whitening(params, forms, shots, accidentals) -> np.ndarray:
         return np.eye(32)
 
 
-def _whitened_negloglike_and_grad(q, x0, r_inv, forms, counts, shots, accidentals):
-    """_negloglike_and_grad at p = x0 + R^-1 q, with the gradient in q,
-    R^-T grad: q = R (p - x0) is the whitened step from the start x0, so a
-    start that the minimizer does not move comes back bit for bit."""
+def _whitened_negloglike_and_grad(q, x0, r_inv, offset, forms, counts, shots, accidentals):
+    """_negloglike_and_grad at p = x0 + R^-1 q, plus ``offset``, with the
+    gradient in q, R^-T grad: q = R (p - x0) is the whitened step from the
+    start x0, so a start that the minimizer does not move comes back bit for bit."""
     nll, grad = _negloglike_and_grad(x0 + r_inv @ q, forms, counts, shots, accidentals)
-    return nll, grad @ r_inv
+    return nll + offset, grad @ r_inv
 
 
 def mle_reconstruct(records: list) -> np.ndarray:
@@ -304,23 +305,24 @@ def mle_reconstruct(records: list) -> np.ndarray:
     record's rate Tr(rho Pi_k) is then a ratio of real quadratic forms,
     p Q_k p / p p, built once per call (_quadratic_forms), so an evaluation
     of the likelihood and its gradient is one real product.  The Poisson
-    log-likelihood is maximized by BFGS using the analytic gradient,
-    from the linear-inversion seed U diag(w) U^dag as A = U diag(sqrt(w))
-    U^dag (w floored at 1e-9, then scaled to unit sum) and then
-    MLE_RESTARTS random starts.  The floor keeps the seed's A full rank:
-    the gradient is A times a matrix, so u A = 0 gives u grad = 0 and A
-    could never gain rank.
-    Each start x0 runs in whitened parameters q = R (p - x0), R from the
-    Fisher information at x0 (_whitening), so that BFGS starts on a
-    nearly round problem and needs fewer iterations (Nocedal and Wright,
+    log-likelihood is maximized by BFGS using the analytic gradient, from
+    the linear-inversion seed U diag(w) U^dag as A = U diag(sqrt(w)) U^dag
+    (w floored at 1e-9, then scaled to unit sum).  The floor keeps the
+    seed's A full rank: the gradient is A times a matrix, so u A = 0 gives
+    u grad = 0 and A could never gain rank.
+    Each run from a start x0 is on whitened parameters q = R (p - x0), R
+    from the Fisher information at x0 (_whitening), so that BFGS starts on
+    a nearly round problem and needs fewer iterations (Nocedal and Wright,
     Numerical Optimization, 2nd ed., ch. 6-7); the ridge _WHITEN_RIDGE keeps
     R invertible on the directions the likelihood does not fix.
-    Each start's result is certified by its Frank-Wolfe gap
+    Each run's end is certified by its Frank-Wolfe gap
     Tr(D rho) - lambda_min(D), D the NLL's gradient in rho: the NLL is
-    convex in rho, so f(rho) <= f* + gap (Jaggi, ICML 2013), and the starts
-    stop once a gap is at most MLE_GAP_TOL.  The best result so far is
-    returned, since f(best) <= f(rho) certifies it as well; if no start
-    certifies, the best of all is returned.
+    convex in rho, so f(rho) <= f* + gap (Jaggi, ICML 2013).  The first run
+    minimizes the full NLL, _poisson_nll + sum_k n_k - n_k log n_k, to a
+    relative reduction of 1e-14; while the gap exceeds MLE_GAP_TOL, up to
+    MLE_RESTARTS more runs continue from the last end, re-whitened, on
+    _poisson_nll until the line search cannot lower it.  BFGS never raises
+    the NLL, so the last end, returned, is the lowest.
     """
     if len(records) < 16:
         raise InvalidArgumentError("tomography needs at least 16 settings")
@@ -328,25 +330,23 @@ def mle_reconstruct(records: list) -> np.ndarray:
     data = np.array([(r.counts, r.shots, r.accidental) for r in records]).T
     counts, shots, accidentals = data
     forms = _quadratic_forms(pis)
-    rng = np.random.default_rng(MLE_SEED)
     w, u = np.linalg.eigh(_linear_inversion(
         pis, np.maximum(counts - accidentals, 0.0) / shots))
     w = np.maximum(w, 1e-9)
-    starts = [((u * np.sqrt(w / w.sum())) @ u.conj().T).ravel().view(float)]
-    starts += [rng.normal(scale=0.5, size=32) for _ in range(MLE_RESTARTS)]
-    best = None
-    for x0 in starts:
-        r_inv = np.linalg.inv(_whitening(x0, forms, shots, accidentals))
+    x = ((u * np.sqrt(w / w.sum())) @ u.conj().T).ravel().view(float)
+    offset = float(np.sum(counts - counts * np.log(np.maximum(counts, 1e-300))))
+    options = {"maxiter": 2000, "ftol": 1e-14, "gtol": 1e-10}
+    for _ in range(1 + MLE_RESTARTS):
+        r_inv = np.linalg.inv(_whitening(x, forms, shots, accidentals))
         res = minimize(_whitened_negloglike_and_grad, np.zeros(32),
-                       args=(x0, r_inv, forms, *data),
-                       options={"maxiter": 2000, "ftol": 1e-14, "gtol": 1e-10})
-        rho = _rho_of(x0 + r_inv @ res.x)
-        if best is None or res.fun < best_nll:
-            best, best_nll = rho, res.fun
+                       args=(x, r_inv, offset, forms, *data), options=options)
+        x = x + r_inv @ res.x
+        rho = _rho_of(x)
         _, drho = _negloglike_and_drho(rho, pis, *data)
         if np.trace(drho @ rho).real - np.linalg.eigvalsh(drho)[0] <= MLE_GAP_TOL:
             break
-    return best
+        offset, options = 0.0, {**options, "ftol": 0.0}
+    return rho
 
 
 def _psd_sqrt(rho: np.ndarray) -> np.ndarray:

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import jv
 
-from qfpsim import qfp
+from qfpsim import eom, qfp
 from qfpsim.eom import (BESSEL_MAX_ARGUMENT, TRUNCATION_POWER_TOL, RfDrive, _phasors, _toeplitz,
                         bessel_row, eom_operator, truncation_order, unitarity_deficit)
 from qfpsim.errors import InvalidArgumentError
@@ -61,6 +61,22 @@ def test_bessel_row_three_term_recurrence(x, negative):
     row = bessel_row(int(abs(x)) + 30, x)
     k = np.arange(1, len(row) - 1)
     assert np.abs(row[k - 1] + row[k + 1] - (2.0 * k / x) * row[k]).max() < 1e-13
+
+
+_SMALLEST_START = 2.0 * eom._START_BOUND  # the least |x| the recurrence starts from
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.floats(_SMALLEST_START, BESSEL_MAX_ARGUMENT),
+                 st.floats(np.log(_SMALLEST_START), np.log(BESSEL_MAX_ARGUMENT)).map(
+                     lambda t: float(np.clip(np.exp(t), _SMALLEST_START, BESSEL_MAX_ARGUMENT)))))
+@example(_SMALLEST_START)
+@example(BESSEL_MAX_ARGUMENT)
+def test_start_order_is_the_first_order_below_the_start_bound(ax):
+    # (ax/2)^k / k! < _START_BOUND at the start order, and at no order below it
+    n = eom._start_order(ax)
+    assert eom._log_start_bound(n, ax) < eom._LN_START_BOUND
+    assert all(eom._log_start_bound(k, ax) >= eom._LN_START_BOUND for k in range(n))
 
 
 def test_negative_order_parity():

@@ -261,7 +261,7 @@ def test_whitening_is_a_well_conditioned_change_of_variables(inputs):
     # of two products of 32 terms each, 64 eps of their absolute terms (2000
     # random draws reached 1.7 eps of them, and a condition number of 10.4)
     r_inv = np.linalg.inv(r)
-    nll_q, grad_q = tomo._whitened_negloglike_and_grad(q, x0, r_inv, forms, *data)
+    nll_q, grad_q = tomo._whitened_negloglike_and_grad(q, x0, r_inv, 0.0, forms, *data)
     nll, grad = _negloglike_and_grad(x0 + r_inv @ q, forms, *data)
     assert nll_q == nll
     bound = 64 * np.finfo(float).eps * (np.abs(r).T @ (np.abs(r_inv).T @ np.abs(grad)))
@@ -319,28 +319,30 @@ def _records(suppression_db, shots, car, bell_phase, seed):
 
 
 def _nll_and_gap(params, records):
-    """Poisson NLL of the records at rho(A(params)) and its Frank-Wolfe gap
-    Tr(D rho) - lambda_min(D), built record by record."""
+    """Poisson NLL of the records at rho(A(params)), from the saturated
+    model (sum of mu - n + n log(n/mu), 0 log 0 = 0), and its Frank-Wolfe
+    gap Tr(D rho) - lambda_min(D), built record by record."""
     rho = tomo._rho_of(params)
     nll, drho = 0.0, np.zeros((4, 4), dtype=complex)
     for r in records:
         mu = max(r.shots * np.trace(rho @ r.projector).real + r.accidental, 1e-12)
-        nll += mu - r.counts * np.log(mu)
+        nll += mu - r.counts + (r.counts * np.log(r.counts / mu) if r.counts > 0 else 0.0)
         drho += (1.0 - r.counts / mu) * r.shots * r.projector
     return nll, np.trace(drho @ rho).real - np.linalg.eigvalsh(drho)[0]
 
 
 def _mle_runs(records, gap_tol=MLE_GAP_TOL):
     """mle_reconstruct's estimate with MLE_GAP_TOL at ``gap_tol``, and every
-    minimizer result it made on the way, its whitened step q mapped back to
-    the 32 parameters p = x0 + R^-1 q as mle_reconstruct maps it."""
+    minimizer result it made on the way: the run's start x0, its whitened
+    step q mapped back to the 32 parameters p = x0 + R^-1 q as
+    mle_reconstruct maps it, and the value it minimized there."""
     runs = []
     minimize = tomo.minimize
 
     def recording(objective, q0, args, **kwargs):
         run = minimize(objective, q0, args=args, **kwargs)
         x0, r_inv = args[:2]
-        runs.append(SimpleNamespace(x=x0 + r_inv @ run.x, fun=run.fun))
+        runs.append(SimpleNamespace(start=x0, x=x0 + r_inv @ run.x, fun=run.fun))
         return run
 
     with pytest.MonkeyPatch.context() as m:
@@ -359,18 +361,24 @@ def test_mle_gap_certifies_the_estimate(suppression_db, log_shots, car, bell_pha
     expected_value = mode == 0
     records = _records(suppression_db, 10.0**log_shots, car, bell_phase,
                        None if expected_value else seed)
-    # every start run to completion: no gap ever certifies
+    forms = tomo._quadratic_forms(np.array([r.projector for r in records]))
+    data = np.array([(r.counts, r.shots, r.accidental) for r in records]).T
+    # every run made: no gap ever certifies
     _, runs = _mle_runs(records, gap_tol=-np.inf)
     assert len(runs) == 1 + tomo.MLE_RESTARTS
+    # each run starts where the last ended, and ends no higher than it started
+    # (the runs after the first minimize the NLL itself, with no offset)
+    for before, after in zip(runs, runs[1:]):
+        assert np.array_equal(after.start, before.x)
+        assert after.fun <= _negloglike_and_grad(after.start, forms, *data)[0]
     nlls, gaps = np.array([_nll_and_gap(run.x, records) for run in runs]).T
-    best = nlls.min()
-    # the NLL is convex in rho, so each result's gap bounds its distance
-    # from the best of the four (up to rounding of NLLs near 1e6)
-    assert np.all(nlls - best <= gaps + 1e-6)
+    # the NLL is convex in rho, so each end's gap bounds its distance from
+    # the last, the lowest (up to the rounding of the records' terms)
+    assert np.all(nlls - nlls[-1] <= gaps + 1e-9)
     rho, gated = _mle_runs(records)
-    estimate = min(gated, key=lambda run: run.fun)
-    assert np.array_equal(rho, tomo._rho_of(estimate.x))
-    assert _nll_and_gap(estimate.x, records)[0] - best <= MLE_GAP_TOL
+    assert np.array_equal(rho, tomo._rho_of(gated[-1].x))
+    assert all(_nll_and_gap(run.x, records)[1] > MLE_GAP_TOL for run in gated[:-1])
+    assert _nll_and_gap(gated[-1].x, records)[0] - nlls[-1] <= MLE_GAP_TOL
     if expected_value:
         # the linear-inversion seed is exact, and its gap certifies it
         assert len(gated) == 1
@@ -405,61 +413,28 @@ def test_mle_seed_floor_lets_the_seed_gain_rank():
 # infinite where a uniform draw is below 0.2, else log-uniform in [5, 100],
 # expected-value mode where a uniform draw is below 0.25, the Bell phase
 # uniform in [0, 2 pi), then for a sampled state its seed, integers(2**31)),
-# as drawn, in which the seed run does not certify.  In case 301 only the
-# last start certifies: the seed run ends lowest, 6.6e-6 to 2.1e-5 NLL below
-# the others, with a gap of 0.155, so all four run and it is returned.  In case
-# 261 the seed run stalls 5.2e-3 NLL above the best and the first restart
-# certifies.  Each case is (inputs, runs made).
+# as drawn, in which the first run does not certify.  Restarted from
+# random points instead, case 301 ran all four starts and ended uncertified
+# at NLL 5.701769209808759 (gap 0.155), and case 261 certified with its
+# first random start at NLL 1.7248155783964494.  Continued from where the
+# first run stopped, the second run certifies both, lower.  Each case is
+# (inputs, NLL of the random restarts).
 @pytest.mark.parametrize("case", [
-    ((24.79370212109107, 32432.20060162126, np.inf, 2.8570570574622183, 1034589840), 4),
+    ((24.79370212109107, 32432.20060162126, np.inf, 2.8570570574622183, 1034589840),
+     5.701769209808759),
     ((13.470311965152245, 83998.5329717803, 6.699524968327501, 6.272205100872229, 23920538),
-     2)])
-def test_mle_stalled_seed_returns_the_best_of_all_starts(case):
-    inputs, made = case
+     1.7248155783964494)])
+def test_mle_stalled_first_run_continues_where_it_stopped(case):
+    inputs, restarted_nll = case
     records = _records(*inputs)
     rho, runs = _mle_runs(records)
-    assert len(runs) == made
+    assert len(runs) == 2
     assert _nll_and_gap(runs[0].x, records)[1] > MLE_GAP_TOL
-    best = min(runs, key=lambda run: run.fun)
-    if made == 1 + tomo.MLE_RESTARTS:
-        # uncertified: the best of all four, bit for bit
-        assert _nll_and_gap(best.x, records)[1] > MLE_GAP_TOL
-        every, _ = _mle_runs(records, gap_tol=-np.inf)
-        assert np.array_equal(rho, every)
-    else:
-        # the last restart made is the best so far and certifies
-        assert runs[0].fun - best.fun > 1e-3
-        assert best is runs[-1]
-        assert _nll_and_gap(best.x, records)[1] <= MLE_GAP_TOL
-        assert np.array_equal(rho, tomo._rho_of(best.x))
-
-
-def test_mle_a_later_certified_start_certifies_the_best(monkeypatch):
-    # the minimizer replaced by prescribed results: the seed run ends lowest but
-    # uncertified, and the first restart certifies 1.0 NLL above it.  Since
-    # f(best) <= f(run) <= f* + gap(run), that certifies the best as well:
-    # the restarts stop, and the best is returned
-    records = _records(13.5, 1e4, 55.0, 0.0, 7)
-    optimum = mle_reconstruct(records)
-    poor = (np.eye(4, dtype=complex) / 2.0).ravel().view(float)  # rho = I / 4
-    certified = tomo._psd_sqrt(optimum).ravel().view(float)
-    results = iter([(poor, 1.0), (certified, 2.0)])
-    ends = []
-
-    def prescribed(objective, q0, args, **kwargs):
-        # the whitened step that ends the start x0 at the prescribed parameters
-        x0, r_inv = args[:2]
-        target, fun = next(results)
-        q = np.linalg.solve(r_inv, target - x0)
-        ends.append(x0 + r_inv @ q)
-        return SimpleNamespace(x=q, fun=fun)
-
-    monkeypatch.setattr(tomo, "minimize", prescribed)
-    rho = mle_reconstruct(records)
-    assert len(ends) == 2
-    assert _nll_and_gap(ends[0], records)[1] > MLE_GAP_TOL
-    assert _nll_and_gap(ends[1], records)[1] <= MLE_GAP_TOL
-    assert np.array_equal(rho, tomo._rho_of(ends[0]))
+    assert np.array_equal(runs[1].start, runs[0].x)
+    nll, gap = _nll_and_gap(runs[1].x, records)
+    assert gap <= MLE_GAP_TOL
+    assert nll <= restarted_nll
+    assert np.array_equal(rho, tomo._rho_of(runs[1].x))
 
 
 def test_simulate_counts_modes_and_accidentals():
