@@ -68,6 +68,14 @@ class ProcessorConfig:
             d.setflags(write=False)
         return d_in, d_out, c
 
+    @functools.cached_property
+    def _pair_columns(self) -> tuple:
+        """(indices, read-only columns of M) of the computational pair, kept with the setting."""
+        idx = [self.lattice.index_of(b) for b in self.computational_bins]
+        cols = _composed_columns(self, idx)
+        cols.setflags(write=False)
+        return idx, cols
+
 
 def _composed_columns(config: ProcessorConfig, cols) -> np.ndarray:
     """Columns ``cols`` (an index list or slice) of M = M_out W M_in.
@@ -97,15 +105,9 @@ def compose_qfp(config: ProcessorConfig) -> ModeOperator:
     return ModeOperator(config.lattice, _composed_columns(config, slice(None)))
 
 
-def _pair_columns(config: ProcessorConfig) -> tuple:
-    """(indices, columns of M) of the computational pair."""
-    idx = [config.lattice.index_of(b) for b in config.computational_bins]
-    return idx, _composed_columns(config, idx)
-
-
 def pair_block(config: ProcessorConfig) -> np.ndarray:
     """2x2 block of M on the computational pair, from the pair's two columns."""
-    idx, cols = _pair_columns(config)
+    idx, cols = config._pair_columns
     return cols[idx]
 
 
@@ -299,7 +301,7 @@ def beamsplitter_spectra(config: ProcessorConfig, gammas=QUADRATURE_GAMMAS) -> d
     """
     keys, table = _probe_table(tuple(gammas))
     # a probe excites only the pair, so only the pair's columns are composed
-    powers = np.abs(table @ _pair_columns(config)[1].T) ** 2
+    powers = np.abs(table @ config._pair_columns[1].T) ** 2
     return dict(zip(keys, powers))
 
 

@@ -66,7 +66,7 @@ def _canonical_projectors() -> np.ndarray:
 
 def _rates(rho: np.ndarray, pis: np.ndarray) -> np.ndarray:
     """Tr(rho Pi_k), the fractional coincidence rate, for each projector of the stack."""
-    return np.real(np.einsum("kij,ji->k", pis, rho))
+    return (pis.reshape(len(pis), 16) @ rho.T.ravel()).real
 
 
 def _check_density(rho: np.ndarray) -> np.ndarray:
@@ -218,25 +218,6 @@ def _linear_inversion(pis: np.ndarray, rates: np.ndarray) -> np.ndarray:
     return rho / tr if abs(tr) > 1e-12 else np.eye(4, dtype=complex) / 4.0
 
 
-def _quadratic_forms(pis: np.ndarray) -> np.ndarray:
-    """Real 32 x 32 forms Q_k, stacked as a (32 K) x 32 array, with
-    p Q_k p = Tr(A Pi_k A^dag) for p = A.ravel().view(float).
-
-    Row i of A enters only its own diagonal block, and in it Re Pi_k acts
-    on each (Re, Im) pair as Re Pi_k I_2 and Im Pi_k as J = [[0, 1], [-1, 0]]:
-    Q_k = I_4 (x) (Re Pi_k (x) I_2 + Im Pi_k (x) J), symmetric for Hermitian Pi_k.
-    """
-    block = np.empty((len(pis), 4, 2, 4, 2))  # Re Pi_k (x) I_2 + Im Pi_k (x) J
-    block[:, :, 0, :, 0] = block[:, :, 1, :, 1] = pis.real
-    block[:, :, 0, :, 1] = pis.imag
-    block[:, :, 1, :, 0] = -pis.imag
-    block = block.reshape(-1, 8, 8)
-    forms = np.zeros((len(pis), 4, 8, 4, 8))  # I_4 (x) block
-    for i in range(4):
-        forms[:, i, :, i, :] = block
-    return forms.reshape(-1, 32)
-
-
 def _poisson_nll(rates, counts, shots, accidentals):
     """Poisson NLL of the records at the fractional rates from the saturated
     model, sum_k mu_k - n_k + n_k log(n_k/mu_k), 0 log 0 = 0 (half the
@@ -250,35 +231,36 @@ def _negloglike_and_drho(rho, pis, counts, shots, accidentals):
     """Poisson negative log-likelihood of the records at rho, and its
     gradient in rho, sum_k (1 - counts_k/mu_k) * shots * Pi_k."""
     nll, w = _poisson_nll(_rates(rho, pis), counts, shots, accidentals)
-    return nll, np.einsum("k,kij->ij", w, pis)
+    return nll, (w @ pis.reshape(len(pis), 16)).reshape(4, 4)
 
 
-def _negloglike_and_grad(params, forms, counts, shots, accidentals):
-    """Poisson negative log-likelihood of the records at rho(A(params)),
-    and its gradient in the 32 parameters, from the records'
-    _quadratic_forms: rate_k = p Q_k p / p p."""
+def _negloglike_and_grad(params, pis, counts, shots, accidentals):
+    """Poisson negative log-likelihood of the records at rho(A(params)), and
+    its gradient in the 32 parameters through rho = A^dag A / p p, as floats
+    2 (A D - Tr(D rho) A) / p p, D the gradient in rho (_negloglike_and_drho)."""
     tra = params @ params  # Tr(A^dag A)
     if tra <= 0:
         return 1e18, np.zeros(32)
-    qp = (forms @ params).reshape(-1, 32)
-    rates = qp @ params / tra
+    a = params.view(complex).reshape(4, 4)
+    flat = pis.reshape(len(pis), 16)
+    rates = (flat @ (a.T @ a.conj()).ravel()).real / tra  # A^T conj(A) = (A^dag A)^T
     nll, w = _poisson_nll(rates, counts, shots, accidentals)
-    # d rate_k / dp = 2 (Q_k p - rate_k p) / p p
-    return nll, 2.0 * (w @ qp - (w @ rates) * params) / tra
+    return nll, (2.0 / tra) * ((a @ (w @ flat).reshape(4, 4)).ravel().view(float)
+                               - (w @ rates) * params)
 
 
-def _whitening(params, forms, shots, accidentals) -> np.ndarray:
+def _whitening(params, pis, shots, accidentals) -> np.ndarray:
     """Upper-triangular R with R^T R = G + _WHITEN_RIDGE tr(G)/32 I, G the
     Fisher information of the Poisson records in the 32 parameters at
     ``params``: G = J^T diag(1/mu) J with J_k = d mu_k / dp
-    = 2 shots_k (Q_k p - rate_k p) / p p.  The identity where G's trace is
-    not finite and positive."""
+    = 2 shots_k (b_k - rate_k p) / p p, b_k = A Pi_k as floats, so that
+    rate_k = b_k p / p p.  The identity where G's trace is not finite and positive."""
     with np.errstate(all="ignore"):
         tra = params @ params
-        qp = (forms @ params).reshape(-1, 32)
-        rates = qp @ params / tra
+        b = (params.view(complex).reshape(4, 4) @ pis).reshape(len(pis), 16).view(float)
+        rates = b @ params / tra
         mu = np.maximum(shots * rates + accidentals, 1e-12)
-        jac = (2.0 * shots / tra)[:, None] * (qp - rates[:, None] * params)
+        jac = (2.0 * shots / tra)[:, None] * (b - rates[:, None] * params)
         fisher = (jac.T / mu) @ jac
         scale = _WHITEN_RIDGE * np.trace(fisher) / 32.0
     if not (np.isfinite(scale) and scale > 0.0 and np.isfinite(fisher).all()):
@@ -289,11 +271,11 @@ def _whitening(params, forms, shots, accidentals) -> np.ndarray:
         return np.eye(32)
 
 
-def _whitened_negloglike_and_grad(q, x0, r_inv, offset, forms, counts, shots, accidentals):
+def _whitened_negloglike_and_grad(q, x0, r_inv, offset, pis, counts, shots, accidentals):
     """_negloglike_and_grad at p = x0 + R^-1 q, plus ``offset``, with the
     gradient in q, R^-T grad: q = R (p - x0) is the whitened step from the
     start x0, so a start that the minimizer does not move comes back bit for bit."""
-    nll, grad = _negloglike_and_grad(x0 + r_inv @ q, forms, counts, shots, accidentals)
+    nll, grad = _negloglike_and_grad(x0 + r_inv @ q, pis, counts, shots, accidentals)
     return nll + offset, grad @ r_inv
 
 
@@ -301,10 +283,9 @@ def mle_reconstruct(records: list) -> np.ndarray:
     """Maximum-likelihood density matrix from coincidence records.
 
     rho = A^dag A / Tr(A^dag A) with A a full complex 4x4 matrix (32 real
-    parameters p = A.ravel().view(float)) guarantees physicality.  Each
-    record's rate Tr(rho Pi_k) is then a ratio of real quadratic forms,
-    p Q_k p / p p, built once per call (_quadratic_forms), so an evaluation
-    of the likelihood and its gradient is one real product.  The Poisson
+    parameters p = A.ravel().view(float)) guarantees physicality, and the
+    rates Tr(rho Pi_k) are those of simulation and of the certificate,
+    with the gradient in p by the chain rule through rho.  The Poisson
     log-likelihood is maximized by BFGS using the analytic gradient, from
     the linear-inversion seed U diag(w) U^dag as A = U diag(sqrt(w)) U^dag
     (w floored at 1e-9, then scaled to unit sum).  The floor keeps the
@@ -321,25 +302,27 @@ def mle_reconstruct(records: list) -> np.ndarray:
     minimizes the full NLL, _poisson_nll + sum_k n_k - n_k log n_k, to a
     relative reduction of 1e-14; while the gap exceeds MLE_GAP_TOL, up to
     MLE_RESTARTS more runs continue from the last end, re-whitened, on
-    _poisson_nll until the line search cannot lower it.  BFGS never raises
-    the NLL, so the last end, returned, is the lowest.
+    _poisson_nll until the line search cannot lower it; a continued run
+    that takes no step ends the fit, as the next would repeat it.  BFGS
+    never raises the NLL, so the last end, returned, is the lowest.
     """
     if len(records) < 16:
         raise InvalidArgumentError("tomography needs at least 16 settings")
     pis = np.array([r.projector for r in records])
     data = np.array([(r.counts, r.shots, r.accidental) for r in records]).T
     counts, shots, accidentals = data
-    forms = _quadratic_forms(pis)
     w, u = np.linalg.eigh(_linear_inversion(
         pis, np.maximum(counts - accidentals, 0.0) / shots))
     w = np.maximum(w, 1e-9)
     x = ((u * np.sqrt(w / w.sum())) @ u.conj().T).ravel().view(float)
     offset = float(np.sum(counts - counts * np.log(np.maximum(counts, 1e-300))))
     options = {"maxiter": 2000, "ftol": 1e-14, "gtol": 1e-10}
-    for _ in range(1 + MLE_RESTARTS):
-        r_inv = np.linalg.inv(_whitening(x, forms, shots, accidentals))
+    for run in range(1 + MLE_RESTARTS):
+        r_inv = np.linalg.inv(_whitening(x, pis, shots, accidentals))
         res = minimize(_whitened_negloglike_and_grad, np.zeros(32),
-                       args=(x, r_inv, offset, forms, *data), options=options)
+                       args=(x, r_inv, offset, pis, *data), options=options)
+        if run and res.nit == 0:  # a further run would re-whiten at x and repeat this one
+            break
         x = x + r_inv @ res.x
         rho = _rho_of(x)
         _, drho = _negloglike_and_drho(rho, pis, *data)

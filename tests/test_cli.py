@@ -118,6 +118,17 @@ def test_gate_command(tmp_path):
     assert summary["reconstruction_gauge_error"] < 1e-6
 
 
+def test_gate_composes_the_pair_once(tmp_path, monkeypatch):
+    # the gate's block and its probe spectra read the setting's one pair
+    # composition
+    calls = []
+    composed = qfpsim.qfp._composed_columns
+    monkeypatch.setattr(qfpsim.qfp, "_composed_columns",
+                        lambda *args: calls.append(args) or composed(*args))
+    assert _run("gate", _write_cfg(tmp_path, {}), tmp_path / "out") == 0
+    assert len(calls) == 1
+
+
 def test_gate_unreachable_angle_is_physics_error(tmp_path):
     cfg = _write_cfg(tmp_path, {"theta": 2.5})
     assert _run("gate", cfg, tmp_path / "out") == 3

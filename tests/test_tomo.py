@@ -163,7 +163,7 @@ def test_fit_visibility_sigma_is_finite_on_noiseless_fringe_at_zero_phase():
 def test_mle_gradient_matches_finite_differences():
     rho = carve_bell_state(13.5, 0.4)
     records = simulate_counts(rho, 1e4, accidental_fraction=1e-3)
-    args = (tomo._quadratic_forms(np.array([r.projector for r in records])),
+    args = (np.array([r.projector for r in records]),
             np.array([r.counts for r in records]),
             np.array([r.shots for r in records]),
             np.array([r.accidental for r in records]))
@@ -196,24 +196,25 @@ def _likelihood_inputs(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(_likelihood_inputs())
-def test_quadratic_forms_give_the_rho_space_likelihood(inputs):
+def test_parameter_objective_gives_the_rho_space_likelihood(inputs):
     params, psd, herm, counts, shots, accidentals = inputs
     a = params.view(complex).reshape(4, 4)
-    # p Q_k p = Tr(A Pi_k A^dag) for any Hermitian Pi_k, within the rounding
-    # bound of a sum of 64 products on each side, 64 eps of the sum of the
-    # terms' absolute values (3000 random draws reached 3.4 eps of it, equal
-    # terms 8 eps), plus an absolute floor for products that underflow
+    # the rows b_k = A Pi_k as floats, the whitening's, give b_k p = Tr(A Pi_k A^dag)
+    # for any Hermitian Pi_k, within the rounding bound of a sum of 64
+    # products on each side, 64 eps of the sum of the terms' absolute values
+    # (3000 random draws reached 3.4 eps of it, equal terms 8 eps), plus an
+    # absolute floor for products that underflow
     tiny = 1e-300
     for pis in (psd, herm):
-        qp = (tomo._quadratic_forms(pis) @ params).reshape(len(pis), 32)
+        b = (a @ pis).reshape(len(pis), 16).view(float)
         ref = np.einsum("ij,kjl,il->k", a, pis, a.conj())
         scale = np.einsum("ij,kjl,il->k", np.abs(a), np.abs(pis), np.abs(a))
-        assert np.all(np.abs(qp @ params - ref.real)
+        assert np.all(np.abs(b @ params - ref.real)
                       <= 64 * np.finfo(float).eps * scale + tiny)
     # the NLL and its gradient against the rho-space NLL and the chain rule
     # through rho = A^dag A / Tr(A^dag A)
     data = (counts, shots, accidentals)
-    nll, grad = _negloglike_and_grad(params, tomo._quadratic_forms(psd), *data)
+    nll, grad = _negloglike_and_grad(params, psd, *data)
     rho = tomo._rho_of(params)
     nll_ref, drho = tomo._negloglike_and_drho(rho, psd, *data)
     tra = params @ params
@@ -248,9 +249,9 @@ def _whitening_inputs(draw):
 @given(_whitening_inputs())
 def test_whitening_is_a_well_conditioned_change_of_variables(inputs):
     records, x0, q = inputs
-    forms = tomo._quadratic_forms(np.array([r.projector for r in records]))
+    pis = np.array([r.projector for r in records])
     data = np.array([(r.counts, r.shots, r.accidental) for r in records]).T
-    r = tomo._whitening(x0, forms, *data[1:])
+    r = tomo._whitening(x0, pis, *data[1:])
     # finite and upper triangular with a positive diagonal, and the ridge
     # bounds the eigenvalues of R^T R to [s, tr G + s], s = ridge tr(G)/32,
     # so R's condition number to sqrt(1 + 32/ridge)
@@ -261,8 +262,8 @@ def test_whitening_is_a_well_conditioned_change_of_variables(inputs):
     # of two products of 32 terms each, 64 eps of their absolute terms (2000
     # random draws reached 1.7 eps of them, and a condition number of 10.4)
     r_inv = np.linalg.inv(r)
-    nll_q, grad_q = tomo._whitened_negloglike_and_grad(q, x0, r_inv, 0.0, forms, *data)
-    nll, grad = _negloglike_and_grad(x0 + r_inv @ q, forms, *data)
+    nll_q, grad_q = tomo._whitened_negloglike_and_grad(q, x0, r_inv, 0.0, pis, *data)
+    nll, grad = _negloglike_and_grad(x0 + r_inv @ q, pis, *data)
     assert nll_q == nll
     bound = 64 * np.finfo(float).eps * (np.abs(r).T @ (np.abs(r_inv).T @ np.abs(grad)))
     assert np.all(np.abs(r.T @ grad_q - grad) <= bound + 1e-300)
@@ -272,12 +273,12 @@ def test_whitening_falls_back_to_the_identity():
     # no rate depends on p (every projector I, so G = 0), G overflows (1e308
     # shots), or p = 0: the fit runs on R = I, with no warning or exception
     x0 = np.random.default_rng(3).normal(size=32)
-    flat = tomo._quadratic_forms(np.array([np.eye(4)] * 16))
-    canonical = tomo._quadratic_forms(_canonical_projectors())
+    flat = np.array([np.eye(4)] * 16)
+    canonical = _canonical_projectors()
     ones, zeros = np.ones(16), np.zeros(16)
-    for params, forms, shots in ((x0, flat, ones), (x0, canonical, 1e308 * ones),
-                                 (np.zeros(32), canonical, ones)):
-        assert np.array_equal(tomo._whitening(params, forms, shots, zeros), np.eye(32))
+    for params, pis, shots in ((x0, flat, ones), (x0, canonical, 1e308 * ones),
+                               (np.zeros(32), canonical, ones)):
+        assert np.array_equal(tomo._whitening(params, pis, shots, zeros), np.eye(32))
     # G at subnormal scale (1e-165.5 shots): LAPACK's Cholesky refuses G + s I
     # with s = 2.5e-323, and the fit runs on R = I there too
     r = tomo._whitening(x0, canonical, 10.0**-165.5 * ones, zeros)
@@ -335,14 +336,16 @@ def _mle_runs(records, gap_tol=MLE_GAP_TOL):
     """mle_reconstruct's estimate with MLE_GAP_TOL at ``gap_tol``, and every
     minimizer result it made on the way: the run's start x0, its whitened
     step q mapped back to the 32 parameters p = x0 + R^-1 q as
-    mle_reconstruct maps it, and the value it minimized there."""
+    mle_reconstruct maps it, the value it minimized there and its number
+    of iterations."""
     runs = []
     minimize = tomo.minimize
 
     def recording(objective, q0, args, **kwargs):
         run = minimize(objective, q0, args=args, **kwargs)
         x0, r_inv = args[:2]
-        runs.append(SimpleNamespace(start=x0, x=x0 + r_inv @ run.x, fun=run.fun))
+        runs.append(SimpleNamespace(start=x0, x=x0 + r_inv @ run.x, fun=run.fun,
+                                    nit=run.nit))
         return run
 
     with pytest.MonkeyPatch.context() as m:
@@ -361,16 +364,18 @@ def test_mle_gap_certifies_the_estimate(suppression_db, log_shots, car, bell_pha
     expected_value = mode == 0
     records = _records(suppression_db, 10.0**log_shots, car, bell_phase,
                        None if expected_value else seed)
-    forms = tomo._quadratic_forms(np.array([r.projector for r in records]))
+    pis = np.array([r.projector for r in records])
     data = np.array([(r.counts, r.shots, r.accidental) for r in records]).T
-    # every run made: no gap ever certifies
+    # every run made: no gap ever certifies, so only a continued run that
+    # takes no step ends the fit early
     _, runs = _mle_runs(records, gap_tol=-np.inf)
-    assert len(runs) == 1 + tomo.MLE_RESTARTS
+    assert all(run.nit > 0 for run in runs[1:-1])
+    assert len(runs) == 1 + tomo.MLE_RESTARTS or runs[-1].nit == 0
     # each run starts where the last ended, and ends no higher than it started
     # (the runs after the first minimize the NLL itself, with no offset)
     for before, after in zip(runs, runs[1:]):
         assert np.array_equal(after.start, before.x)
-        assert after.fun <= _negloglike_and_grad(after.start, forms, *data)[0]
+        assert after.fun <= _negloglike_and_grad(after.start, pis, *data)[0]
     nlls, gaps = np.array([_nll_and_gap(run.x, records) for run in runs]).T
     # the NLL is convex in rho, so each end's gap bounds its distance from
     # the last, the lowest (up to the rounding of the records' terms)
@@ -435,6 +440,20 @@ def test_mle_stalled_first_run_continues_where_it_stopped(case):
     assert gap <= MLE_GAP_TOL
     assert nll <= restarted_nll
     assert np.array_equal(rho, tomo._rho_of(runs[1].x))
+
+
+# the command's records at 1e9 and 1e10 shots and --seed 0: the second run
+# ends uncertified, and the third, re-whitened where it ended, takes no step,
+# so a fourth would repeat it bit for bit
+@pytest.mark.parametrize("shots", [1e9, 1e10])
+def test_mle_continued_run_without_a_step_ends_the_fit(shots):
+    records = _records(13.5, shots, 55.0, 0.0, 0)
+    rho, runs = _mle_runs(records)
+    assert len(runs) < 1 + tomo.MLE_RESTARTS
+    assert runs[-1].nit == 0 and all(run.nit > 0 for run in runs[:-1])
+    assert np.array_equal(runs[-1].start, runs[-2].x)
+    assert _nll_and_gap(runs[-2].x, records)[1] > MLE_GAP_TOL
+    assert np.array_equal(rho, tomo._rho_of(runs[-2].x))
 
 
 def test_simulate_counts_modes_and_accidentals():

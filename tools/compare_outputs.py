@@ -12,9 +12,10 @@ at ``--seed 0`` and at ``--seed 3``, ``tomography --expected-value``,
 maximum-likelihood run does not certify), ``tomography`` with
 ``car`` Infinity (no accidental coincidences), with 1000 shots, with
 1e5 shots at 20 dB suppression (a purer state, ten times the default
-shots), with 1e6 shots, with 1e8 shots (where the fit makes all its
-runs) and with one shot at ``--seed 3`` (every count 0, so the fit
-starts from I/4), two failing runs,
+shots), with 1e6 shots, with 1e8 shots (where a second
+maximum-likelihood run certifies), with 1e10 shots (where a continued
+run takes no step and so ends the fit) and with one shot at ``--seed 3``
+(every count 0, so the fit starts from I/4), two failing runs,
 ``gate`` with a mistyped ``theta`` (exit 2) and ``calibrate`` with a
 phase-curve fit that fails (exit 3), and five runs with a noisy, long
 or many-pair fit: ``calibrate`` with ``noise_sigma`` 0.01, on the
@@ -41,7 +42,7 @@ at the two ends of the Bessel rows' range, at the subnormal depth 5e-324
 72; and two gates whose intrinsic phases are read off near-zero entries,
 ``gate`` at theta 0 (alpha = 2 pi, where V_01 is at rounding level) and
 at theta 1e-7 with lam 2.5 and mu -3 (near the identity, on the root
-finder's branch), where a signed zero could flip a phase: 41 cases.  For
+finder's branch), where a signed zero could flip a phase: 42 cases.  For
 each output file the report says "identical", or gives the largest
 absolute and relative difference of the numbers in it (CSV cells and
 JSON values); a relative difference is taken against at least eps times
@@ -85,6 +86,7 @@ CASES = ([(command, "{}", ("--seed", seed)) for seed in ("0", "3") for command i
             ("tomography", '{"shots": 100000, "suppression_db": 20}', ("--seed", "0")),
             ("tomography", '{"shots": 1000000}', ("--seed", "0")),
             ("tomography", '{"shots": 100000000}', ("--seed", "0")),
+            ("tomography", '{"shots": 10000000000}', ("--seed", "0")),
             ("tomography", '{"shots": 1}', ("--seed", "3")),
             ("gate", '{"theta": "x"}', ("--seed", "0")),
             ("calibrate", '{"power_2pi": 1e200}', ("--seed", "0")),
