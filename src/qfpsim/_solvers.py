@@ -10,8 +10,9 @@ replaces, and takes its objective first:
   ``brentq.c``, so it returns scipy's root bit for bit;
 - ``curve_fit``: Gauss-Newton on the weighted residual with the caller's
   Jacobian, damped only where its step fails, and scipy's covariance rule;
-- ``minimize``: dense BFGS with a strong-Wolfe line search (Nocedal and
-  Wright, *Numerical Optimization*, 2nd ed., ch. 3 and 6) on an
+- ``minimize``: dense BFGS with a strong-Wolfe line search, one loop that
+  brackets the step and tries the secant zero of the slope (Nocedal and
+  Wright, *Numerical Optimization*, 2nd ed., ch. 3 and 6), on an
   objective that returns its value and gradient, stopped by L-BFGS-B's
   tests.  A dense inverse Hessian costs O(n^2) per iteration, which at
   the 32 parameters of the MLE and the at most 255 phases of a retrieval
@@ -168,64 +169,31 @@ def _covariance(j, cost, n, absolute_sigma):
     return pcov
 
 
-def _cubic_step(a, fa, da, b, fb, db):
-    """Minimizer of the cubic through (a, fa) and (b, fb) with slopes da
-    and db, or None (Nocedal and Wright, eq. 3.59)."""
-    d1 = da + db - 3.0 * (fa - fb) / (a - b)
-    disc = d1 * d1 - da * db
-    if not disc >= 0.0:
-        return None
-    d2 = math.copysign(math.sqrt(disc), b - a)
-    denom = db - da + 2.0 * d2
-    return b - (b - a) * (db + d2 - d1) / denom if denom else None
-
-
 def _wolfe_search(evaluate, f0, slope0, first, c1=1e-4, c2=0.9, max_evals=40):
-    """A step length a > 0 along the search direction with the strong Wolfe
-    conditions f(a) <= f0 + c1 a slope0 and |f'(a)| <= c2 |slope0|
-    (Nocedal and Wright, algorithms 3.5 and 3.6, with cubic interpolation).
-
-    ``evaluate(a)`` returns (f, slope, gradient) at step a.  Returns
-    (a, f, gradient, evaluations).  A search that cannot meet the curvature
-    condition returns its lowest step with sufficient decrease, if any;
-    a = None when it has none, with f not finite when an evaluation was.
-    """
-    prev = lo = (0.0, f0, slope0, None)
-    hi, a, widths = None, first, [math.inf, math.inf]
+    """A step a > 0 with f(a) <= f0 + c1 a slope0 and |f'(a)| <= c2 |slope0|
+    (strong Wolfe) by the search ``minimize`` describes, as (a, f, gradient,
+    evaluations), ``evaluate(a)`` giving (f, slope, gradient); else the lowest
+    step with sufficient decrease, or a = None, with f not finite if one was."""
+    lo, hi, a = (0.0, f0, slope0, None), None, first  # lo: the lowest trial
     for evals in range(1, max_evals + 1):
-        trial = (a, *evaluate(a))
-        f, slope = trial[1], trial[2]
+        f, slope, grad = evaluate(a)
         if not math.isfinite(f):
             return None, f, None, evals
-        if hi is None:  # bracketing phase
-            if f > f0 + c1 * a * slope0 or (evals > 1 and f >= prev[1]):
-                lo, hi = prev, trial
-            elif abs(slope) <= -c2 * slope0:
-                return a, f, trial[3], evals
-            elif slope >= 0.0:
-                lo, hi = trial, prev
-            else:
-                prev = lo = trial
-                a *= 4.0
-                continue
-        else:  # zoom phase
-            if f > f0 + c1 * a * slope0 or f >= lo[1]:
-                hi = trial
-            elif abs(slope) <= -c2 * slope0:
-                return a, f, trial[3], evals
-            else:
-                if slope * (hi[0] - lo[0]) >= 0.0:
-                    hi = lo
-                lo = trial
-        # the cubic's minimizer inside the bracket, or its midpoint when the
-        # bracket has not shrunk to 0.66 of its width two trials before
-        # (Moré and Thuente, ACM TOMS 20, 286, 1994)
-        width = abs(hi[0] - lo[0])
-        a = _cubic_step(*lo[:3], *hi[:3])
-        if (a is None or not min(lo[0], hi[0]) < a < max(lo[0], hi[0])
-                or width > 0.66 * widths[0]):
-            a = 0.5 * (lo[0] + hi[0])
-        widths = [widths[1], width]
+        # f0 + c1 a slope0 can round to f0, so the first trial may equal f0
+        if f > f0 + c1 * a * slope0 or (evals > 1 and f >= lo[1]):
+            hi = (a, f, slope, grad)
+        elif abs(slope) <= -c2 * slope0:
+            return a, f, grad, evals
+        else:  # a new lowest trial; the old one bounds the bracket if f' turned upward
+            if slope * ((a if hi is None else hi[0]) - lo[0]) >= 0.0:
+                hi = lo
+            lo = (a, f, slope, grad)
+        if hi is None:  # not bracketed yet
+            a *= 4.0
+            continue
+        rise = (hi[2] - lo[2]) / (hi[0] - lo[0])  # of f' across the bracket
+        secant = lo[0] - lo[2] / rise if rise > 0.0 else 0.5 * (lo[0] + hi[0])
+        a = sorted((0.9 * lo[0] + 0.1 * hi[0], secant, 0.1 * lo[0] + 0.9 * hi[0]))[1]
         if a in (lo[0], hi[0]):
             break
     return (lo[0] or None), lo[1], lo[3], evals
@@ -233,18 +201,20 @@ def _wolfe_search(evaluate, f0, slope0, first, c1=1e-4, c2=0.9, max_evals=40):
 
 def minimize(fun, x0, args=(), *, options):
     """Minimize fun(x, *args), which returns the value and its gradient, by
-    BFGS with a strong-Wolfe line search (Nocedal and Wright, ch. 6).
+    BFGS with a strong-Wolfe line search (Nocedal and Wright, ch. 3 and 6).
 
     The first step is along -g with length 1/|g|, as L-BFGS-B's, and the
     inverse Hessian starts as (y.s / y.y) I at the first update (their
-    eq. 6.20).  ``options`` holds L-BFGS-B's stopping rules: ``ftol``, the
+    eq. 6.20).  The line search grows the step 4-fold until the Wolfe tests
+    bracket it, then tries the slope's secant zero, clamped to the inner
+    80 % of the bracket, or its midpoint where the slope does not increase
+    across it.  ``options`` holds L-BFGS-B's stopping rules: ``ftol``, the
     relative reduction (f_k - f_k+1) / max(|f_k|, |f_k+1|, 1) at or below
     which the run stops, ``gtol``, the largest gradient entry at or below
-    which it stops, and ``maxiter``.  A start whose gradient already
-    passes ``gtol`` comes back unchanged.  A run whose
-    line search fails from a fresh Hessian, or that meets a value that is
-    not finite, ends with success False at its last finite point and
-    raises nothing.
+    which it stops, and ``maxiter``.  A start whose gradient already passes
+    ``gtol`` comes back unchanged.  A run whose line search fails from a
+    fresh Hessian, or that meets a value that is not finite, ends with
+    success False at its last finite point and raises nothing.
 
     Returns a namespace of x, fun, jac, nit, nfev, success and message.
     """

@@ -80,10 +80,11 @@ def harmonic_component(traces, frequency: float, sample_rate: float):
 
     ``traces`` is one trace or a stack of them along the last axis; the
     result has one coefficient per trace.  The frequency must fall on an
-    exact DFT bin of the trace.  The tone is built once as cos and -sin
-    arrays, and each trace's coefficient is its two dot products with
-    them, taken one trace at a time so that a stack gives each of its
-    traces' coefficients bit for bit.
+    exact DFT bin of the trace.  The tone is built once as a cos row and a
+    -sin row, and both quadratures of every trace come from one einsum
+    product with it: its sums, unlike BLAS's, do not depend on the number of
+    threads, and (unlike one einsum per quadrature) a stack gives each of
+    its traces' coefficients bit for bit.
     """
     traces = np.asarray(traces)
     n = traces.shape[-1]
@@ -91,10 +92,10 @@ def harmonic_component(traces, frequency: float, sample_rate: float):
     if not np.isclose(cycles, round(cycles), atol=1e-6):
         raise InvalidArgumentError(f"{frequency} Hz is not an exact DFT bin of the trace")
     angle = 2.0 * np.pi * frequency * (np.arange(n) / sample_rate)
-    cos, minus_sin = np.cos(angle), -np.sin(angle)
-    rows = traces.reshape(-1, n)
-    sums = np.fromiter((complex(row @ cos, row @ minus_sin) for row in rows), complex,
-                       len(rows))
+    cos_sums, minus_sin_sums = np.einsum("ij,kj->ki", traces.reshape(-1, n),
+                                         np.stack((np.cos(angle), -np.sin(angle))))
+    sums = cos_sums.astype(complex)
+    sums.imag = minus_sin_sums
     return 2.0 / n * sums.reshape(traces.shape[:-1])
 
 

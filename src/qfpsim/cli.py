@@ -121,12 +121,15 @@ def _lattice_from(constants: dict):
 
 
 def cmd_beamsplitter(cfg: dict, rng) -> dict:
-    if not np.isfinite(cfg["alpha_max"] - cfg["alpha_min"]):  # linspace would overflow
-        raise InvalidArgumentError("the span alpha_max - alpha_min overflows")
+    # linspace's step products overflow, or give NaN from an infinite step, on
+    # some finite ends; only a sweep with a point that is not finite is refused
+    with np.errstate(over="ignore", invalid="ignore"):
+        alphas = np.linspace(cfg["alpha_min"], cfg["alpha_max"], cfg["alpha_points"])
+    if not np.all(np.isfinite(alphas)):
+        raise InvalidArgumentError("the alpha sweep from alpha_min to alpha_max overflows")
     lat = _lattice_from(cfg["constants"])
     bins = tuple(cfg["computational_bins"])
     delta = cfg["constants"]["depth"]
-    alphas = np.linspace(cfg["alpha_min"], cfg["alpha_max"], cfg["alpha_points"])
     # M is linear in the WS diagonal, whose entries are 1 or e^{i alpha}, so the
     # block is affine in e^{i alpha} and two settings give it at every alpha
     v0, v_pi = (pair_block(beamsplitter_config(a, delta, lat, bins)) for a in (0.0, np.pi))

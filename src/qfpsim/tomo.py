@@ -65,8 +65,10 @@ def _canonical_projectors() -> np.ndarray:
 
 
 def _rates(rho: np.ndarray, pis: np.ndarray) -> np.ndarray:
-    """Tr(rho Pi_k), the fractional coincidence rate, for each projector of the stack."""
-    return (pis.reshape(len(pis), 16) @ rho.T.ravel()).real
+    """Tr(rho Pi_k), the fractional coincidence rate, for each projector of the
+    stack, clipped at 0 since each is a probability: the product's rounding
+    can leave a pure state's zero rate at -1e-33, a negative Poisson mean."""
+    return np.maximum((pis.reshape(len(pis), 16) @ rho.T.ravel()).real, 0.0)
 
 
 def _check_density(rho: np.ndarray) -> np.ndarray:

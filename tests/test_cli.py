@@ -228,6 +228,20 @@ def test_tomography_claims_a_violation_only_three_sigma_above_the_bound(tmp_path
     assert claimed == (summary["visibility"] - 3.0 * summary["visibility_sigma"] > 0.5**0.5)
 
 
+# a pure state without accidentals: the rate product's rounding left zero rates
+# at -1e-33, a negative Poisson mean (exit 1 on a traceback) and negative
+# expected fringe counts
+@pytest.mark.parametrize("bell_phase", [np.pi, 2 * np.pi])
+@pytest.mark.parametrize("flags", [(), ("--expected-value",)])
+def test_tomography_of_a_pure_state_without_accidentals(tmp_path, bell_phase, flags):
+    cfg = _write_cfg(tmp_path, {"suppression_db": 200, "bell_phase": bell_phase,
+                                "constants": {"car": INF}})
+    out = tmp_path / "out"
+    assert _run("tomography", cfg, out, *flags) == 0
+    with open(out / "fringe.csv") as fh:
+        assert min(float(row["counts"]) for row in csv.DictReader(fh)) >= 0.0
+
+
 def test_calibrate_command(tmp_path):
     cfg = _write_cfg(tmp_path, {"planted_detunings": [0.25, -0.1]})
     out = tmp_path / "out"
@@ -319,6 +333,21 @@ def test_flat_fringe_exits_3_without_a_warning(tmp_path):
     assert done.returncode == 3
     assert done.stderr.startswith("numerical failure: fringe fit failed")
     assert "Warning" not in done.stderr and len(done.stderr.splitlines()) == 1
+
+
+def test_calibrate_writes_the_same_bytes_under_one_and_two_blas_threads(tmp_path):
+    # a per-row BLAS product in the harmonic gave other last bits under two threads
+    cfg = _write_cfg(tmp_path, {})
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": str(Path(qfpsim.__file__).parents[1]),
+               "OPENBLAS_NUM_THREADS": threads}
+        out = tmp_path / threads
+        done = subprocess.run([sys.executable, "-m", "qfpsim.cli", "calibrate", "--config", cfg,
+                               "--out", str(out)], env=env, capture_output=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert outputs[0] == outputs[1]
 
 
 _SCIPY_IMPORT_PROBE = """
@@ -442,6 +471,12 @@ def test_no_command_loads_scipy(tmp_path):
     # and the run wrote NaN rows (the CSV is not checked for finiteness)
     ("beamsplitter", {"alpha_min": -1e308, "alpha_max": 1e308}, 2),
     ("beamsplitter", {"alpha_min": -8e307, "alpha_max": 8e307}, 0),  # a finite span is run
+    # the largest finite ends: linspace's products overflow, but every point is
+    # finite (these warned on exit 0)
+    ("beamsplitter", {"alpha_min": -1.7976931348623157e308}, 0),
+    ("beamsplitter", {"alpha_min": 1.7976931348623157e308}, 0),
+    ("beamsplitter", {"alpha_max": -1.7976931348623157e308}, 0),
+    ("beamsplitter", {"alpha_max": 1.7976931348623157e308}, 0),
 ])
 def test_config_exit_codes(tmp_path, command, config, code):
     out = tmp_path / "out"

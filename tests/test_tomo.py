@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -228,27 +228,33 @@ def test_parameter_objective_gives_the_rho_space_likelihood(inputs):
 
 @st.composite
 def _whitening_inputs(draw):
-    """Records as ``qfpsim tomography`` makes them, from a pure state to a
-    fully mixed one, 1 to 1e12 shots, CAR infinite or finite, in
-    expected-value mode, Poisson sampled or with every count 0; a start x0
-    and a whitened step q."""
+    """The arguments of ``_records`` as ``qfpsim tomography`` makes them, from
+    a pure state to a fully mixed one, 1 to 1e12 shots, CAR infinite or
+    finite, in expected-value mode (seed None) or Poisson sampled; whether
+    every count is then set to 0; a start x0 and a whitened step q."""
     suppression_db = draw(st.one_of(st.just(np.inf), st.floats(0.0, 40.0)))
     shots = 10.0 ** draw(st.floats(0.0, 12.0))
     car = draw(st.one_of(st.just(np.inf), st.floats(1.0, 1e3)))
     mode = draw(st.sampled_from(("expected", "sampled", "zero")))
-    records = _records(suppression_db, shots, car, draw(st.floats(0.0, 2.0 * np.pi)),
-                       draw(st.integers(0, 2**32 - 1)) if mode == "sampled" else None)
-    if mode == "zero":
-        records = [replace(r, counts=0.0) for r in records]
+    phase = draw(st.floats(0.0, 2.0 * np.pi))
+    seed = draw(st.integers(0, 2**32 - 1)) if mode == "sampled" else None
     unit = st.floats(-1.0, 1.0)
     x0 = draw(arrays(np.float64, 32, elements=unit).filter(lambda p: np.abs(p).sum() > 1e-2))
-    return records, x0, draw(arrays(np.float64, 32, elements=unit))
+    q = draw(arrays(np.float64, 32, elements=unit))
+    return (suppression_db, shots, car, phase, seed), mode == "zero", x0, q
 
 
 @settings(max_examples=150, deadline=None)
 @given(_whitening_inputs())
+# a pure state without accidentals at phase 2 pi, sampled: the rate product
+# rounded a zero rate to -1e-33, a negative Poisson mean
+@example(((np.inf, 100.0, np.inf, 2.0 * np.pi, 5), False, np.linspace(-1.0, 1.0, 32),
+          np.linspace(1.0, -1.0, 32)))
 def test_whitening_is_a_well_conditioned_change_of_variables(inputs):
-    records, x0, q = inputs
+    record_args, zero_counts, x0, q = inputs
+    records = _records(*record_args)
+    if zero_counts:
+        records = [replace(r, counts=0.0) for r in records]
     pis = np.array([r.projector for r in records])
     data = np.array([(r.counts, r.shots, r.accidental) for r in records]).T
     r = tomo._whitening(x0, pis, *data[1:])
@@ -442,18 +448,29 @@ def test_mle_stalled_first_run_continues_where_it_stopped(case):
     assert np.array_equal(rho, tomo._rho_of(runs[1].x))
 
 
-# the command's records at 1e9 and 1e10 shots and --seed 0: the second run
-# ends uncertified, and the third, re-whitened where it ended, takes no step,
-# so a fourth would repeat it bit for bit
-@pytest.mark.parametrize("shots", [1e9, 1e10])
-def test_mle_continued_run_without_a_step_ends_the_fit(shots):
-    records = _records(13.5, shots, 55.0, 0.0, 0)
+# the command's records at 1e9 shots and --seed 1, and at 1e10 shots and
+# --seed 0: the second run ends uncertified, and the third, re-whitened where
+# it ended, takes no step, so a fourth would repeat it bit for bit
+@pytest.mark.parametrize("shots, seed", [pytest.param(1e9, 1, id="1000000000.0"),
+                                         pytest.param(1e10, 0, id="10000000000.0")])
+def test_mle_continued_run_without_a_step_ends_the_fit(shots, seed):
+    records = _records(13.5, shots, 55.0, 0.0, seed)
     rho, runs = _mle_runs(records)
     assert len(runs) < 1 + tomo.MLE_RESTARTS
     assert runs[-1].nit == 0 and all(run.nit > 0 for run in runs[:-1])
     assert np.array_equal(runs[-1].start, runs[-2].x)
     assert _nll_and_gap(runs[-2].x, records)[1] > MLE_GAP_TOL
     assert np.array_equal(rho, tomo._rho_of(runs[-2].x))
+
+
+# the command's records at 1e8 shots: the first run stalls far from the
+# optimum (gaps 3.5 to 20), and the continued run certifies at every seed
+@pytest.mark.parametrize("seed", range(4))
+def test_mle_certifies_the_commands_records_at_1e8_shots(seed):
+    records = _records(13.5, 1e8, 55.0, 0.0, seed)
+    rho, runs = _mle_runs(records)
+    assert _nll_and_gap(runs[-1].x, records)[1] <= MLE_GAP_TOL
+    assert np.array_equal(rho, tomo._rho_of(runs[-1].x))
 
 
 def test_simulate_counts_modes_and_accidentals():
