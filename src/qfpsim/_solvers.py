@@ -169,20 +169,20 @@ def _covariance(j, cost, n, absolute_sigma):
     return pcov
 
 
-def _wolfe_search(evaluate, f0, slope0, first, c1=1e-4, c2=0.9, max_evals=40):
-    """A step a > 0 with f(a) <= f0 + c1 a slope0 and |f'(a)| <= c2 |slope0|
+def _wolfe_search(evaluate, f0, slope0, first):
+    """A step a > 0 with f(a) <= f0 + 1e-4 a slope0 and |f'(a)| <= 0.9 |slope0|
     (strong Wolfe) by the search ``minimize`` describes, as (a, f, gradient,
     evaluations), ``evaluate(a)`` giving (f, slope, gradient); else the lowest
     step with sufficient decrease, or a = None, with f not finite if one was."""
     lo, hi, a = (0.0, f0, slope0, None), None, first  # lo: the lowest trial
-    for evals in range(1, max_evals + 1):
+    for evals in range(1, 41):
         f, slope, grad = evaluate(a)
         if not math.isfinite(f):
             return None, f, None, evals
-        # f0 + c1 a slope0 can round to f0, so the first trial may equal f0
-        if f > f0 + c1 * a * slope0 or (evals > 1 and f >= lo[1]):
+        # f0 + 1e-4 a slope0 can round to f0, so the first trial may equal f0
+        if f > f0 + 1e-4 * a * slope0 or (evals > 1 and f >= lo[1]):
             hi = (a, f, slope, grad)
-        elif abs(slope) <= -c2 * slope0:
+        elif abs(slope) <= -0.9 * slope0:
             return a, f, grad, evals
         else:  # a new lowest trial; the old one bounds the bracket if f' turned upward
             if slope * ((a if hi is None else hi[0]) - lo[0]) >= 0.0:

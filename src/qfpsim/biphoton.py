@@ -177,22 +177,21 @@ POLISH_MAXITER = 1000
 
 def _pair_model(measurements, base: BiphotonState, pair_bins,
                 signal_op: ModeOperator, idler_op: ModeOperator):
-    """The retrieval model, built once: each setting's output S A I^T is
-    the fixed background S A_rest I^T of the amplitudes off the pairs plus
-    P outer products of the pairs' signal- and idler-operator columns.
+    """The retrieval model, built once: ``base`` must hold amplitude on its
+    pairs alone, so each setting's output S A I^T is the sum of P outer
+    products of the pairs' signal- and idler-operator columns.
 
-    Returns (signal_cols, idler_rows, background, offsets, targets): the
-    n_s x P and P x n_i pair columns, the background grid, the K x P known
-    offsets and the K measured grids normalized to unit sum.
+    Returns (signal_cols, idler_rows, offsets, targets): the n_s x P and
+    P x n_i pair columns, the K x P known offsets and the K measured grids
+    normalized to unit sum.
     """
     _check_windows(base, signal_op, idler_op)
     rows = [base.signal_lattice.index_of(bs) for bs, _ in pair_bins]
     cols = [base.idler_lattice.index_of(bi) for _, bi in pair_bins]
     if len(set(zip(rows, cols))) < len(pair_bins):
         raise InvalidArgumentError("pair bins must be distinct")
-    rest = base.amplitudes.copy()
-    rest[rows, cols] = 0.0
-    background = signal_op.entries @ rest @ idler_op.entries.T
+    if np.count_nonzero(base.amplitudes) > np.count_nonzero(base.amplitudes[rows, cols]):
+        raise InvalidArgumentError("the base state has amplitude off its pairs")
     signal_cols = signal_op.entries[:, rows] * base.amplitudes[rows, cols]
     idler_rows = idler_op.entries[:, cols].T
 
@@ -203,7 +202,7 @@ def _pair_model(measurements, base: BiphotonState, pair_bins,
         if known.shape != (num,):
             raise InvalidArgumentError("one known offset per pair required")
         grid = np.asarray(grid, dtype=float)
-        if grid.shape != background.shape:
+        if grid.shape != base.amplitudes.shape:
             raise InvalidArgumentError("measured grids must match the two windows")
         total = grid.sum()
         if not (np.isfinite(total) and total > 0):
@@ -213,15 +212,15 @@ def _pair_model(measurements, base: BiphotonState, pair_bins,
         targets.append(grid / total)
     if not targets:
         raise InvalidArgumentError("at least one measured grid required")
-    return signal_cols, idler_rows, background, np.array(offsets), np.array(targets)
+    return signal_cols, idler_rows, np.array(offsets), np.array(targets)
 
 
-def _model_cost(signal_cols, idler_rows, background, offsets, targets):
+def _model_cost(signal_cols, idler_rows, offsets, targets):
     """Squared mismatch between predicted and measured normalized grids,
     summed over the settings, and its gradient, as a function of the
     phases of pairs 1..P-1.
 
-    With out = sum_p e^{i phi_p} s_p r_p^T + B, its sum S of |out|^2 and
+    With out = sum_p e^{i phi_p} s_p r_p^T, its sum S of |out|^2 and
     diff = |out|^2 / S - target, the derivative of the cost with respect to
     |out|^2 is w = 2 (diff - <diff, |out|^2 / S>) / S, so the gradient is
     d/d phi_p = -2 Im(e^{i phi_p} s_p^T (w o conj(out)) r_p), summed over the
@@ -230,7 +229,7 @@ def _model_cost(signal_cols, idler_rows, background, offsets, targets):
 
     def cost(phis):
         rotation = np.exp(1j * (np.concatenate(([0.0], phis)) + offsets))[:, None, :]
-        out = (signal_cols * rotation) @ idler_rows + background
+        out = (signal_cols * rotation) @ idler_rows
         norm = np.abs(out) ** 2
         total = norm.sum(axis=(1, 2), keepdims=True)
         total = np.where(total > 0, total, 1.0)
@@ -344,12 +343,11 @@ def retrieve_phases(measurements, base: BiphotonState, pair_bins,
     Voroninski, CPAM 66, 1241, 2013), so one least-squares solve gives X
     and the phases are read off its determined entries along a spanning
     tree from pair 0 (angular synchronisation: Singer, ACHA 30, 20, 2011).
-    The lifted seed models the pairs only; amplitudes of ``base`` off the
-    pairs enter the cost but not the seed.  One BFGS run on the
-    squared mismatch between predicted and measured normalized grids, with
-    its analytic gradient, then polishes the seed; an exact seed ends it
-    at the first evaluation, and POLISH_MAXITER ends a polish that does
-    not converge.
+    ``base`` holds amplitude on the pairs alone, so the lifted seed and
+    the polish model one state.  One BFGS run on the squared mismatch
+    between predicted and measured normalized grids, with its analytic
+    gradient, then polishes the seed; an exact seed ends it at the first
+    evaluation, and POLISH_MAXITER ends a polish that does not converge.
 
     A single grid fixes each X_pq only up to its conjugate (the mixing
     kernel is real up to bin-local phases), so X_pq is determined only
@@ -360,13 +358,14 @@ def retrieve_phases(measurements, base: BiphotonState, pair_bins,
     polished cost exceeds RETRIEVAL_TOL (or is not finite); raises
     OutOfRangeError when the lifted design exceeds LIFTED_MAX_SIZE, and
     InvalidArgumentError when there are fewer than two pairs, when two
-    pairs share both bins or when the operator windows do not match ``base``.
+    pairs share both bins, when ``base`` has amplitude off its pairs or
+    when the operator windows do not match ``base``.
     """
     pair_bins = list(pair_bins)
     if len(pair_bins) < 2:
         raise InvalidArgumentError("phase retrieval needs at least two pairs")
     model = _pair_model(measurements, base, pair_bins, signal_op, idler_op)
-    signal_cols, idler_rows, _, offsets, targets = model
+    signal_cols, idler_rows, offsets, targets = model
     cost = _model_cost(*model)
     entries, edges = _phase_tree(signal_cols, idler_rows, offsets)
     seed = _lifted_seed(signal_cols, idler_rows, offsets, targets, entries, edges)

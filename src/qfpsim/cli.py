@@ -120,7 +120,7 @@ def _lattice_from(constants: dict):
                         constants["half_width"])
 
 
-def cmd_beamsplitter(cfg: dict, rng) -> dict:
+def cmd_beamsplitter(cfg: dict, seed: int) -> dict:
     # linspace's step products overflow, or give NaN from an infinite step, on
     # some finite ends; only a sweep with a point that is not finite is refused
     with np.errstate(over="ignore", invalid="ignore"):
@@ -150,7 +150,7 @@ def cmd_beamsplitter(cfg: dict, rng) -> dict:
     }
 
 
-def cmd_gate(cfg: dict, rng) -> dict:
+def cmd_gate(cfg: dict, seed: int) -> dict:
     lat = _lattice_from(cfg["constants"])
     bins = tuple(cfg["computational_bins"])
     theta, lam, mu = cfg["theta"], cfg["lam"], cfg["mu"]
@@ -170,7 +170,7 @@ def cmd_gate(cfg: dict, rng) -> dict:
     }}
 
 
-def cmd_spectrum(cfg: dict, rng) -> dict:
+def cmd_spectrum(cfg: dict, seed: int) -> dict:
     lat = _lattice_from(cfg["constants"])
     bins = tuple(cfg["computational_bins"])
     input_bin = bins[0] if cfg["input_bin"] is None else cfg["input_bin"]
@@ -183,13 +183,14 @@ def cmd_spectrum(cfg: dict, rng) -> dict:
     }
 
 
-def cmd_qwalk(cfg: dict, rng) -> dict:
+def cmd_qwalk(cfg: dict, seed: int) -> dict:
     consts = cfg["constants"]
     lat = _lattice_from(consts)
     num_pairs, depth = cfg["num_pairs"], cfg["walk_depth"]
     planted = cfg["planted_phases"]
     if planted is None:
-        planted = [0.0] + [float(p) for p in rng.uniform(-0.1, 0.1, num_pairs - 1)]
+        draws = np.random.default_rng(seed).uniform(-0.1, 0.1, num_pairs - 1)
+        planted = [0.0] + draws.tolist()
     if len(planted) != num_pairs:
         raise InvalidArgumentError("planted_phases must have one entry per pair")
     pairs = [(l, -l) for l in range(1, num_pairs + 1)]
@@ -230,17 +231,17 @@ def cmd_qwalk(cfg: dict, rng) -> dict:
     return outputs
 
 
-def cmd_tomography(cfg: dict, rng, expected_value: bool) -> dict:
+def cmd_tomography(cfg: dict, seed: int, expected_value: bool) -> dict:
     suppression, shots, bell_phase = cfg["suppression_db"], cfg["shots"], cfg["bell_phase"]
     car = cfg["constants"]["car"]
+    rng = None if expected_value else np.random.default_rng(seed)
     rho_true = carve_bell_state(suppression, bell_phase)
     # accidental floor referenced to the peak coincidence rate, as a
     # coincidence-to-accidental ratio is measured
     exact = simulate_counts(rho_true, shots)
     peak_rate = max(r.counts for r in exact) / shots
     accidental = peak_rate / car
-    records = simulate_counts(rho_true, shots, accidental_fraction=accidental,
-                              rng=None if expected_value else rng)
+    records = simulate_counts(rho_true, shots, accidental_fraction=accidental, rng=rng)
     rho_hat = mle_reconstruct(records)
     bell = carve_bell_state(np.inf, bell_phase)
 
@@ -248,7 +249,7 @@ def cmd_tomography(cfg: dict, rng, expected_value: bool) -> dict:
     fringe = bell_fringe(rho_true, phis)
     fringe_acc = float(fringe.max()) / car
     fringe_counts = (fringe + fringe_acc) * cfg["fringe_shots"]
-    if not expected_value:
+    if rng is not None:
         fringe_counts = rng.poisson(fringe_counts).astype(float)
     fit = fit_visibility(phis, fringe_counts)
 
@@ -268,7 +269,7 @@ def cmd_tomography(cfg: dict, rng, expected_value: bool) -> dict:
     return outputs
 
 
-def cmd_calibrate(cfg: dict, rng) -> dict:
+def cmd_calibrate(cfg: dict, seed: int) -> dict:
     p2pi, phi0 = cfg["power_2pi"], cfg["phase_offset"]
     # the heater sweep runs to 2.2 power_2pi, and the planted phase of its
     # last power is 2 pi times that over power_2pi
@@ -290,7 +291,7 @@ def cmd_calibrate(cfg: dict, rng) -> dict:
     aligned = ws_unit(ring, ring)
     powers = np.linspace(0.0, 2.2 * p2pi, cfg["sweep_points"])
     traces = simulate_phase_sweep(aligned, powers, p2pi, phi0, dither, probe,
-                                  noise_sigma=cfg["noise_sigma"], rng=rng)
+                                  noise_sigma=cfg["noise_sigma"], rng=np.random.default_rng(seed))
     cal = fit_phase_curve(powers, traces, dither)
     return {
         "scan_map.csv": (["demux_offset"] + grid.tolist(),
@@ -370,6 +371,14 @@ def _describe(fields: dict) -> str:
                      for name, f in fields.items())
 
 
+def _seed(text: str) -> int:
+    """A --seed value: a non-negative integer, as numpy's generators take."""
+    seed = int(text)  # argparse reports a ValueError as an invalid value
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a non-negative integer")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qfpsim",
@@ -383,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
                    f"under \"constants\":\n{_describe(CONSTANTS)}")
         p.add_argument("--config", required=True, help="JSON run config")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_seed, default=0)
         for flag, text in command.flags.items():
             p.add_argument("--" + flag.replace("_", "-"), action="store_true", help=text)
     return parser
@@ -419,7 +428,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, args.command)
         flags = {f: getattr(args, f) for f in command.flags}
-        outputs = command.run(cfg, np.random.default_rng(args.seed), **flags)
+        outputs = command.run(cfg, args.seed, **flags)
         # every file is rendered, and so checked, before the first is written
         texts = {name: _render(name, payload) for name, payload in outputs.items()}
         out = Path(args.out)

@@ -226,13 +226,3 @@ def eom_operator(drive: RfDrive, lattice: FrequencyLattice) -> ModeOperator:
     entries = d[:, None] * _toeplitz(drive.depth, lattice.size)
     entries *= d.conj()
     return ModeOperator(lattice, entries)
-
-
-def unitarity_deficit(op: ModeOperator, interior_margin: int) -> float:
-    """max |(M^dag M - I)[m, n]| over bins at least ``interior_margin`` from the edge."""
-    n = op.lattice.size
-    if interior_margin >= (n - 1) // 2:
-        raise InvalidArgumentError("interior margin must be smaller than the half window")
-    g = op.entries.conj().T @ op.entries - np.eye(n)
-    lo, hi = interior_margin, n - interior_margin
-    return float(np.abs(g[lo:hi, lo:hi]).max())

@@ -321,21 +321,6 @@ def gauge_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.abs(_gauge_fix_rows(a) - _gauge_fix_rows(b)).max())
 
 
-def _probe_rows(spectra: dict, lattice: FrequencyLattice,
-                computational_bins: tuple) -> np.ndarray:
-    """The computational-bin rows of the six probe spectra (bin0, bin1, then
-    gamma in QUADRATURE_GAMMAS order) as a 6 x 2 array.
-
-    Raises ReconstructionFailureError naming any missing probe spectrum.
-    """
-    keys = _probe_table(QUADRATURE_GAMMAS)[0]
-    missing = [k for k in keys if k not in spectra]
-    if missing:
-        raise ReconstructionFailureError(f"missing probe spectra: {', '.join(missing)}")
-    idx = [lattice.index_of(b) for b in computational_bins]
-    return np.array([np.asarray(spectra[k])[idx] for k in keys])
-
-
 def reconstruct_submatrix(spectra: dict, lattice: FrequencyLattice,
                           computational_bins: tuple) -> np.ndarray:
     """Complex 2x2 scattering matrix from the six probe spectra of
@@ -350,10 +335,15 @@ def reconstruct_submatrix(spectra: dict, lattice: FrequencyLattice,
     Raises ReconstructionFailureError when a probe spectrum is missing or
     an inferred cosine exceeds 1 beyond tol.
     """
+    keys = _probe_table(QUADRATURE_GAMMAS)[0]
+    missing = [k for k in keys if k not in spectra]
+    if missing:
+        raise ReconstructionFailureError(f"missing probe spectra: {', '.join(missing)}")
+    idx = [lattice.index_of(b) for b in computational_bins]
     tol = 1e-6
     rows = []
     for m, (bin0, bin1, i_0, i_pi, i_q1, i_q3) in enumerate(
-            _probe_rows(spectra, lattice, computational_bins).T.tolist()):
+            np.array([np.asarray(spectra[k])[idx] for k in keys]).T.tolist()):
         # negative powers clip to +0.0 and NaN stays, as with np.maximum
         col0 = math.sqrt(0.0 if bin0 <= 0.0 else bin0)
         mag1 = math.sqrt(0.0 if bin1 <= 0.0 else bin1)
@@ -368,13 +358,3 @@ def reconstruct_submatrix(spectra: dict, lattice: FrequencyLattice,
         im = -(i_q1 - i_q3) / (2.0 * col0)
         rows.append([col0, re + 1j * im])
     return np.array(rows, dtype=complex)
-
-
-def reconstruction_residual(v: np.ndarray, spectra: dict, lattice: FrequencyLattice,
-                            computational_bins: tuple) -> float:
-    """RMS mismatch between the computational-bin rows of the six probe
-    spectra and those regenerated from the reconstructed matrix."""
-    pred = np.abs(_probe_table(QUADRATURE_GAMMAS)[1] @ v.T) ** 2
-    err = pred - _probe_rows(spectra, lattice, computational_bins)
-    return float(np.sqrt(np.mean(np.square(err))))
-

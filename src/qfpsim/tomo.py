@@ -187,7 +187,7 @@ class MeasurementRecord:
 
 
 def simulate_counts(rho: np.ndarray, shots: float, accidental_fraction: float = 0.0,
-                    rng: np.random.Generator = None) -> list:
+                    rng=None) -> list:
     """Coincidence records over the canonical settings.
 
     Expected counts are shots * rate + shots * accidental_fraction; with a

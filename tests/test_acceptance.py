@@ -20,8 +20,8 @@ from qfpsim.cli import main
 from qfpsim.eom import bessel_row, truncation_order
 from qfpsim.lattice import SPEED_OF_LIGHT, make_lattice
 from qfpsim.qfp import (beamsplitter_config, beamsplitter_spectra,
-                        compose_qfp, fidelity, gauge_distance, jbar,
-                        reconstruct_submatrix, rt_closed_form, submatrix,
+                        compose_qfp, fidelity, gauge_distance, jbar, pair_block,
+                        reconstruct_submatrix, rt_closed_form,
                         success_probability, synthesize_gate, target_unitary)
 from qfpsim.rings import WsUnitConfig, _ring_ports, make_ring, ws_unit, ws_unit_response
 from qfpsim.tomo import (bell_fringe, carve_bell_state,
@@ -50,8 +50,7 @@ def test_closed_form_matches_matrix_magnitudes():
     for delta in (0.4, DELTA, 1.2):
         for alpha in alphas:
             r, t = rt_closed_form(alpha, delta)
-            v = submatrix(compose_qfp(
-                beamsplitter_config(alpha, delta, LAT, BINS)), BINS)
+            v = pair_block(beamsplitter_config(alpha, delta, LAT, BINS))
             mags = np.abs(v)
             expect = np.array([[np.sqrt(r), np.sqrt(t)],
                                [np.sqrt(t), np.sqrt(r)]])
@@ -72,8 +71,8 @@ def single_pm_balanced_probability() -> tuple:
 
 def test_success_probability_floor_and_single_modulator_bound():
     alphas = np.linspace(np.pi, 2 * np.pi, 64)
-    probs = [success_probability(submatrix(compose_qfp(
-        beamsplitter_config(a, DELTA, LAT, BINS)), BINS)) for a in alphas]
+    probs = [success_probability(pair_block(beamsplitter_config(a, DELTA, LAT, BINS)))
+             for a in alphas]
     assert min(probs) >= 0.94
     delta_star, p_single = single_pm_balanced_probability()
     assert 1.3 < delta_star < 1.6
@@ -96,14 +95,14 @@ def test_opposed_modulators_cancel_on_interior_bins():
 def test_gate_synthesis_fidelity_targets():
     for theta, lam, mu in ((np.pi / 2, 0.0, 0.0), (np.pi / 2, 0.0, np.pi / 2)):
         cfg = synthesize_gate(theta, lam, mu, DELTA, LAT, BINS)
-        v = submatrix(compose_qfp(cfg), BINS)
+        v = pair_block(cfg)
         assert fidelity(v, target_unitary(theta, lam, mu)) >= 0.999
 
 
 def test_reconstruction_plant_and_recover():
     for alpha in (np.pi, 4.4, 5.7):
         cfg = beamsplitter_config(alpha, DELTA, LAT, BINS)
-        v = submatrix(compose_qfp(cfg), BINS)
+        v = pair_block(cfg)
         spectra = beamsplitter_spectra(
             cfg, gammas=(0.0, np.pi, np.pi / 2, 3 * np.pi / 2))
         v_rec = reconstruct_submatrix(spectra, LAT, BINS)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
@@ -200,15 +200,11 @@ def test_retrieval_failure_on_inconsistent_data():
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.floats(-np.pi, np.pi), min_size=2 * len(PAIRS) - 1,
-                max_size=2 * len(PAIRS) - 1),
-       st.floats(0.0, 0.5), st.floats(-np.pi, np.pi))
-def test_retrieval_cost_matches_joint_evolution(angles, stray, stray_phase):
-    # the pair-column model against the full S A I^T evolution, for a base
-    # with one amplitude off the pairs (a fixed background)
+                max_size=2 * len(PAIRS) - 1))
+def test_retrieval_cost_matches_joint_evolution(angles):
+    # the pair-column model against the full S A I^T evolution
     sig, idl = walk_operators(defaults.WALK_DEPTH, LAT)
-    amps = comb_state(LAT, LAT, PAIRS, weights=_envelope()).amplitudes.copy()
-    amps[LAT.index_of(2), LAT.index_of(3)] = stray * np.exp(1j * stray_phase)
-    base = BiphotonState(LAT, LAT, amps)
+    base = comb_state(LAT, LAT, PAIRS, weights=_envelope())
     phis = np.asarray(angles[:len(PAIRS) - 1])
     measurements = []
     for known in (np.zeros(len(PAIRS)), np.asarray(angles[len(PAIRS) - 1:])):
@@ -217,7 +213,7 @@ def test_retrieval_cost_matches_joint_evolution(angles, stray, stray_phase):
 
     expected = 0.0
     for known, grid in measurements:
-        trial = amps.copy()
+        trial = base.amplitudes.copy()
         for (bs, bi), ph in zip(PAIRS, np.concatenate(([0.0], phis)) + known):
             trial[LAT.index_of(bs), LAT.index_of(bi)] *= np.exp(1j * ph)
         pred = jsi(apply_joint(BiphotonState(LAT, LAT, trial), sig, idl), "integral")
@@ -228,15 +224,12 @@ def test_retrieval_cost_matches_joint_evolution(angles, stray, stray_phase):
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.floats(-np.pi, np.pi), min_size=3 * len(PAIRS) - 3,
-                max_size=3 * len(PAIRS) - 3),
-       st.floats(0.0, 0.5), st.floats(-np.pi, np.pi))
-def test_retrieval_gradient_matches_central_differences(angles, stray, stray_phase):
+                max_size=3 * len(PAIRS) - 3))
+def test_retrieval_gradient_matches_central_differences(angles):
     # grids from other phases than those evaluated, so the cost is far from
-    # its minimum, and a base with one amplitude off the pairs
+    # its minimum
     sig, idl = walk_operators(defaults.WALK_DEPTH, LAT)
-    amps = comb_state(LAT, LAT, PAIRS, weights=_envelope()).amplitudes.copy()
-    amps[LAT.index_of(2), LAT.index_of(3)] = stray * np.exp(1j * stray_phase)
-    base = BiphotonState(LAT, LAT, amps)
+    base = comb_state(LAT, LAT, PAIRS, weights=_envelope())
     num = len(PAIRS)
     planted = np.concatenate(([0.0], angles[:num - 1]))
     phis = np.asarray(angles[num - 1:2 * num - 2])
@@ -273,7 +266,7 @@ def test_retrieval_polish_beats_nelder_mead_on_noisy_grids():
         measurements.append((offsets, grid * (1 + 0.02 * rng.standard_normal(grid.shape))))
     model = _pair_model(measurements, base, pairs, sig, idl)
     cost = _model_cost(*model)
-    signal_cols, idler_rows, _, offsets, targets = model
+    signal_cols, idler_rows, offsets, targets = model
     seed = _lifted_seed(signal_cols, idler_rows, offsets, targets,
                         *_phase_tree(signal_cols, idler_rows, offsets))
     x0 = seed if cost(seed)[0] < cost(np.zeros(num - 1))[0] else np.zeros(num - 1)
@@ -294,3 +287,19 @@ def test_retrieval_rejects_duplicate_pairs_and_foreign_windows():
     sig2, idl2 = walk_operators(defaults.WALK_DEPTH, other)
     with pytest.raises(InvalidArgumentError):
         retrieve_phases([(np.zeros(len(PAIRS)), grid)], base, PAIRS, sig2, idl2)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(-16, 16), st.integers(-16, 16), st.floats(1e-300, 1.0),
+       st.floats(-np.pi, np.pi))
+def test_retrieval_refuses_a_base_with_amplitude_off_its_pairs(bs, bi, stray, stray_phase):
+    # the model holds the pairs alone, so one more amplitude anywhere else
+    # would be missing from the model: such a base is refused before any solve
+    assume((bs, bi) not in PAIRS)
+    env = _envelope()
+    sig, idl = walk_operators(defaults.WALK_DEPTH, LAT)
+    grids = _two_grids(np.zeros(len(PAIRS)), env, sig, idl)
+    amps = comb_state(LAT, LAT, PAIRS, weights=env).amplitudes.copy()
+    amps[LAT.index_of(bs), LAT.index_of(bi)] = stray * np.exp(1j * stray_phase)
+    with pytest.raises(InvalidArgumentError, match="off its pairs"):
+        retrieve_phases(grids, BiphotonState(LAT, LAT, amps), PAIRS, sig, idl)

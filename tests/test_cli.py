@@ -17,7 +17,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import qfpsim
-from qfpsim import cli, errors
+from qfpsim import cli, defaults, errors
 from qfpsim.cli import main
 from qfpsim.eom import truncation_order
 from qfpsim.lattice import make_lattice
@@ -350,23 +350,37 @@ def test_calibrate_writes_the_same_bytes_under_one_and_two_blas_threads(tmp_path
     assert outputs[0] == outputs[1]
 
 
-_SCIPY_IMPORT_PROBE = """
+_IMPORT_PROBE = """
 import json
 import sys
 
 import qfpsim.cli
 
-
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+package, runs = sys.argv[1], json.loads(sys.argv[2])
 
 
-loaded = [["import", scipy_modules()]]
-for argv in json.loads(sys.argv[1]):
+def loaded():
+    return sorted(m for m in sys.modules if m == package or m.startswith(package + "."))
+
+
+report = [["import", loaded()]]
+for argv in runs:
     assert qfpsim.cli.main(argv) == 0, argv
-    loaded.append([" ".join(argv), scipy_modules()])
-print(json.dumps(loaded))
+    report.append([" ".join(argv), loaded()])
+print(json.dumps(report))
 """
+
+
+def _modules_loaded_by(runs, package):
+    """The modules of ``package`` loaded after importing qfpsim.cli and after
+    each of ``runs``, one after another in a fresh interpreter."""
+    env = {**os.environ, "PYTHONPATH": str(Path(qfpsim.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, package, json.dumps(runs)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    loaded = json.loads(done.stdout)
+    assert len(loaded) == 1 + len(runs)
+    return loaded
 
 
 def test_no_command_loads_scipy(tmp_path):
@@ -376,7 +390,6 @@ def test_no_command_loads_scipy(tmp_path):
     # largest splitting (brentq) and the expected-value tomography (MLE and
     # fringe fit), one after another in a fresh interpreter; pytest's
     # filterwarnings has imported scipy here
-    env = {**os.environ, "PYTHONPATH": str(Path(qfpsim.__file__).parents[1])}
     default = str(_write_cfg(tmp_path, {}))
     runs = [[command, "--config", default, "--out", str(tmp_path / command)]
             for command in ("spectrum", "beamsplitter", "gate", "calibrate", "qwalk",
@@ -385,12 +398,44 @@ def test_no_command_loads_scipy(tmp_path):
               "--out", str(tmp_path / "gate_1.2")],
              ["tomography", "--config", default, "--out", str(tmp_path / "expected"),
               "--expected-value"]]
-    done = subprocess.run([sys.executable, "-c", _SCIPY_IMPORT_PROBE, json.dumps(runs)],
-                          env=env, capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    loaded = json.loads(done.stdout)
-    assert len(loaded) == 1 + len(runs)
+    loaded = _modules_loaded_by(runs, "scipy")
     assert all(modules == [] for _, modules in loaded), loaded
+
+
+def test_commands_that_draw_nothing_leave_numpy_random_unloaded(tmp_path):
+    # only a command that draws builds a generator from its seed, so the
+    # four that draw nothing never load numpy.random, at any seed
+    default = str(_write_cfg(tmp_path, {}))
+    runs = [[command, "--config", default, "--out", str(tmp_path / command), "--seed", "5"]
+            for command in ("spectrum", "beamsplitter", "gate")]
+    runs += [["tomography", "--config", default, "--out", str(tmp_path / "expected"),
+              "--seed", "5", "--expected-value"]]
+    loaded = _modules_loaded_by(runs, "numpy.random")
+    assert all(modules == [] for _, modules in loaded), loaded
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_negative_seed_exits_2_with_the_usage_line(tmp_path, capsys, command):
+    # numpy's generators take non-negative seeds only, so argparse refuses
+    # -1 on every command, those that draw nothing included, and writes nothing
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        _run(command, _write_cfg(tmp_path, {}), out, "--seed", "-1")
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: qfpsim {command}")
+    assert "argument --seed: '-1' is not a non-negative integer" in err
+    assert not out.exists()
+
+
+def test_qwalk_draws_its_planted_phases_from_the_seed(tmp_path):
+    # the planted phases are pair 0's reference 0 and one uniform draw in
+    # [-0.1, 0.1) per other pair from the generator of the seed
+    out = tmp_path / "out"
+    assert _run("qwalk", _write_cfg(tmp_path, {}), out, "--seed", "3") == 0
+    planted = json.loads((out / "qwalk_summary.json").read_text())["planted_phases"]
+    draws = np.random.default_rng(3).uniform(-0.1, 0.1, defaults.NUM_COMB_PAIRS - 1)
+    assert planted == [0.0] + draws.tolist()
 
 
 @pytest.mark.parametrize("command, config, code", [

@@ -12,8 +12,7 @@ from qfpsim.qfp import (MIN_GATE_FIDELITY, QUADRATURE_GAMMAS, ProcessorConfig,
                         alpha_for_theta,
                         beamsplitter_config, beamsplitter_spectra, compose_qfp, fidelity,
                         gauge_distance, intrinsic_phases, jbar, pair_block,
-                        reconstruct_submatrix, reconstruction_residual,
-                        rt_closed_form, simulate_output_spectrum, submatrix,
+                        reconstruct_submatrix, rt_closed_form, simulate_output_spectrum, submatrix,
                         success_probability, synthesize_gate, target_unitary)
 from test_acceptance import single_pm_balanced_probability
 
@@ -29,8 +28,7 @@ def splitting_at_pi(delta):
 
 
 def bs_block(alpha, delta=DELTA, lat=LAT):
-    return submatrix(compose_qfp(beamsplitter_config(alpha, delta, lat, BINS)),
-                     BINS)
+    return pair_block(beamsplitter_config(alpha, delta, lat, BINS))
 
 
 def test_alpha_zero_is_transparent():
@@ -119,7 +117,7 @@ def test_alpha_for_theta_clamps_only_within_the_gate_fidelity(delta, step):
     assert outside < np.pi / 2
     assert alpha_for_theta(inside, delta) == np.pi
     config = synthesize_gate(inside, 0.3, -0.2, delta, LAT, BINS)
-    assert fidelity(submatrix(compose_qfp(config), BINS),
+    assert fidelity(pair_block(config),
                     target_unitary(inside, 0.3, -0.2)) >= MIN_GATE_FIDELITY
     with pytest.raises(OutOfRangeError, match="gate fidelity"):
         alpha_for_theta(outside, delta)
@@ -137,7 +135,7 @@ def test_synthesize_gate_hits_random_targets():
         b0 = int(rng.integers(LAT.l_min + margin, LAT.l_max - margin))
         bins = (b0, b0 + 1)
         cfg = synthesize_gate(theta, lam, mu, delta, LAT, bins)
-        v = submatrix(compose_qfp(cfg), bins)
+        v = pair_block(cfg)
         assert fidelity(v, target_unitary(theta, lam, mu)) > 1 - 1e-10
 
 
@@ -157,7 +155,7 @@ def test_synthesize_gate_reduces_huge_euler_phases():
 
 def test_identity_gate_block():
     cfg = synthesize_gate(0.0, 0.0, 0.0, DELTA, LAT, BINS)
-    v = submatrix(compose_qfp(cfg), BINS)
+    v = pair_block(cfg)
     assert abs(v[0, 0]) ** 2 > 0.999
     assert abs(v[0, 1]) ** 2 < 1e-10
 
@@ -183,7 +181,7 @@ def test_closed_form_block_matches_the_composed_beamsplitter(delta, alpha, data)
     b0 = data.draw(st.integers(margin - half_width, half_width - margin - 1))
     lat = make_lattice(193.7e12, 25e9, half_width)
     bins = (b0, b0 + 1)
-    v = submatrix(compose_qfp(beamsplitter_config(alpha, delta, lat, bins)), bins)
+    v = pair_block(beamsplitter_config(alpha, delta, lat, bins))
     v00, v01, v11 = _block_entries(alpha, delta)
     block = np.array([[v00, v01], [v01, v11]])
     assert np.abs(block - v).max() < 1e-13
@@ -268,14 +266,23 @@ def test_probe_table_is_built_once_and_read_only():
         assert _probe_table((-first,))[0] == ("bin0", "bin1", "gamma:0")
 
 
+def _probe_mismatch(v, spectra):
+    """RMS mismatch between the computational-bin rows of the six probe
+    spectra and those regenerated from the 2x2 block v."""
+    keys, table = _probe_table(QUADRATURE_GAMMAS)
+    idx = [LAT.index_of(b) for b in BINS]
+    measured = np.array([np.asarray(spectra[k])[idx] for k in keys])
+    return float(np.sqrt(np.mean(np.square(np.abs(table @ v.T) ** 2 - measured))))
+
+
 def test_reconstruct_with_quadrature_probes_is_exact():
     for alpha in (np.pi, 4.2, 5.5):
         cfg = beamsplitter_config(alpha, DELTA, LAT, BINS)
-        v = submatrix(compose_qfp(cfg), BINS)
+        v = pair_block(cfg)
         spectra = beamsplitter_spectra(cfg)
         v_rec = reconstruct_submatrix(spectra, LAT, BINS)
         assert gauge_distance(v_rec, v) < 1e-6
-        assert reconstruction_residual(v_rec, spectra, LAT, BINS) < 1e-10
+        assert _probe_mismatch(v_rec, spectra) < 1e-10
 
 
 def test_reconstruct_names_a_missing_quadrature_probe():
@@ -285,8 +292,6 @@ def test_reconstruct_names_a_missing_quadrature_probe():
     del spectra[key]
     with pytest.raises(ReconstructionFailureError, match=key):
         reconstruct_submatrix(spectra, LAT, BINS)
-    with pytest.raises(ReconstructionFailureError, match=key):
-        reconstruction_residual(np.eye(2), spectra, LAT, BINS)
 
 
 def _probe_spectra(v):
@@ -313,7 +318,7 @@ def test_reconstruct_random_blocks(theta, lam, mu, scale, row0, row1):
     v = scale * np.exp(1j * np.array([[row0], [row1]])) * target_unitary(theta, lam, mu)
     spectra = _probe_spectra(v)
     v_rec = reconstruct_submatrix(spectra, LAT, BINS)
-    assert reconstruction_residual(v_rec, spectra, LAT, BINS) < 1e-10
+    assert _probe_mismatch(v_rec, spectra) < 1e-10
     assert gauge_distance(v_rec, v) < 1e-6
 
 

@@ -42,11 +42,12 @@ at the two ends of the Bessel rows' range, at the subnormal depth 5e-324
 72; and two gates whose intrinsic phases are read off near-zero entries,
 ``gate`` at theta 0 (alpha = 2 pi, where V_01 is at rounding level) and
 at theta 1e-7 with lam 2.5 and mu -3 (near the identity, on the root
-finder's branch), where a signed zero could flip a phase: 42 cases.  For
-each output file the report says "identical", or gives the largest
+finder's branch), where a signed zero could flip a phase.  For each
+output file the report says "identical", or gives the largest
 absolute and relative difference of the numbers in it (CSV cells and
 JSON values); a relative difference is taken against at least eps times
-the largest magnitude in the file.
+the largest magnitude in the file.  The last line gives the number of
+cases and how many of the output files on both sides were identical.
 
 Exits 1 when, for some case, the exit codes, the stdout or stderr text,
 the set of output files, or anything in a file other than its numbers
@@ -212,6 +213,7 @@ def main(argv=None) -> int:
         if not (src / "qfpsim" / "cli.py").is_file():
             parser.error(f"{src} holds no qfpsim package")
     ok = True
+    compared = identical = 0
     with tempfile.TemporaryDirectory(prefix="qfpsim-compare-") as tmp:
         for n, case in enumerate(CASES):
             runs = []
@@ -235,8 +237,11 @@ def main(argv=None) -> int:
             for name in sorted(files_a.keys() & files_b.keys()):
                 line, same_shape = compare_file(name, files_a[name], files_b[name])
                 ok = ok and same_shape
+                compared += 1
+                identical += line == "identical"
                 print(f"  {name}: {line}")
-    print("same exit codes, streams, files and shapes" if ok else "DIFFERENCES FOUND")
+    print(("same exit codes, streams, files and shapes" if ok else "DIFFERENCES FOUND")
+          + f"; {len(CASES)} cases, {identical} of {compared} output files identical")
     return 0 if ok else 1
 
 
