@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._solvers import minimize
-from .errors import InvalidArgumentError, OutOfRangeError, RetrievalFailureError
+from .errors import InvalidArgumentError, PhysicsError
 from .eom import ModeOperator, RfDrive, eom_operator
 from .lattice import FrequencyLattice
 from .rings import mzi_pump_filter, reduce_phase
@@ -206,7 +206,7 @@ def _pair_model(measurements, base: BiphotonState, pair_bins,
             raise InvalidArgumentError("measured grids must match the two windows")
         total = grid.sum()
         if not (np.isfinite(total) and total > 0):
-            raise RetrievalFailureError(
+            raise PhysicsError(
                 f"measured grid must be finite with a positive sum, got sum {total}")
         offsets.append(known)
         targets.append(grid / total)
@@ -260,8 +260,8 @@ def _phase_tree(signal_cols, idler_rows, offsets):
     setting fixes one real combination of the entry).  Returns the
     reached entries (p < q) and the (p, q) edges of the spanning tree from
     pair 0 that maximizes its weakest edge (overlap times the offsets'
-    spread), or raises RetrievalFailureError when the determined entries
-    leave some pair unconnected to pair 0.
+    spread), or raises PhysicsError when the determined entries leave
+    some pair unconnected to pair 0.
     """
     amp_s, amp_i = np.abs(signal_cols), np.abs(idler_rows)
     overlap = (amp_s.T @ amp_s) * (amp_i @ amp_i.T)
@@ -279,7 +279,7 @@ def _phase_tree(signal_cols, idler_rows, offsets):
         open_best = np.where(done, 0.0, best)
         q = int(np.argmax(open_best))
         if open_best[q] <= 0.0:
-            raise RetrievalFailureError(
+            raise PhysicsError(
                 f"pairs {sorted(np.flatnonzero(~done).tolist())} are not tied to pair 0 "
                 "by any entry the settings determine")
         edges.append((int(via[q]), q))
@@ -298,7 +298,7 @@ def _lifted_seed(signal_cols, idler_rows, offsets, targets, entries, edges):
     The system holds only the reached ``entries`` and the cells whose diagonal
     term, which bounds the cell by Cauchy-Schwarz, is above _FLOOR of its
     largest value, so its size does not grow with the window; one above
-    LIFTED_MAX_SIZE doubles raises OutOfRangeError.  Phases are read along
+    LIFTED_MAX_SIZE doubles raises PhysicsError.  Phases are read along
     ``edges`` from pair 0, since arg X_pq = phi_p - phi_q.
     """
     diagonal = np.abs(signal_cols) ** 2 @ np.abs(idler_rows) ** 2
@@ -306,8 +306,8 @@ def _lifted_seed(signal_cols, idler_rows, offsets, targets, entries, edges):
     num_grids, num_entries = len(targets), len(entries)
     size = num_grids * len(rows) * (2 * num_entries + num_grids)
     if size > LIFTED_MAX_SIZE:
-        raise OutOfRangeError(f"lifted design of {size / 2**17:.0f} MiB exceeds its bound of "
-                              f"{LIFTED_MAX_SIZE / 2**17:.0f} MiB; use fewer pairs or less depth")
+        raise PhysicsError(f"lifted design of {size / 2**17:.0f} MiB exceeds its bound of "
+                           f"{LIFTED_MAX_SIZE / 2**17:.0f} MiB; use fewer pairs or less depth")
     p, q = entries.T
     a, b = signal_cols[rows], idler_rows[:, cols].T
     kernel = 2.0 * a[:, p] * a[:, q].conj() * b[:, p] * b[:, q].conj()
@@ -352,14 +352,14 @@ def retrieve_phases(measurements, base: BiphotonState, pair_bins,
     A single grid fixes each X_pq only up to its conjugate (the mixing
     kernel is real up to bin-local phases), so X_pq is determined only
     where a second setting's known offset difference o_p - o_q is not that
-    of the first plus a multiple of pi.  Raises RetrievalFailureError when
-    those entries leave a pair unconnected to pair 0 (a single grid
-    always does), when a grid is not finite or sums to zero, or when the
-    polished cost exceeds RETRIEVAL_TOL (or is not finite); raises
-    OutOfRangeError when the lifted design exceeds LIFTED_MAX_SIZE, and
-    InvalidArgumentError when there are fewer than two pairs, when two
-    pairs share both bins, when ``base`` has amplitude off its pairs or
-    when the operator windows do not match ``base``.
+    of the first plus a multiple of pi.  Raises PhysicsError when those
+    entries leave a pair unconnected to pair 0 (a single grid always
+    does), when a grid is not finite or sums to zero, when the lifted
+    design exceeds LIFTED_MAX_SIZE, or when the polished cost exceeds
+    RETRIEVAL_TOL (or is not finite); raises InvalidArgumentError when
+    there are fewer than two pairs, when two pairs share both bins, when
+    ``base`` has amplitude off its pairs or when the operator windows do
+    not match ``base``.
     """
     pair_bins = list(pair_bins)
     if len(pair_bins) < 2:
@@ -372,6 +372,6 @@ def retrieve_phases(measurements, base: BiphotonState, pair_bins,
     best = minimize(cost, seed, options={"ftol": 1e-15, "gtol": 1e-12,
                                          "maxiter": POLISH_MAXITER})
     if not best.fun <= RETRIEVAL_TOL:
-        raise RetrievalFailureError(
+        raise PhysicsError(
             f"residual {best.fun:.3g} exceeds tolerance {RETRIEVAL_TOL:.3g}")
     return np.array([0.0] + [reduce_phase(x) for x in best.x])

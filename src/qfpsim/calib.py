@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._solvers import curve_fit
-from .errors import DegenerateScanError, FitFailureError, InvalidArgumentError
+from .errors import InvalidArgumentError, PhysicsError
 from .rings import WsUnitConfig, _ring_ports, _ws_power_factors, reduce_phase
 
 
@@ -140,11 +140,11 @@ def align_scan(unit_template: WsUnitConfig, grid_demux, grid_mux,
     scan = np.hypot(harmonic.real, harmonic.imag)
     baseline = float(np.real(sum(d @ m.T for d, m in factors)).max()) / t.size
     if scan.max() <= 1e-9 * max(baseline, np.finfo(float).tiny):
-        raise DegenerateScanError("scan map is flat; dither amplitude too small")
+        raise PhysicsError("scan map is flat; dither amplitude too small")
     i, j = np.unravel_index(np.argmax(scan), scan.shape)
     if i in (0, scan.shape[0] - 1) or j in (0, scan.shape[1] - 1):
-        raise DegenerateScanError(f"scan maximum at cell ({i}, {j}) of a {scan.shape} grid "
-                                  "lies on its edge, not bracketed; widen scan_span")
+        raise PhysicsError(f"scan maximum at cell ({i}, {j}) of a {scan.shape} grid "
+                           "lies on its edge, not bracketed; widen scan_span")
     return AlignScanResult(float(grid_demux[i]), float(grid_mux[j]), scan)
 
 
@@ -222,7 +222,7 @@ def fit_phase_curve(powers, traces, dither: DitherConfig) -> PhaseCalibration:
     # a fit that collapses to i0 = 0 has no covariance, and one that under-
     # or overflows (powers or noise of extreme scale, from the harmonics
     # on) has no finite residual: both fail
-    failed = FitFailureError("phase-curve fit failed to converge from every start")
+    failed = PhysicsError("phase-curve fit failed to converge from every start")
     with np.errstate(all="ignore"):
         y = harmonic_component(traces, dither.phase_harmonic, dither.sample_rate).real
         start = _period_grid_search(powers[order], y[order])

@@ -3,7 +3,7 @@ JSON config and returns plot-ready CSV tables plus a JSON summary, which
 ``main`` renders and only then writes: a config or physics failure writes nothing.
 
 Exit codes: 0 success, 2 config error (``InvalidArgumentError``, or an
-unwritable ``--out``), 3 numerical/physics failure (``PhysicsError``).
+unwritable ``--out``), 3 physics refusal (``PhysicsError``, or numpy's ``LinAlgError``).
 Outputs are byte-identical across reruns with the same config and seed.
 """
 
@@ -24,7 +24,7 @@ from .biphoton import (apply_joint, comb_envelope, comb_state, diagonal_weight, 
                        jsi_fidelity, retrieval_reference_offsets, retrieve_phases,
                        walk_operators, ws_idler_phases)
 from .calib import DitherConfig, align_scan, fit_phase_curve, simulate_phase_sweep
-from .errors import InvalidArgumentError, NonFiniteResultError, PhysicsError
+from .errors import InvalidArgumentError, PhysicsError
 from .eom import BESSEL_MAX_ARGUMENT, check_window_margin
 from .lattice import SPEED_OF_LIGHT, make_lattice
 from .qfp import (beamsplitter_config, beamsplitter_spectra, fidelity, gauge_distance,
@@ -103,7 +103,7 @@ def _render(name: str, payload) -> str:
     """The text of one output file: a (header, rows) table as CSV for a
     ``.csv`` name, where csv writes each float as its shortest round-trip
     repr, so reruns are byte-identical; else a summary as strict JSON,
-    where a NaN or infinity raises NonFiniteResultError."""
+    where a NaN or infinity raises PhysicsError."""
     if name.endswith(".csv"):
         header, rows = payload
         text = io.StringIO()
@@ -112,7 +112,7 @@ def _render(name: str, payload) -> str:
     try:
         return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
     except ValueError as exc:
-        raise NonFiniteResultError(f"{name}: {exc}") from exc
+        raise PhysicsError(f"{name}: {exc}") from exc
 
 
 def _lattice_from(constants: dict):

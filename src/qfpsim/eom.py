@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .errors import InvalidArgumentError, OutOfRangeError
+from .errors import InvalidArgumentError, PhysicsError
 from .lattice import FrequencyLattice
 
 BESSEL_MAX_ARGUMENT = 50.0
@@ -146,11 +146,11 @@ def truncation_order(depth: float) -> int:
 
 def check_window_margin(lattice: FrequencyLattice, bins, depth: float) -> None:
     """The window rule: InvalidArgumentError for a bin outside the window,
-    OutOfRangeError for one nearer its edge than ``truncation_order(depth)``."""
+    PhysicsError for one nearer its edge than ``truncation_order(depth)``."""
     margin, nearest = min((min(lattice.index_of(b), lattice.l_max - b), b) for b in bins)
     needed = truncation_order(depth)
     if margin < needed:
-        raise OutOfRangeError(
+        raise PhysicsError(
             f"bin {nearest} lies {margin} bins from the window edge; depth "
             f"{depth} needs {needed} (widen the window)")
 

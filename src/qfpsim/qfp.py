@@ -21,8 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._solvers import brentq
-from .errors import (InvalidArgumentError, OutOfRangeError,
-                     ReconstructionFailureError, UndefinedFidelityError)
+from .errors import InvalidArgumentError, PhysicsError
 from .eom import (ModeOperator, RfDrive, _depth_row, _phasors, _toeplitz, check_window_margin,
                   truncation_order)
 from .lattice import FrequencyLattice
@@ -181,7 +180,7 @@ def fidelity(v: np.ndarray, target: np.ndarray) -> float:
     as vdot(V, U); global-phase invariant."""
     p = success_probability(v)
     if p <= 0.0:
-        raise UndefinedFidelityError("success probability is zero")
+        raise PhysicsError("success probability is zero")
     return float(abs(np.vdot(v, target)) ** 2 / (4.0 * p))
 
 
@@ -203,7 +202,7 @@ def alpha_for_theta(theta: float, delta: float) -> float:
     and so is any theta outside [0, pi/2].
     """
     if not 0.0 <= theta <= np.pi / 2.0 + 1e-12:
-        raise OutOfRangeError(
+        raise PhysicsError(
             f"theta = {theta} outside the achievable interval [0, pi/2] at depth {delta}")
     want = np.sin(theta / 2.0) ** 2
     coeffs = _bessel_sums(delta)
@@ -216,7 +215,7 @@ def alpha_for_theta(theta: float, delta: float) -> float:
     if want >= best:
         theta_max = 2.0 * np.arcsin(np.sqrt(best))
         if np.cos((theta - theta_max) / 2.0) ** 2 < MIN_GATE_FIDELITY:
-            raise OutOfRangeError(
+            raise PhysicsError(
                 f"theta = {theta} exceeds the largest splitting theta = {theta_max:.6g} "
                 f"at depth {delta} by more than a gate fidelity of {MIN_GATE_FIDELITY} allows")
         return np.pi
@@ -332,13 +331,13 @@ def reconstruct_submatrix(spectra: dict, lattice: FrequencyLattice,
     3pi/2 pair gives Im V_m1 = -(I_pi/2 - I_3pi/2) / (2 V_m0).  Where V_m0 < tol
     the phase of V_m1 is free and V_m1 = |V_m1| is taken real.
 
-    Raises ReconstructionFailureError when a probe spectrum is missing or
-    an inferred cosine exceeds 1 beyond tol.
+    Raises PhysicsError when a probe spectrum is missing or an inferred
+    cosine exceeds 1 beyond tol.
     """
     keys = _probe_table(QUADRATURE_GAMMAS)[0]
     missing = [k for k in keys if k not in spectra]
     if missing:
-        raise ReconstructionFailureError(f"missing probe spectra: {', '.join(missing)}")
+        raise PhysicsError(f"missing probe spectra: {', '.join(missing)}")
     idx = [lattice.index_of(b) for b in computational_bins]
     tol = 1e-6
     rows = []
@@ -352,7 +351,7 @@ def reconstruct_submatrix(spectra: dict, lattice: FrequencyLattice,
             continue
         re = (i_0 - i_pi) / (2.0 * col0)
         if abs(re) > mag1 + 10.0 * math.sqrt(tol):
-            raise ReconstructionFailureError(
+            raise PhysicsError(
                 f"row {m}: inferred cosine exceeds 1 "
                 f"(|Re| = {abs(re):.3g} > |V| = {mag1:.3g})")
         im = -(i_q1 - i_q3) / (2.0 * col0)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._solvers import curve_fit, minimize
-from .errors import FitFailureError, InvalidArgumentError
+from .errors import InvalidArgumentError, PhysicsError
 from .eom import bessel_row
 from .rings import reduce_phase
 
@@ -130,7 +130,7 @@ def fit_visibility(phis, counts) -> VisibilityFit:
     model b (1 + v cos(x + chi)) is linear in (b, b v cos chi, b v sin chi),
     so its weighted linear least squares is the optimum, which the
     nonlinear fit confirms and gives the covariance of.  Requires at least
-    five phase points; raises FitFailureError when the fringe is flat to
+    five phase points; raises PhysicsError when the fringe is flat to
     rounding (``_FLAT_FRINGE_RTOL``), has a zero constant term or no first
     harmonic above rounding, or when the fit cannot converge or the
     covariance is not finite (a flat fringe leaves the phase, and so V's
@@ -142,8 +142,8 @@ def fit_visibility(phis, counts) -> VisibilityFit:
             or not (np.all(np.isfinite(phis)) and np.all(np.isfinite(counts)))):
         raise InvalidArgumentError("need matching finite arrays with >= 5 fringe points")
     if np.ptp(counts) <= _FLAT_FRINGE_RTOL * np.abs(counts).max():
-        raise FitFailureError("fringe fit failed: the fringe is flat, so its phase is "
-                              "undetermined")
+        raise PhysicsError("fringe fit failed: the fringe is flat, so its phase is "
+                           "undetermined")
     sigma = np.sqrt(np.maximum(counts, 1.0))
 
     def model(x, b, v, chi):
@@ -158,14 +158,14 @@ def fit_visibility(phis, counts) -> VisibilityFit:
     b, bv_cos, bv_sin = np.linalg.lstsq(design, counts / sigma, rcond=None)[0]
     bv = float(np.hypot(bv_cos, bv_sin))
     if b == 0.0 or not bv > _FLAT_FRINGE_RTOL * abs(b):
-        raise FitFailureError("fringe fit failed: the fringe has a zero constant term or no "
-                              "first harmonic above rounding")
+        raise PhysicsError("fringe fit failed: the fringe has a zero constant term or no "
+                           "first harmonic above rounding")
     try:
         popt, pcov = curve_fit(model, phis, counts, sigma=sigma, jac=jac, absolute_sigma=True,
                                p0=[b, bv / b, float(np.arctan2(bv_sin, bv_cos))],
                                maxfev=20000)
     except RuntimeError as exc:  # no convergence, or a covariance that is not finite
-        raise FitFailureError(f"fringe fit failed: {exc}") from exc
+        raise PhysicsError(f"fringe fit failed: {exc}") from exc
     b, v, chi = popt
     if b < 0:
         b, v = -b, -v

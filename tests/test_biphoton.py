@@ -24,7 +24,7 @@ from qfpsim.biphoton import (
     walk_operators,
     ws_idler_phases,
 )
-from qfpsim.errors import InvalidArgumentError, RetrievalFailureError
+from qfpsim.errors import InvalidArgumentError, PhysicsError
 from qfpsim.lattice import make_lattice
 
 LAT = make_lattice(defaults.CENTER_FREQUENCY, defaults.BIN_SPACING, 16)
@@ -140,7 +140,7 @@ def test_single_grid_retrieval_is_refused():
     grid = jsi(apply_joint(
         comb_state(LAT, LAT, PAIRS, weights=env, phases=planted), sig, idl),
         "integral")
-    with pytest.raises(RetrievalFailureError, match="not tied to pair 0"):
+    with pytest.raises(PhysicsError, match="not tied to pair 0"):
         retrieve_phases([(np.zeros(len(PAIRS)), grid)], base, PAIRS, sig, idl)
 
 
@@ -179,7 +179,7 @@ def test_retrieval_failure_on_inconsistent_data():
     base = comb_state(LAT, LAT, PAIRS, weights=env)
     zeros, ref = np.zeros(len(PAIRS)), retrieval_reference_offsets(len(PAIRS))
     bogus = np.ones((LAT.size, LAT.size))
-    with pytest.raises(RetrievalFailureError, match="exceeds tolerance"):
+    with pytest.raises(PhysicsError, match="exceeds tolerance"):
         retrieve_phases([(zeros, bogus), (ref, bogus)], base, PAIRS, sig, idl)
     with pytest.raises(InvalidArgumentError):
         retrieve_phases([(np.zeros(2), bogus)], base, PAIRS, sig, idl)
@@ -189,11 +189,11 @@ def test_retrieval_failure_on_inconsistent_data():
                         comb_state(LAT, LAT, PAIRS[:1]), PAIRS[:1], sig, idl)
     # a pair without amplitude in the base has no phase to retrieve
     hole = comb_state(LAT, LAT, PAIRS, weights=np.where(np.arange(len(PAIRS)) == 2, 0.0, env))
-    with pytest.raises(RetrievalFailureError, match=r"pairs \[2\] are not tied"):
+    with pytest.raises(PhysicsError, match=r"pairs \[2\] are not tied"):
         retrieve_phases(_two_grids(zeros, env, sig, idl), hole, PAIRS, sig, idl)
     # non-finite and zero-sum grids fail before any solve
     for value in (np.nan, np.inf, 0.0):
-        with pytest.raises(RetrievalFailureError, match="positive sum"):
+        with pytest.raises(PhysicsError, match="positive sum"):
             retrieve_phases([(zeros, bogus), (ref, np.full_like(bogus, value))],
                             base, PAIRS, sig, idl)
 

@@ -275,10 +275,12 @@ def test_non_finite_summary_is_physics_error(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("error", [e for e in vars(errors).values()
-                                   if isinstance(e, type) and issubclass(e, Exception)],
+                                   if isinstance(e, type) and issubclass(e, Exception)]
+                         + [np.linalg.LinAlgError],
                          ids=lambda e: e.__name__)
 def test_every_error_type_exits_2_or_3(tmp_path, monkeypatch, error):
-    # a bad argument is a config error, and every other error type is physics
+    # a bad argument is a config error; a physics refusal, or a linear
+    # algebra failure, is a numerical failure
     def fail(*args):
         raise error("planted")
 
@@ -333,6 +335,18 @@ def test_flat_fringe_exits_3_without_a_warning(tmp_path):
     assert done.returncode == 3
     assert done.stderr.startswith("numerical failure: fringe fit failed")
     assert "Warning" not in done.stderr and len(done.stderr.splitlines()) == 1
+
+
+def test_sampled_flat_fringe_exits_0_within_the_classical_bound(tmp_path):
+    # Poisson noise on the maximally mixed state's flat fringe leaves a
+    # fringe to fit, whose visibility is small and within the classical bound
+    out = tmp_path / "out"
+    assert _run("tomography", _write_cfg(tmp_path, {"suppression_db": 0}), out,
+                "--seed", "0") == 0
+    summary = json.loads((out / "tomography_summary.json").read_text(),
+                         parse_constant=_reject_constant)
+    assert abs(summary["visibility"]) < 0.05
+    assert not summary["violates_classical_bound"]
 
 
 def test_calibrate_writes_the_same_bytes_under_one_and_two_blas_threads(tmp_path):
@@ -522,6 +536,8 @@ def test_qwalk_draws_its_planted_phases_from_the_seed(tmp_path):
     ("beamsplitter", {"alpha_min": 1.7976931348623157e308}, 0),
     ("beamsplitter", {"alpha_max": -1.7976931348623157e308}, 0),
     ("beamsplitter", {"alpha_max": 1.7976931348623157e308}, 0),
+    # a walk of depth 0 mixes no pairs, so no grid ties a pair to pair 0
+    ("qwalk", {"walk_depth": 0}, 3),
 ])
 def test_config_exit_codes(tmp_path, command, config, code):
     out = tmp_path / "out"

@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qfpsim.eom import RfDrive, eom_operator, truncation_order
-from qfpsim.errors import (InvalidArgumentError, OutOfRangeError,
-                           ReconstructionFailureError, UndefinedFidelityError)
+from qfpsim.errors import InvalidArgumentError, PhysicsError
 from qfpsim.lattice import make_lattice
 from qfpsim.qfp import (MIN_GATE_FIDELITY, QUADRATURE_GAMMAS, ProcessorConfig,
                         _block_entries, _composed_columns, _probe_table,
@@ -64,7 +63,7 @@ def test_success_probability_and_fidelity_metrics():
     assert 0.999 < f <= 1.0
     # global phase invariance
     assert fidelity(np.exp(0.7j) * v, u) == pytest.approx(f, abs=1e-12)
-    with pytest.raises(UndefinedFidelityError):
+    with pytest.raises(PhysicsError, match="success probability is zero"):
         fidelity(np.zeros((2, 2)), u)
 
 
@@ -100,9 +99,9 @@ def test_alpha_for_theta_inverts_splitting_at_any_depth(delta, fraction):
 def test_alpha_for_theta_clamps_at_maximum_splitting():
     assert splitting_at_pi(DELTA) < 0.5
     assert alpha_for_theta(np.pi / 2, DELTA) == pytest.approx(np.pi)
-    with pytest.raises(OutOfRangeError):
+    with pytest.raises(PhysicsError, match="outside the achievable interval"):
         alpha_for_theta(np.pi / 2 + 0.02, DELTA)
-    with pytest.raises(OutOfRangeError):
+    with pytest.raises(PhysicsError, match="outside the achievable interval"):
         alpha_for_theta(-0.1, DELTA)
 
 
@@ -119,7 +118,7 @@ def test_alpha_for_theta_clamps_only_within_the_gate_fidelity(delta, step):
     config = synthesize_gate(inside, 0.3, -0.2, delta, LAT, BINS)
     assert fidelity(pair_block(config),
                     target_unitary(inside, 0.3, -0.2)) >= MIN_GATE_FIDELITY
-    with pytest.raises(OutOfRangeError, match="gate fidelity"):
+    with pytest.raises(PhysicsError, match="gate fidelity"):
         alpha_for_theta(outside, delta)
 
 
@@ -195,7 +194,7 @@ def test_closed_form_block_matches_the_composed_beamsplitter(delta, alpha, data)
 def test_computational_bins_must_be_adjacent_and_interior():
     with pytest.raises(InvalidArgumentError):
         beamsplitter_config(np.pi, DELTA, LAT, (0, 2))
-    with pytest.raises(OutOfRangeError):
+    with pytest.raises(PhysicsError, match="from the window edge"):
         beamsplitter_config(np.pi, DELTA, LAT, (LAT.l_min, LAT.l_min + 1))
 
 
@@ -220,7 +219,7 @@ def test_spectrum_input_keeps_the_window_margin(delta, alpha):
     cfg = beamsplitter_config(alpha, delta, lat, BINS)
     spec = simulate_output_spectrum(cfg, {lat.l_max - k: 1.0})
     assert abs(np.sum(spec) - 1.0) < 1e-14
-    with pytest.raises(OutOfRangeError):
+    with pytest.raises(PhysicsError, match="from the window edge"):
         simulate_output_spectrum(cfg, {lat.l_max - k + 1: 1.0})
 
 
@@ -290,7 +289,7 @@ def test_reconstruct_names_a_missing_quadrature_probe():
     assert len(spectra) == 6
     key = f"gamma:{3 * np.pi / 2:.17g}"
     del spectra[key]
-    with pytest.raises(ReconstructionFailureError, match=key):
+    with pytest.raises(PhysicsError, match=key):
         reconstruct_submatrix(spectra, LAT, BINS)
 
 
@@ -339,7 +338,7 @@ def test_processor_config_validates_window():
     narrow = make_lattice(193.7e12, 25e9, k + 1)
     ProcessorConfig(drive, drive, (), narrow, (0, 1))
     narrow = make_lattice(193.7e12, 25e9, k)
-    with pytest.raises(OutOfRangeError):
+    with pytest.raises(PhysicsError, match="from the window edge"):
         ProcessorConfig(drive, drive, (), narrow, (0, 1))
 
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from qfpsim import calib, qfp, tomo
 from qfpsim._solvers import brentq, curve_fit, minimize
-from qfpsim.errors import FitFailureError, OutOfRangeError
+from qfpsim.errors import PhysicsError
 from qfpsim.tomo import carve_bell_state, simulate_counts
 
 EPS = np.finfo(float).eps
@@ -62,7 +62,9 @@ def test_brentq_returns_scipys_root_bit_for_bit(shape, log_below, log_above, log
 def test_alpha_for_theta_is_scipys_bit_for_bit(theta, delta):
     try:
         ours = qfp.alpha_for_theta(theta, delta)
-    except OutOfRangeError:
+    except PhysicsError as exc:
+        # theta lies in [0, pi/2], so only a splitting out of reach is refused
+        assert "exceeds the largest splitting" in str(exc)
         return
     with pytest.MonkeyPatch.context() as m:
         m.setattr(qfp, "brentq", so.brentq)
@@ -300,7 +302,7 @@ def test_fit_visibility_is_no_worse_than_scipy_from_the_former_starts(points, lo
         _fringe(phis, 10.0**log_counts, visibility, chi)).astype(float)
     if np.ptp(counts) <= tomo._FLAT_FRINGE_RTOL * np.abs(counts).max():
         # a flat fringe leaves the phase undetermined, and is refused
-        with pytest.raises(FitFailureError, match="flat"):
+        with pytest.raises(PhysicsError, match="flat"):
             tomo.fit_visibility(phis, counts)
         return
     sigma = np.sqrt(np.maximum(counts, 1.0))
@@ -319,7 +321,8 @@ def test_fit_visibility_is_no_worse_than_scipy_from_the_former_starts(points, lo
                 continue
     try:
         fit = tomo.fit_visibility(phis, counts)
-    except FitFailureError:
+    except PhysicsError as exc:
+        assert str(exc).startswith("fringe fit failed")
         # only where no start gives V a finite uncertainty
         assert not any(np.all(np.isfinite(pcov)) for _, pcov in fits)
         return

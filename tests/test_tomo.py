@@ -11,7 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 from qfpsim import tomo
 from qfpsim.eom import bessel_row
-from qfpsim.errors import FitFailureError, InvalidArgumentError
+from qfpsim.errors import InvalidArgumentError, PhysicsError
 from qfpsim.tomo import (
     MLE_GAP_TOL,
     bell_fringe,
@@ -139,7 +139,7 @@ def test_fit_visibility_raises_on_a_flat_fringe():
     ulps = np.spacing(500.0) * np.resize([0.0, 2.0, -1.0, 3.0], 13)
     for counts in (np.full(13, 500.0), 500.0 + ulps,
                    1e5 * bell_fringe(np.eye(4) / 4.0, phis)):
-        with pytest.raises(FitFailureError, match="fringe fit failed"):
+        with pytest.raises(PhysicsError, match="fringe fit failed"):
             fit_visibility(phis, counts)
 
 
@@ -147,7 +147,7 @@ def test_fit_visibility_raises_without_a_first_harmonic():
     # a pure second harmonic: the linear start has no first harmonic above
     # rounding, so V and the phase are undetermined
     phis = np.linspace(0, 2 * np.pi, 16, endpoint=False)
-    with pytest.raises(FitFailureError, match="no first harmonic"):
+    with pytest.raises(PhysicsError, match="no first harmonic"):
         fit_visibility(phis, 100.0 * (1.0 + 0.5 * np.cos(2.0 * phis)))
 
 

@@ -15,9 +15,17 @@ maximum-likelihood run does not certify), ``tomography`` with
 shots), with 1e6 shots, with 1e8 shots (where a second
 maximum-likelihood run certifies), with 1e10 shots (where a continued
 run takes no step and so ends the fit) and with one shot at ``--seed 3``
-(every count 0, so the fit starts from I/4), two failing runs,
-``gate`` with a mistyped ``theta`` (exit 2) and ``calibrate`` with a
-phase-curve fit that fails (exit 3), and five runs with a noisy, long
+(every count 0, so the fit starts from I/4), failing runs,
+``gate`` with a mistyped ``theta`` (exit 2) and one for each physics
+refusal the commands reach (exit 3): ``calibrate`` with a phase-curve
+fit that fails, ``spectrum`` with ``input_bin`` 16 (a bin nearer the
+window edge than the truncation order), ``gate`` with ``theta`` 2.0
+(outside [0, pi/2]) and at depth 0.2 (a splitting out of reach),
+``tomography --expected-value`` at 0 dB suppression (a flat fringe),
+``calibrate`` with planted detunings (0.3, 0.6) (the scan maximum on
+the grid's edge), ``qwalk`` at walk depth 0 (no pair tied to pair 0)
+and ``qwalk`` with 32 pairs at depth 50 on a 209-bin window (a lifted
+design above its bound), and five runs with a noisy, long
 or many-pair fit: ``calibrate`` with ``noise_sigma`` 0.01, on the
 default sweep and on 1000 points, where the phase-curve grid search is
 largest, ``calibrate`` with ``noise_sigma`` 1.0, where the noise
@@ -91,6 +99,14 @@ CASES = ([(command, "{}", ("--seed", seed)) for seed in ("0", "3") for command i
             ("tomography", '{"shots": 1}', ("--seed", "3")),
             ("gate", '{"theta": "x"}', ("--seed", "0")),
             ("calibrate", '{"power_2pi": 1e200}', ("--seed", "0")),
+            ("spectrum", '{"input_bin": 16}', ("--seed", "0")),
+            ("gate", '{"theta": 2.0}', ("--seed", "0")),
+            ("gate", '{"constants": {"depth": 0.2}}', ("--seed", "0")),
+            ("tomography", '{"suppression_db": 0}', ("--seed", "0", "--expected-value")),
+            ("calibrate", '{"planted_detunings": [0.3, 0.6]}', ("--seed", "0")),
+            ("qwalk", '{"walk_depth": 0}', ("--seed", "0")),
+            ("qwalk", '{"num_pairs": 32, "walk_depth": 50, "constants": {"half_width": 104}}',
+             ("--seed", "0")),
             ("calibrate", '{"noise_sigma": 0.01}', ("--seed", "0")),
             ("calibrate", '{"sweep_points": 1000, "noise_sigma": 0.01}', ("--seed", "0")),
             ("calibrate", '{"noise_sigma": 1.0}', ("--seed", "0")),
